@@ -28,6 +28,7 @@ from .target import (
     product_of_marginals,
     product_target,
     random_target,
+    supported_conditional,
     supported_contexts,
     target_from_dict,
     target_to_dict,
@@ -39,7 +40,6 @@ from .kernels import (
     altered_random_walk_kernel,
     gibbs_kernel,
     indexed_states,
-    psd_check,
     random_walk_kernel,
     recursive_gibbs_kernel,
     sample_gibbs_chain,

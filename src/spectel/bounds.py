@@ -21,9 +21,7 @@ Everything here is exact enumeration over supported contexts, never sampling.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -31,19 +29,14 @@ import scipy.linalg
 from .errors import DomainError, ResourceLimitError
 from .kernels import (
     STATE_CAP,
+    _coordinate_marginals,
+    _pair_table,
     gibbs_kernel,
     pair_conditional_rows,
     random_walk_kernel,
     spectral_summary,
 )
-from .target import (
-    CondContext,
-    FiniteTarget,
-    conditional_tensor,
-    free_indices,
-    is_supported,
-    supported_contexts,
-)
+from .target import CondContext, FiniteTarget, supported_contexts
 
 
 @dataclass(frozen=True)
@@ -136,16 +129,7 @@ class TelescopeReport:
         }
 
 
-def _map_contexts(fn: Callable, contexts: Sequence[CondContext], max_workers: int) -> list:
-    if max_workers > 1 and len(contexts) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(fn, contexts))
-    return [fn(ctx) for ctx in contexts]
-
-
-def gap_profile(
-    target: FiniteTarget, l_max: int | None = None, max_workers: int = 1
-) -> GapProfile:
+def gap_profile(target: FiniteTarget, l_max: int | None = None) -> GapProfile:
     """Exact Gap(m, l) for every m and every l <= min(m, l_max).
 
     For each level ``m`` the minimum runs over all index sets of size
@@ -165,23 +149,13 @@ def gap_profile(
     min_psd = np.inf
 
     for m in range(1, n + 1):
-        ls = range(1, min(m, l_top) + 1)
-        contexts = list(supported_contexts(target, n - m))
-
-        def one_context(ctx: CondContext, ls=tuple(ls)) -> list[tuple[float, float]]:
-            out = []
-            for l in ls:
+        for ctx in supported_contexts(target, n - m):
+            for l in range(1, min(m, l_top) + 1):
                 summary = spectral_summary(gibbs_kernel(target, ctx, l))
-                out.append((summary.gap, summary.min_eigenvalue))
-            return out
-
-        results = _map_contexts(one_context, contexts, max_workers)
-        for ctx, gaps in zip(contexts, results):
-            for l, (gap, bottom) in zip(ls, gaps):
-                min_psd = min(min_psd, bottom)
+                min_psd = min(min_psd, summary.min_eigenvalue)
                 cur = entries.get((m, l))
-                if cur is None or gap < cur.gap:
-                    entries[(m, l)] = GapEntry(gap, ctx.lam, ctx.y)
+                if cur is None or summary.gap < cur.gap:
+                    entries[(m, l)] = GapEntry(summary.gap, ctx.lam, ctx.y)
     return GapProfile(n=n, entries=entries, min_psd_eigenvalue=float(min_psd))
 
 
@@ -229,16 +203,8 @@ def correlation_coefficient(target: FiniteTarget, ctx: CondContext) -> float:
     into an ordinary symmetric eigenproblem.  Returns 0 when the subspace is
     trivial.
     """
-    if not is_supported(target, ctx):
-        raise DomainError(f"context {ctx} has zero marginal mass")
-    free = free_indices(target, ctx)
-    m = len(free)
-    if m < 2:
-        raise DomainError(f"need at least 2 free coordinates, got {m}")
-    weights = conditional_tensor(target, ctx)
-    marginals = [
-        weights.sum(axis=tuple(p for p in range(m) if p != pos)) for pos in range(m)
-    ]
+    weights, marginals = _coordinate_marginals(target, ctx)
+    m = len(marginals)
     supports = [np.flatnonzero(w > 0) for w in marginals]
     sizes = [len(s) for s in supports]
 
@@ -265,10 +231,7 @@ def correlation_coefficient(target: FiniteTarget, ctx: CondContext) -> float:
             if b == a:
                 continue
             sb = slice(offsets[b], offsets[b + 1])
-            drop = tuple(p for p in range(m) if p not in (a, b))
-            pair = weights.sum(axis=drop) if drop else weights
-            if a > b:
-                pair = pair.T
+            pair = _pair_table(weights, a, b)
             second_moment[sa, sb] = pair[np.ix_(supports[a], supports[b])]
     basis = scipy.linalg.block_diag(*basis_blocks)
     reduced = basis.T @ second_moment @ basis
@@ -286,16 +249,8 @@ def influence_matrix_tv(target: FiniteTarget, ctx: CondContext) -> InfluenceMatr
     under the discrete metric, so no smaller constant satisfies the
     contraction condition.
     """
-    if not is_supported(target, ctx):
-        raise DomainError(f"context {ctx} has zero marginal mass")
-    free = free_indices(target, ctx)
-    m = len(free)
-    if m < 2:
-        raise DomainError(f"need at least 2 free coordinates, got {m}")
-    weights = conditional_tensor(target, ctx)
-    marginals = [
-        weights.sum(axis=tuple(p for p in range(m) if p != pos)) for pos in range(m)
-    ]
+    weights, marginals = _coordinate_marginals(target, ctx)
+    m = len(marginals)
     phi = np.zeros((m, m))
     for a in range(m):
         support = np.flatnonzero(marginals[a] > 0)
@@ -387,7 +342,6 @@ class BoundReport:
 def assemble_bounds(
     target: FiniteTarget,
     l: int,
-    max_workers: int = 1,
     slack: float = 1e-9,
     lemma_tol: float = 1e-8,
     psd_tol: float = 1e-10,
@@ -405,7 +359,7 @@ def assemble_bounds(
     n = target.n
     if not 1 <= l <= n:
         raise DomainError(f"block size {l} out of range 1..{n}")
-    profile = gap_profile(target, max_workers=max_workers)
+    profile = gap_profile(target)
     telescope = telescope_verify(profile, tol=slack)
 
     s_profile: dict[int, float] = {}
@@ -414,17 +368,11 @@ def assemble_bounds(
     extremal: dict[str, dict[int, dict]] = {"S": {}, "G": {}, "eta": {}}
 
     for m in range(max(2, l + 1), n + 1):
-        contexts = list(supported_contexts(target, n - m))
-
-        def one_context(ctx: CondContext) -> tuple[float, float, float]:
+        best_s = best_g = best_eta = None
+        for ctx in supported_contexts(target, n - m):
             g = spectral_summary(random_walk_kernel(target, ctx)).gap
             s = correlation_coefficient(target, ctx)
             eta = spectral_radius(influence_matrix_tv(target, ctx).entries)
-            return s, g, eta
-
-        results = _map_contexts(one_context, contexts, max_workers)
-        best_s = best_g = best_eta = None
-        for ctx, (s, g, eta) in zip(contexts, results):
             if best_s is None or s > s_profile[m]:
                 s_profile[m], best_s = s, ctx
             if best_g is None or g < g_profile[m]:

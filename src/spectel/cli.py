@@ -9,18 +9,19 @@ verify-cube     closed forms, eigenrelation, TV/coupling contraction, and the
 sample          stream Gibbs-chain states as newline-delimited JSON
 report-merge    combine several report files into one
 
-Reports are JSON only and self-contained: tool version, seed, tolerances,
-wall clock, and per-check pass flags are always embedded.  Exit codes:
-0 all checks pass, 1 some check failed, 2 malformed input or bad arguments,
-3 state-space cap exceeded, 4 statistical contract not met.  The environment
-variable ``SPECTEL_THREADS`` caps per-context parallelism (default 1).
+``--seed`` is taken by every subcommand except report-merge; ``--tol`` only
+by verify-finite and verify-cube.  Reports are JSON only and carry the tool
+version and per-check pass flags; the two verify reports also embed the seed,
+the tolerances and the wall clock.  Exit codes: 0 all checks pass, 1 some
+check failed, 2 malformed input or bad arguments, 3 state-space cap exceeded,
+4 statistical contract not met.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 import time
 import warnings
@@ -58,17 +59,6 @@ DEFAULT_TOLERANCES = {
 }
 
 
-def _threads() -> int:
-    raw = os.environ.get("SPECTEL_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise DomainError(f"SPECTEL_THREADS must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise DomainError(f"SPECTEL_THREADS must be >= 1, got {value}")
-    return value
-
-
 def _parse_tolerances(pairs: list[str] | None) -> dict[str, float]:
     tols = dict(DEFAULT_TOLERANCES)
     for item in pairs or []:
@@ -79,9 +69,12 @@ def _parse_tolerances(pairs: list[str] | None) -> dict[str, float]:
             raise DomainError(
                 f"unknown tolerance {key!r}; known keys: {', '.join(sorted(tols))}"
             )
-        value = float(raw)
-        if value <= 0:
-            raise DomainError(f"tolerance {key} must be > 0, got {value}")
+        try:
+            value = float(raw)
+        except ValueError:
+            raise DomainError(f"tolerance {key} must be a number, got {raw!r}") from None
+        if not (math.isfinite(value) and value > 0):
+            raise DomainError(f"tolerance {key} must be finite and > 0, got {raw!r}")
         tols[key] = value
     return tols
 
@@ -89,11 +82,15 @@ def _parse_tolerances(pairs: list[str] | None) -> dict[str, float]:
 def _parse_axes(raw: str | None, n: int | None) -> tuple[int, ...]:
     if raw is None:
         raise DomainError("--random requires --axes (and --n for a uniform size)")
+    try:
+        sizes = tuple(int(v) for v in raw.split(","))
+    except ValueError:
+        raise DomainError(f"--axes expects integer sizes, got {raw!r}") from None
     if "," in raw:
-        return tuple(int(v) for v in raw.split(","))
+        return sizes
     if n is None:
         raise DomainError("--axes SIZE without commas needs --n for the coordinate count")
-    return (int(raw),) * n
+    return sizes * n
 
 
 def _write_report(report: dict, out: str | None) -> None:
@@ -105,21 +102,14 @@ def _write_report(report: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _base_report(command: str, seed: int, tolerances: dict) -> dict:
-    return {
-        "tool": "spectel",
-        "version": __version__,
-        "command": command,
-        "seed": seed,
-        "tolerances": tolerances,
-    }
+def _base_report(command: str, **fields) -> dict:
+    return {"tool": "spectel", "version": __version__, "command": command, **fields}
 
 
 def cmd_verify_finite(args: argparse.Namespace) -> int:
     tols = _parse_tolerances(args.tol)
-    threads = _threads()
     started = time.monotonic()
-    report = _base_report("verify-finite", args.seed, tols)
+    report = _base_report("verify-finite", seed=args.seed, tolerances=tols)
 
     targets: list[tuple[str, FiniteTarget]] = []
     if args.target:
@@ -137,7 +127,6 @@ def cmd_verify_finite(args: argparse.Namespace) -> int:
         bound_report = assemble_bounds(
             target,
             args.l,
-            max_workers=threads,
             slack=tols["bound_slack"],
             lemma_tol=tols["lemma"],
             psd_tol=tols["psd"],
@@ -271,7 +260,7 @@ def cmd_verify_cube(args: argparse.Namespace) -> int:
     tols = _parse_tolerances(args.tol)
     started = time.monotonic()
     rng = np.random.default_rng(args.seed)
-    report = _base_report("verify-cube", args.seed, tols)
+    report = _base_report("verify-cube", seed=args.seed, tolerances=tols)
     report["n"] = args.n
     report["steps"] = args.steps
 
@@ -330,7 +319,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_report_merge(args: argparse.Namespace) -> int:
-    merged = _base_report("report-merge", args.seed, _parse_tolerances(args.tol))
+    merged = _base_report("report-merge")
     reports = []
     for path in args.reports:
         with open(path, "r", encoding="utf-8") as fh:
@@ -354,15 +343,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"spectel {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (recorded in reports)")
+    def common(p: argparse.ArgumentParser, *, seed: bool = True, tol: bool = False) -> None:
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="RNG seed")
         p.add_argument("--out", type=str, default=None, help="write output to this path")
-        p.add_argument(
-            "--tol",
-            action="append",
-            metavar="KEY=VAL",
-            help=f"override a tolerance; keys: {', '.join(sorted(DEFAULT_TOLERANCES))}",
-        )
+        if tol:
+            p.add_argument(
+                "--tol",
+                action="append",
+                metavar="KEY=VAL",
+                help=f"override a tolerance; keys: {', '.join(sorted(DEFAULT_TOLERANCES))}",
+            )
 
     p = sub.add_parser("verify-finite", help="telescope and bound checks on finite targets")
     source = p.add_mutually_exclusive_group()
@@ -376,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="alphabet sizes for --random: a single size (with --n) or a comma list",
     )
     p.add_argument("--l", type=int, default=1, help="block size (default 1)")
-    common(p)
+    common(p, tol=True)
     p.set_defaults(func=cmd_verify_finite)
 
     p = sub.add_parser("verify-cube", help="closed-form and Monte Carlo cube-corner checks")
@@ -384,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--steps", type=int, default=2_000_000, help="Gibbs steps for the empirical estimate"
     )
-    common(p)
+    common(p, tol=True)
     p.set_defaults(func=cmd_verify_cube)
 
     p = sub.add_parser("sample", help="stream chain states as newline-delimited JSON")
@@ -402,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report-merge", help="combine report files into one")
     p.add_argument("reports", nargs="+", help="report JSON files to merge")
-    common(p)
+    common(p, seed=False)
     p.set_defaults(func=cmd_report_merge)
     return parser
 

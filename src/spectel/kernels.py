@@ -40,10 +40,10 @@ from .errors import DomainError, NumericalContractError, ResourceLimitError
 from .target import (
     CondContext,
     FiniteTarget,
-    conditional,
-    conditional_tensor,
+    _conditional,
+    _free,
     free_indices,
-    is_supported,
+    supported_conditional,
 )
 
 # Dense-eigensolver cap on the number of states of a single kernel.
@@ -113,13 +113,45 @@ def _check_cap(n_states: int) -> None:
         )
 
 
-def _require_supported(target: FiniteTarget, ctx: CondContext) -> None:
-    if not is_supported(target, ctx):
-        raise DomainError(f"context {ctx} has zero marginal mass")
+def _block_rows(
+    weights: np.ndarray, gamma_pos: tuple[int, ...]
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """Conditional rows of the axes ``gamma_pos`` given all other axes.
+
+    Returns the other axes ``rest_pos`` and a matrix whose row ``r`` (the
+    ``rest_pos`` values, row-major) is the conditional pmf of the gamma block
+    (row-major); zero-mass rows fall back to uniform.
+    """
+    rest_pos = tuple(p for p in range(weights.ndim) if p not in gamma_pos)
+    block = int(np.prod([weights.shape[p] for p in gamma_pos]))
+    joint = weights.transpose(rest_pos + gamma_pos).reshape(-1, block)
+    mass = joint.sum(axis=1, keepdims=True)
+    return rest_pos, np.where(mass > 0, joint / np.where(mass > 0, mass, 1.0), 1.0 / block)
 
 
-def _free_shape(target: FiniteTarget, free: Sequence[int]) -> tuple[int, ...]:
-    return tuple(target.axes[i - 1] for i in free)
+def _pair_table(weights: np.ndarray, pos_i: int, pos_j: int) -> np.ndarray:
+    """Joint table of free coordinates ``pos_i`` (rows) and ``pos_j`` (columns)."""
+    drop = tuple(p for p in range(weights.ndim) if p not in (pos_i, pos_j))
+    pair = weights.sum(axis=drop) if drop else weights
+    return pair.T if pos_i > pos_j else pair
+
+
+def _coordinate_marginals(
+    target: FiniteTarget, ctx: CondContext
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Conditional tensor and one-coordinate marginals of a supported context.
+
+    Shared by the index/value walks and the correlation and influence
+    routes, all of which need at least two free coordinates.
+    """
+    free, weights = supported_conditional(target, ctx)
+    m = len(free)
+    if m < 2:
+        raise DomainError(f"need at least 2 free coordinates, got {m}")
+    marginals = [
+        weights.sum(axis=tuple(p for p in range(m) if p != pos)) for pos in range(m)
+    ]
+    return weights, marginals
 
 
 def gibbs_kernel(target: FiniteTarget, ctx: CondContext, l: int) -> WeightedKernel:
@@ -131,26 +163,18 @@ def gibbs_kernel(target: FiniteTarget, ctx: CondContext, l: int) -> WeightedKern
     context.  With ``l`` equal to the number of free coordinates every row
     equals the stationary weights (one-step exact resampling).
     """
-    _require_supported(target, ctx)
-    free = free_indices(target, ctx)
+    free, weights = supported_conditional(target, ctx)
     m = len(free)
     if not 1 <= l <= m:
         raise DomainError(f"block size {l} out of range 1..{m}")
-    weights = conditional_tensor(target, ctx)
-    shape = weights.shape
     n_states = weights.size
     _check_cap(n_states)
 
     kernel = np.zeros((n_states, n_states))
-    canon = np.arange(n_states).reshape(shape)
+    canon = np.arange(n_states).reshape(weights.shape)
     for gamma_pos in itertools.combinations(range(m), l):
-        rest_pos = tuple(p for p in range(m) if p not in gamma_pos)
-        perm = rest_pos + gamma_pos
-        block = int(np.prod([shape[p] for p in gamma_pos]))
-        joint = weights.transpose(perm).reshape(-1, block)
-        mass = joint.sum(axis=1, keepdims=True)
-        rows = np.where(mass > 0, joint / np.where(mass > 0, mass, 1.0), 1.0 / block)
-        idx = canon.transpose(perm).reshape(-1, block)
+        rest_pos, rows = _block_rows(weights, gamma_pos)
+        idx = canon.transpose(rest_pos + gamma_pos).reshape(rows.shape)
         kernel[idx[:, :, None], idx[:, None, :]] += rows[:, None, :]
     kernel /= comb(m, l)
     return WeightedKernel(kernel, weights.reshape(-1))
@@ -174,14 +198,13 @@ def _recursive_matrix(
     cached = memo.get(key)
     if cached is not None:
         return cached
-    ctx = CondContext(lam, y)
-    free = free_indices(target, ctx)
+    free = _free(target, lam)
     m = len(free)
-    shape = _free_shape(target, free)
+    shape = tuple(target.axes[i - 1] for i in free)
     n_states = int(np.prod(shape))
     if m == l:
         # Base case: redraw the whole free block in one shot.
-        row = conditional(target, free, ctx).reshape(-1)
+        row = _conditional(target, free, CondContext(lam, y)).reshape(-1)
         matrix = np.tile(row, (n_states, 1))
     else:
         matrix = np.zeros((n_states, n_states))
@@ -207,13 +230,12 @@ def recursive_gibbs_kernel(target: FiniteTarget, ctx: CondContext, l: int) -> We
     conditional convention through unsupported sub-contexts so the match is
     exact row by row.
     """
-    _require_supported(target, ctx)
-    free = free_indices(target, ctx)
+    free, weights = supported_conditional(target, ctx)
     if not 1 <= l <= len(free):
         raise DomainError(f"block size {l} out of range 1..{len(free)}")
-    _check_cap(int(np.prod(_free_shape(target, free))))
+    _check_cap(weights.size)
     matrix = _recursive_matrix(target, ctx.lam, ctx.y, l, {})
-    return WeightedKernel(matrix, conditional_tensor(target, ctx).reshape(-1))
+    return WeightedKernel(matrix, weights.reshape(-1))
 
 
 def indexed_states(target: FiniteTarget, ctx: CondContext) -> list[tuple[int, int]]:
@@ -229,29 +251,15 @@ def pair_conditional_rows(weights: np.ndarray, pos_i: int, pos_j: int) -> np.nda
     coordinate ``pos_i`` equals ``x`` (and the ambient context); zero-mass
     rows fall back to uniform.
     """
-    m = weights.ndim
-    drop = tuple(p for p in range(m) if p not in (pos_i, pos_j))
-    pair = weights.sum(axis=drop) if drop else weights
-    if pos_i > pos_j:
-        pair = pair.T
-    mass = pair.sum(axis=1, keepdims=True)
-    return np.where(mass > 0, pair / np.where(mass > 0, mass, 1.0), 1.0 / pair.shape[1])
+    return _block_rows(_pair_table(weights, pos_i, pos_j), (1,))[1]
 
 
 def _walk_kernel(target: FiniteTarget, ctx: CondContext, altered: bool) -> WeightedKernel:
-    _require_supported(target, ctx)
-    free = free_indices(target, ctx)
-    m = len(free)
-    if m < 2:
-        raise DomainError(f"the index/value walk needs at least 2 free coordinates, got {m}")
-    sizes = _free_shape(target, free)
+    weights_tensor, marginals = _coordinate_marginals(target, ctx)
+    m = len(marginals)
+    sizes = weights_tensor.shape
     n_states = sum(sizes)
     _check_cap(n_states)
-    weights_tensor = conditional_tensor(target, ctx)
-    marginals = [
-        weights_tensor.sum(axis=tuple(p for p in range(m) if p != pos))
-        for pos in range(m)
-    ]
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     kernel = np.zeros((n_states, n_states))
     for a in range(m):
@@ -325,11 +333,6 @@ def spectral_summary(kernel: WeightedKernel, *, balance_tol: float = 1e-10) -> S
     return SpectralSummary(norm=norm, gap=gap, min_eigenvalue=min_eig)
 
 
-def psd_check(kernel: WeightedKernel) -> float:
-    """Smallest eigenvalue of the symmetrized operator (with zero-weight states dropped)."""
-    return spectral_summary(kernel).min_eigenvalue
-
-
 def sample_gibbs_chain(
     target: FiniteTarget,
     steps: int,
@@ -352,12 +355,7 @@ def sample_gibbs_chain(
     combos = list(itertools.combinations(range(n), l))
     tables = []
     for gamma in combos:
-        rest = tuple(p for p in range(n) if p not in gamma)
-        perm = rest + gamma
-        block = int(np.prod([axes[p] for p in gamma]))
-        joint = target.probs.transpose(perm).reshape(-1, block)
-        mass = joint.sum(axis=1, keepdims=True)
-        rows = np.where(mass > 0, joint / np.where(mass > 0, mass, 1.0), 1.0 / block)
+        rest, rows = _block_rows(target.probs, gamma)
         cum = np.cumsum(rows, axis=1)
         cum[:, -1] = 1.0
         strides = []

@@ -30,14 +30,26 @@ from .errors import DomainError
 INGEST_TOL = 1e-9
 
 
+def _check_axes(axes: Sequence[int]) -> tuple[int, ...]:
+    try:
+        axes_t = tuple(int(a) for a in axes)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"alphabet sizes must be integers: {exc}") from None
+    if len(axes_t) < 2:
+        raise DomainError(f"need at least 2 coordinates, got {len(axes_t)}")
+    if any(a < 2 for a in axes_t):
+        raise DomainError(f"every alphabet must have size >= 2, got {axes_t}")
+    return axes_t
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteTarget:
     """Explicit joint pmf over a product of finite alphabets.
 
     ``axes`` lists the alphabet sizes (length >= 2, each >= 2).  ``probs`` is
     the joint tensor, accepted either flat (row-major, last axis fastest) or
-    already shaped; it must be entrywise nonnegative with total mass within
-    ``INGEST_TOL`` of 1, and is renormalized to sum to exactly 1.
+    already shaped; it must be entrywise finite and nonnegative with total
+    mass within ``INGEST_TOL`` of 1, and is renormalized to sum to exactly 1.
 
     Instances are immutable (the tensor is write-protected) and safe to share
     across threads.
@@ -47,12 +59,11 @@ class FiniteTarget:
     probs: np.ndarray
 
     def __init__(self, axes: Sequence[int], probs) -> None:
-        axes_t = tuple(int(a) for a in axes)
-        if len(axes_t) < 2:
-            raise DomainError(f"need at least 2 coordinates, got {len(axes_t)}")
-        if any(a < 2 for a in axes_t):
-            raise DomainError(f"every alphabet must have size >= 2, got {axes_t}")
-        arr = np.asarray(probs, dtype=float)
+        axes_t = _check_axes(axes)
+        try:
+            arr = np.asarray(probs, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"probabilities must be numeric: {exc}") from None
         size = int(np.prod(axes_t))
         if arr.ndim == 1:
             if arr.size != size:
@@ -64,6 +75,8 @@ class FiniteTarget:
             raise DomainError(f"tensor shape {arr.shape} does not match axes {axes_t}")
         else:
             arr = arr.copy()
+        if not np.all(np.isfinite(arr)):
+            raise DomainError("probability tensor has non-finite entries (NaN or inf)")
         if np.any(arr < 0):
             raise DomainError("probability tensor has negative entries")
         total = float(arr.sum())
@@ -141,11 +154,15 @@ def _check_context(target: FiniteTarget, ctx: CondContext) -> None:
             raise DomainError(f"value {v} out of range for coordinate {i}")
 
 
+def _free(target: FiniteTarget, lam: tuple[int, ...]) -> tuple[int, ...]:
+    fixed = set(lam)
+    return tuple(i for i in range(1, target.n + 1) if i not in fixed)
+
+
 def free_indices(target: FiniteTarget, ctx: CondContext) -> tuple[int, ...]:
     """Complement of the context's index set, sorted, 1-based."""
     _check_context(target, ctx)
-    fixed = set(ctx.lam)
-    return tuple(i for i in range(1, target.n + 1) if i not in fixed)
+    return _free(target, ctx.lam)
 
 
 def _context_slice(target: FiniteTarget, ctx: CondContext) -> np.ndarray:
@@ -182,6 +199,18 @@ def marginal(target: FiniteTarget, gamma: Iterable[int]) -> np.ndarray:
     return target.probs.sum(axis=drop)
 
 
+def _conditional(target: FiniteTarget, g: tuple[int, ...], ctx: CondContext) -> np.ndarray:
+    """:func:`conditional` for arguments the caller has already validated."""
+    block = _context_slice(target, ctx)
+    drop = tuple(pos for pos, i in enumerate(_free(target, ctx.lam)) if i not in g)
+    joint = block.sum(axis=drop) if drop else block
+    mass = float(block.sum())
+    if mass > 0.0:
+        return joint / mass
+    shape = tuple(target.axes[i - 1] for i in g)
+    return np.full(shape, 1.0 / np.prod(shape))
+
+
 def conditional(target: FiniteTarget, gamma: Iterable[int], ctx: CondContext) -> np.ndarray:
     """Conditional tensor of ``gamma`` given the context, over sorted gamma axes.
 
@@ -195,20 +224,29 @@ def conditional(target: FiniteTarget, gamma: Iterable[int], ctx: CondContext) ->
     _check_context(target, ctx)
     if set(g) & set(ctx.lam):
         raise DomainError(f"gamma {g} overlaps lambda {ctx.lam}")
-    free = free_indices(target, ctx)
-    block = _context_slice(target, ctx)
-    drop = tuple(pos for pos, i in enumerate(free) if i not in g)
-    joint = block.sum(axis=drop) if drop else block
-    mass = float(block.sum())
-    if mass > 0.0:
-        return joint / mass
-    shape = tuple(target.axes[i - 1] for i in g)
-    return np.full(shape, 1.0 / np.prod(shape))
+    return _conditional(target, g, ctx)
 
 
 def conditional_tensor(target: FiniteTarget, ctx: CondContext) -> np.ndarray:
     """Conditional of all free coordinates given the context."""
-    return conditional(target, free_indices(target, ctx), ctx)
+    _check_context(target, ctx)
+    return _conditional(target, _free(target, ctx.lam), ctx)
+
+
+def supported_conditional(
+    target: FiniteTarget, ctx: CondContext
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """Free coordinates and conditional tensor of a context with positive mass.
+
+    Validates the context once and raises :class:`DomainError` when its
+    marginal mass is zero, so no uniform fallback is ever returned.
+    """
+    _check_context(target, ctx)
+    block = _context_slice(target, ctx)
+    mass = float(block.sum())
+    if not mass > 0.0:
+        raise DomainError(f"context {ctx} has zero marginal mass")
+    return _free(target, ctx.lam), block / mass
 
 
 def supported_contexts(target: FiniteTarget, lambda_size: int) -> Iterator[CondContext]:
@@ -236,7 +274,7 @@ def random_target(
     axes: Sequence[int], rng: np.random.Generator
 ) -> FiniteTarget:
     """Full-support target with Dirichlet(1)-distributed joint tensor."""
-    axes_t = tuple(int(a) for a in axes)
+    axes_t = _check_axes(axes)
     flat = rng.dirichlet(np.ones(int(np.prod(axes_t))))
     return FiniteTarget(axes_t, flat)
 

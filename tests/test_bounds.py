@@ -60,14 +60,6 @@ class TestGapProfile:
         profile = gap_profile(t, l_max=1)
         assert (3, 1) in profile.entries and (3, 2) not in profile.entries
 
-    def test_threaded_matches_serial(self, rng):
-        t = random_small_target(rng)
-        serial = gap_profile(t)
-        threaded = gap_profile(t, max_workers=4)
-        for key, entry in serial.entries.items():
-            assert threaded.entries[key].gap == entry.gap
-            assert threaded.entries[key].lam == entry.lam
-
 
 class TestTelescope:
     def test_product_target_residuals_vanish(self):

@@ -84,21 +84,21 @@ class TestVerifyFinite:
         )
         assert code == EXIT_BAD_INPUT
 
-    def test_nonpositive_tolerance_exit_two(self, product3_path):
-        code = main(
-            ["verify-finite", "--target", product3_path, "--tol", "telescope=0"]
-        )
+    def test_nonpositive_tolerance_exit_two(self, product3_path, capsys):
+        for value in ("0", "abc", "nan", "inf"):
+            code = main(
+                ["verify-finite", "--target", product3_path, "--tol", f"telescope={value}"]
+            )
+            assert code == EXIT_BAD_INPUT
+            err = capsys.readouterr().err
+            assert err.startswith("spectel: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("axes", ["2,x", "x", "-2,2"])
+    def test_malformed_axes_exit_two(self, capsys, axes):
+        code = main(["verify-finite", "--random", "1", "--n", "2", f"--axes={axes}"])
         assert code == EXIT_BAD_INPUT
-
-    def test_threads_env(self, product3_path, tmp_path, monkeypatch):
-        monkeypatch.setenv("SPECTEL_THREADS", "2")
-        out = tmp_path / "report.json"
-        code = main(["verify-finite", "--target", product3_path, "--out", str(out)])
-        assert code == EXIT_OK
-
-    def test_bad_threads_env(self, product3_path, monkeypatch):
-        monkeypatch.setenv("SPECTEL_THREADS", "zero")
-        assert main(["verify-finite", "--target", product3_path]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("spectel: ") and err.count("\n") == 1
 
 
 class TestSample:
@@ -210,6 +210,7 @@ class TestReportMerge:
         data = json.loads(merged.read_text())
         assert data["all_passed"] is False
         assert len(data["reports"]) == 2
+        assert "seed" not in data and "tolerances" not in data
 
         merged_ok = tmp_path / "merged_ok.json"
         code = main(["report-merge", str(good), "--out", str(merged_ok)])
@@ -219,3 +220,17 @@ class TestReportMerge:
         bad = tmp_path / "bad.json"
         bad.write_text("{")
         assert main(["report-merge", str(bad)]) == EXIT_BAD_INPUT
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--target", "cube", "--n", "3", "--steps", "2", "--tol", "psd=1e-3"],
+        ["report-merge", "r.json", "--seed", "1"],
+        ["report-merge", "r.json", "--tol", "psd=1e-3"],
+    ],
+)
+def test_flags_only_where_they_act(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

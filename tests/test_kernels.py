@@ -16,7 +16,6 @@ from spectel import (
     gibbs_kernel,
     indexed_states,
     product_target,
-    psd_check,
     random_target,
     random_walk_kernel,
     recursive_gibbs_kernel,
@@ -266,17 +265,17 @@ class TestPsdCheck:
         for _ in range(5):
             t = random_small_target(rng)
             for l in range(1, t.n + 1):
-                assert psd_check(gibbs_kernel(t, EMPTY_CONTEXT, l)) >= -1e-10
+                bottom = spectral_summary(gibbs_kernel(t, EMPTY_CONTEXT, l)).min_eigenvalue
+                assert bottom >= -1e-10
 
     def test_rank_one_projector_min_zero(self):
         w = np.array([0.5, 0.5])
-        assert psd_check(WeightedKernel(np.tile(w, (2, 1)), w)) == pytest.approx(
-            0.0, abs=1e-14
-        )
+        k = WeightedKernel(np.tile(w, (2, 1)), w)
+        assert spectral_summary(k).min_eigenvalue == pytest.approx(0.0, abs=1e-14)
 
     def test_antidiagonal_swap_is_minus_one(self):
         k = WeightedKernel(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.5, 0.5]))
-        assert psd_check(k) == pytest.approx(-1.0, abs=1e-14)
+        assert spectral_summary(k).min_eigenvalue == pytest.approx(-1.0, abs=1e-14)
 
 
 class TestWeightedKernelValidation:

@@ -11,6 +11,7 @@ from spectel import (
     EMPTY_CONTEXT,
     FiniteTarget,
     conditional,
+    conditional_tensor,
     free_indices,
     is_supported,
     load_target,
@@ -19,6 +20,7 @@ from spectel import (
     product_of_marginals,
     product_target,
     random_target,
+    supported_conditional,
     supported_contexts,
     target_from_dict,
     target_to_dict,
@@ -156,6 +158,16 @@ class TestSupportedContexts:
         assert is_supported(t, CondContext((1,), (0,)))
         assert not is_supported(t, CondContext((1,), (1,)))
 
+    def test_supported_conditional(self, rng):
+        t = random_small_target(rng)
+        for ctx in supported_contexts(t, 1):
+            free, weights = supported_conditional(t, ctx)
+            assert free == free_indices(t, ctx)
+            np.testing.assert_array_equal(weights, conditional_tensor(t, ctx))
+        sparse = FiniteTarget([2, 2], [0.5, 0.5, 0.0, 0.0])
+        with pytest.raises(DomainError, match="zero marginal mass"):
+            supported_conditional(sparse, CondContext((1,), (1,)))
+
 
 class TestIngestion:
     def test_row_major_layout(self):
@@ -172,8 +184,15 @@ class TestIngestion:
             FiniteTarget([2, 2], [0.1, 0.2, 0.3, 0.5])
 
     def test_negative_entries_rejected(self):
-        with pytest.raises(DomainError):
-            FiniteTarget([2, 2], [-0.1, 0.4, 0.3, 0.4])
+        for bad, problem in ((-0.1, "negative"), (np.nan, "non-finite"), (-np.inf, "non-finite")):
+            with pytest.raises(DomainError, match=problem):
+                FiniteTarget([2, 2], [bad, 0.4, 0.3, 0.4])
+
+    def test_non_numeric_input_rejected(self):
+        with pytest.raises(DomainError, match="numeric"):
+            FiniteTarget([2, 2], ["a", 0.4, 0.3, 0.3])
+        with pytest.raises(DomainError, match="integers"):
+            FiniteTarget(["x", 2], [0.1, 0.4, 0.3, 0.2])
 
     def test_shape_validation(self):
         with pytest.raises(DomainError):
