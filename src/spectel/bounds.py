@@ -17,26 +17,38 @@ Three routes produce lower bounds on ``Gap(m, m-1)``:
   at level ``m`` has spectral radius at most ``eta < m-1``.
 
 Everything here is exact enumeration over supported contexts, never sampling.
+:func:`gap_profile` and :func:`assemble_bounds` walk the contexts in groups,
+one per index set: each group's conditionals are stacked once, each
+(index set, l) Gibbs group is one kernel stack and one stacked eigensolve,
+and the marginals and pair tables of a group are computed once and shared by
+the S, G and eta routes.  Contexts whose zero-weight states differ are
+solved in sub-stacks, one per support mask.  The extremal context of each
+value is the first in canonical order, as in a context-by-context scan.
+The single-context functions (:func:`correlation_coefficient`,
+:func:`influence_matrix_tv`) are stacks of one over the same code.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, ResourceLimitError
 from .kernels import (
     STATE_CAP,
-    _coordinate_marginals,
-    _pair_table,
-    gibbs_kernel,
-    pair_conditional_rows,
+    _context_tables,
+    _coordinate_tables,
+    _gibbs_stack,
+    _spectral_stack,
+    _support_groups,
+    _walk_stack,
     random_walk_kernel,
     spectral_summary,
 )
-from .target import CondContext, FiniteTarget, supported_contexts
+from .target import CondContext, FiniteTarget, _supported_group
 
 
 @dataclass(frozen=True)
@@ -52,8 +64,9 @@ class GapEntry:
 class GapProfile:
     """Exact gaps for all 1 <= l <= m <= n, plus the worst PSD bottom eigenvalue.
 
-    ``min_psd_eigenvalue`` is the smallest symmetrized eigenvalue seen across
-    every Gibbs kernel built during profiling; Gibbs operators are positive
+    ``min_psd_eigenvalue`` is the smallest ``SpectralSummary.min_eigenvalue``
+    (``min(lambda_min, 0)`` of the symmetrized operator) seen across every
+    Gibbs kernel built during profiling; Gibbs operators are positive
     semi-definite, so it must not fall below -1e-10.
     """
 
@@ -129,12 +142,28 @@ class TelescopeReport:
         }
 
 
+def _index_set_groups(target: FiniteTarget, m: int):
+    """Yield (lam, assignments, stacked conditionals) for every index set leaving ``m`` free.
+
+    Index sets come in lexicographic order and assignments row-major, so
+    walking the groups in order visits contexts in canonical order.  Index
+    sets without a supported assignment are skipped.
+    """
+    for lam in itertools.combinations(range(1, target.n + 1), target.n - m):
+        ys, weights = _supported_group(target, lam)
+        if ys:
+            yield lam, ys, weights
+
+
 def gap_profile(target: FiniteTarget, l_max: int | None = None) -> GapProfile:
     """Exact Gap(m, l) for every m and every l <= min(m, l_max).
 
     For each level ``m`` the minimum runs over all index sets of size
     ``n - m`` and all supported assignments, in canonical enumeration order
-    (ties keep the first context encountered, for reproducibility).
+    (ties keep the first context encountered, for reproducibility).  The
+    contexts of one index set share a free shape, so each (index set, l)
+    group is built as one stack of kernels and solved by one stacked
+    eigensolve.
     """
     n = target.n
     l_top = n if l_max is None else int(l_max)
@@ -149,13 +178,15 @@ def gap_profile(target: FiniteTarget, l_max: int | None = None) -> GapProfile:
     min_psd = np.inf
 
     for m in range(1, n + 1):
-        for ctx in supported_contexts(target, n - m):
+        for lam, ys, weights in _index_set_groups(target, m):
+            flat = weights.reshape(len(ys), -1)
             for l in range(1, min(m, l_top) + 1):
-                summary = spectral_summary(gibbs_kernel(target, ctx, l))
-                min_psd = min(min_psd, summary.min_eigenvalue)
+                _, gaps, bottoms = _spectral_stack(_gibbs_stack(weights, l), flat)
+                min_psd = min(min_psd, float(bottoms.min()))
+                k = int(np.argmin(gaps))
                 cur = entries.get((m, l))
-                if cur is None or summary.gap < cur.gap:
-                    entries[(m, l)] = GapEntry(summary.gap, ctx.lam, ctx.y)
+                if cur is None or gaps[k] < cur.gap:
+                    entries[(m, l)] = GapEntry(float(gaps[k]), lam, ys[k])
     return GapProfile(n=n, entries=entries, min_psd_eigenvalue=float(min_psd))
 
 
@@ -192,6 +223,49 @@ def correlation_via_walk(target: FiniteTarget, ctx: CondContext) -> float:
     return 1.0 - spectral_summary(random_walk_kernel(target, ctx)).gap
 
 
+def _correlation_stack(
+    marginals: list[np.ndarray], pairs: dict[tuple[int, int], np.ndarray]
+) -> np.ndarray:
+    """Summation correlation coefficients of a stack; see :func:`correlation_coefficient`.
+
+    Contexts whose zero-mass values differ are solved in separate sub-stacks.
+    """
+    m = len(marginals)
+    sizes = [marg.shape[1] for marg in marginals]
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    out = np.empty(marginals[0].shape[0])
+    for sel, keep in _support_groups(np.concatenate(marginals, axis=1) > 0.0):
+        supports = [keep[(keep >= lo) & (keep < hi)] - lo for lo, hi in zip(offsets, offsets[1:])]
+        marg = [marginals[a][np.ix_(sel, supports[a])] for a in range(m)]
+        # Row offsets of the supported values, column offsets of the basis.
+        r_off = np.concatenate(([0], np.cumsum([len(s) for s in supports])))
+        c_off = np.concatenate(([0], np.cumsum([len(s) - 1 for s in supports])))
+        if c_off[-1] == 0:
+            out[sel] = 0.0
+            continue
+        basis = np.zeros((len(sel), r_off[-1], c_off[-1]))
+        second_moment = np.zeros((len(sel), r_off[-1], r_off[-1]))
+        for a in range(m):
+            sa = slice(r_off[a], r_off[a + 1])
+            diag = np.arange(r_off[a], r_off[a + 1])
+            second_moment[:, diag, diag] = marg[a]
+            if len(supports[a]) >= 2:
+                # Orthonormal basis of the complement of sqrt(w): the right
+                # singular vectors of the 1 x k matrix beyond the first.
+                d = np.sqrt(marg[a])
+                vh = np.linalg.svd(d[:, None, :], full_matrices=True)[2]
+                ortho = vh[:, 1:, :].transpose(0, 2, 1)
+                basis[:, sa, c_off[a] : c_off[a + 1]] = ortho / d[:, :, None]
+            for b in range(m):
+                if b != a:
+                    sb = slice(r_off[b], r_off[b + 1])
+                    second_moment[:, sa, sb] = pairs[(a, b)][np.ix_(sel, supports[a], supports[b])]
+        reduced = basis.transpose(0, 2, 1) @ second_moment @ basis
+        reduced = 0.5 * (reduced + reduced.transpose(0, 2, 1))
+        out[sel] = np.linalg.eigvalsh(reduced)[:, -1] / m
+    return out
+
+
 def correlation_coefficient(target: FiniteTarget, ctx: CondContext) -> float:
     """Summation correlation coefficient by brute-force Rayleigh maximization.
 
@@ -203,41 +277,25 @@ def correlation_coefficient(target: FiniteTarget, ctx: CondContext) -> float:
     into an ordinary symmetric eigenproblem.  Returns 0 when the subspace is
     trivial.
     """
-    weights, marginals = _coordinate_marginals(target, ctx)
+    marginals, pairs, _ = _context_tables(target, ctx)
+    return float(_correlation_stack(marginals, pairs)[0])
+
+
+def _influence_stack(
+    marginals: list[np.ndarray], rows: dict[tuple[int, int], np.ndarray]
+) -> np.ndarray:
+    """Discrete-metric influence matrices (B, m, m) of a stack; see :func:`influence_matrix_tv`."""
     m = len(marginals)
-    supports = [np.flatnonzero(w > 0) for w in marginals]
-    sizes = [len(s) for s in supports]
-
-    basis_blocks = []
-    for pos in range(m):
-        w = marginals[pos][supports[pos]]
-        d = np.sqrt(w)
-        if sizes[pos] < 2:
-            basis_blocks.append(np.zeros((sizes[pos], 0)))
-            continue
-        ortho = scipy.linalg.null_space(d[None, :])
-        basis_blocks.append(ortho / d[:, None])
-    subspace_dim = sum(b.shape[1] for b in basis_blocks)
-    if subspace_dim == 0:
-        return 0.0
-
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    total = int(offsets[-1])
-    second_moment = np.zeros((total, total))
+    phi = np.zeros((marginals[0].shape[0], m, m))
     for a in range(m):
-        sa = slice(offsets[a], offsets[a + 1])
-        second_moment[sa, sa] = np.diag(marginals[a][supports[a]])
+        supported = marginals[a] > 0
+        both = supported[:, :, None] & supported[:, None, :]
         for b in range(m):
-            if b == a:
-                continue
-            sb = slice(offsets[b], offsets[b + 1])
-            pair = _pair_table(weights, a, b)
-            second_moment[sa, sb] = pair[np.ix_(supports[a], supports[b])]
-    basis = scipy.linalg.block_diag(*basis_blocks)
-    reduced = basis.T @ second_moment @ basis
-    reduced = 0.5 * (reduced + reduced.T)
-    top = float(np.linalg.eigvalsh(reduced)[-1])
-    return top / m
+            if b != a:
+                r = rows[(a, b)]
+                pair_tv = 0.5 * np.abs(r[:, :, None, :] - r[:, None, :, :]).sum(axis=-1)
+                phi[:, a, b] = np.where(both, pair_tv, 0.0).max(axis=(1, 2))
+    return phi
 
 
 def influence_matrix_tv(target: FiniteTarget, ctx: CondContext) -> InfluenceMatrix:
@@ -249,20 +307,8 @@ def influence_matrix_tv(target: FiniteTarget, ctx: CondContext) -> InfluenceMatr
     under the discrete metric, so no smaller constant satisfies the
     contraction condition.
     """
-    weights, marginals = _coordinate_marginals(target, ctx)
-    m = len(marginals)
-    phi = np.zeros((m, m))
-    for a in range(m):
-        support = np.flatnonzero(marginals[a] > 0)
-        if len(support) < 2:
-            continue
-        for b in range(m):
-            if b == a:
-                continue
-            rows = pair_conditional_rows(weights, a, b)[support]
-            pair_tv = 0.5 * np.abs(rows[:, None, :] - rows[None, :, :]).sum(axis=-1)
-            phi[a, b] = float(pair_tv.max())
-    return InfluenceMatrix(m, phi, "tv-discrete")
+    marginals, _, rows = _context_tables(target, ctx)
+    return InfluenceMatrix(len(marginals), _influence_stack(marginals, rows)[0], "tv-discrete")
 
 
 def spectral_radius(matrix) -> float:
@@ -339,6 +385,19 @@ class BoundReport:
         }
 
 
+def _route_values(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S, G and eta of every context in a stack of conditionals (B, *shape).
+
+    The marginals, pair tables and pair conditional rows are computed once
+    and shared by the three routes.
+    """
+    marginals, pairs, rows = _coordinate_tables(weights)
+    g = _spectral_stack(*_walk_stack(marginals, rows, altered=False))[1]
+    s = _correlation_stack(marginals, pairs)
+    eta = np.abs(np.linalg.eigvals(_influence_stack(marginals, rows))).max(axis=-1)
+    return s, g, eta
+
+
 def assemble_bounds(
     target: FiniteTarget,
     l: int,
@@ -368,19 +427,21 @@ def assemble_bounds(
     extremal: dict[str, dict[int, dict]] = {"S": {}, "G": {}, "eta": {}}
 
     for m in range(max(2, l + 1), n + 1):
-        best_s = best_g = best_eta = None
-        for ctx in supported_contexts(target, n - m):
-            g = spectral_summary(random_walk_kernel(target, ctx)).gap
-            s = correlation_coefficient(target, ctx)
-            eta = spectral_radius(influence_matrix_tv(target, ctx).entries)
-            if best_s is None or s > s_profile[m]:
-                s_profile[m], best_s = s, ctx
-            if best_g is None or g < g_profile[m]:
-                g_profile[m], best_g = g, ctx
-            if best_eta is None or eta > eta_profile[m]:
-                eta_profile[m], best_eta = eta, ctx
-        for name, ctx in (("S", best_s), ("G", best_g), ("eta", best_eta)):
-            extremal[name][m] = {"lambda": list(ctx.lam), "y": list(ctx.y)}
+        best: dict[str, tuple] = {}
+        for lam, ys, weights in _index_set_groups(target, m):
+            s, g, eta = _route_values(weights)
+            # First extremum within a group, strict improvement across groups:
+            # the first context in canonical order wins ties.
+            for name, values, k, better in (
+                ("S", s, int(np.argmax(s)), operator.gt),
+                ("G", g, int(np.argmin(g)), operator.lt),
+                ("eta", eta, int(np.argmax(eta)), operator.gt),
+            ):
+                if name not in best or better(values[k], best[name][0]):
+                    best[name] = (float(values[k]), lam, ys[k])
+        for name, profile_m in (("S", s_profile), ("G", g_profile), ("eta", eta_profile)):
+            profile_m[m], lam, y = best[name]
+            extremal[name][m] = {"lambda": list(lam), "y": list(y)}
 
     levels = range(l + 1, n + 1)
     corr_bound = float(np.prod([1.0 - s_profile[m] for m in levels])) if l < n else 1.0

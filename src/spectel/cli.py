@@ -13,7 +13,8 @@ report-merge    combine several report files into one
 by verify-finite and verify-cube.  Reports are JSON only and carry the tool
 version and per-check pass flags; the two verify reports also embed the seed,
 the tolerances and the wall clock.  Exit codes: 0 all checks pass, 1 some
-check failed, 2 malformed input or bad arguments, 3 state-space cap exceeded,
+check failed or a numerical contract was violated (one line on stderr, no
+report), 2 malformed input or bad arguments, 3 state-space cap exceeded,
 4 statistical contract not met.
 """
 
@@ -37,7 +38,7 @@ from .errors import (
     ResourceLimitError,
     StatisticalContractError,
 )
-from .kernels import sample_gibbs_chain
+from .kernels import STATE_CAP, sample_gibbs_chain
 from .target import FiniteTarget, load_target, random_target
 
 EXIT_OK = 0
@@ -117,6 +118,12 @@ def cmd_verify_finite(args: argparse.Namespace) -> int:
     elif args.random:
         rng = np.random.default_rng(args.seed)
         axes = _parse_axes(args.axes, args.n)
+        # Checked before random_target allocates the joint tensor; sizes
+        # below 2 are left to its own check (exit 2).
+        if min(axes) >= 2 and math.prod(axes) > STATE_CAP:
+            raise ResourceLimitError(
+                f"--axes {args.axes} give {math.prod(axes)} states, exceeding the cap of {STATE_CAP}"
+            )
         for k in range(args.random):
             targets.append((f"random[{k}]", random_target(axes, rng)))
     else:
@@ -240,10 +247,7 @@ def _check_contraction_mc(rng: np.random.Generator, draws: int = 100_000) -> dic
         budget = 0.9
         x, xp = 0.2 * budget, 0.6 * budget
         d_in = corner.contraction_metric(budget, x, xp)
-        u = rng.random(draws)
-        fraction = 1.0 - (1.0 - u) ** (1.0 / (m - 1))
-        out_a = (budget - x) * fraction
-        out_b = (budget - xp) * fraction
+        out_a, out_b = corner.coupling_sample(budget, m, x, xp, rng, size=draws)
         d_out = np.abs(out_a - out_b) / (budget - np.maximum(out_a, out_b))
         ratios = d_out / d_in
         mean = float(ratios.mean())
@@ -415,6 +419,9 @@ def main(argv: list[str] | None = None) -> int:
     except StatisticalContractError as exc:
         print(f"spectel: statistical contract not met: {exc}", file=sys.stderr)
         return EXIT_STATISTICAL
+    except NumericalContractError as exc:
+        print(f"spectel: numerical contract violated: {exc}", file=sys.stderr)
+        return EXIT_CHECKS_FAILED
 
 
 if __name__ == "__main__":

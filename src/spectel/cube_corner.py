@@ -281,23 +281,37 @@ def contraction_metric(R: float, x: float, x_other: float) -> float:
 
 
 def coupling_sample(
-    R: float, m: int, x: float, x_other: float, rng: np.random.Generator
-) -> tuple[float, float]:
-    """One draw from the monotone coupling of the two pair conditionals.
+    R: float,
+    m: int,
+    x: float,
+    x_other: float,
+    rng: np.random.Generator,
+    size: int | None = None,
+):
+    """Draws from the monotone coupling of the two pair conditionals.
 
     A single fraction X with density (m-1)(1-X)^(m-2) on (0,1) is drawn by
     inverse CDF and scaled by both remaining budgets, giving a pair whose
     marginals are the conditionals given ``x`` and ``x_other``.  The expected
     output distance is at most 1/(m-2) times the input distance, which is why
-    m >= 3 is required.
+    m >= 3 is required.  With ``size=None`` one pair of floats is returned;
+    with an integer ``size`` the uniforms are drawn in one call and a pair of
+    arrays is returned (equal to ``size`` scalar draws from the same stream
+    unless a uniform is exactly 0, which only is redrawn).
     """
     if m < 3:
         raise DomainError(f"the coupling contraction constant needs m >= 3, got {m}")
     if not (0.0 < x < R and 0.0 < x_other < R):
         raise DomainError(f"both points must lie in (0, {R})")
-    u = rng.random()
-    while u <= 0.0:
-        u = rng.random()
+    u = rng.random(size)
+    if size is None:
+        while u <= 0.0:
+            u = rng.random()
+    else:
+        zero = u <= 0.0
+        while zero.any():
+            u[zero] = rng.random(int(zero.sum()))
+            zero = u <= 0.0
     fraction = 1.0 - (1.0 - u) ** (1.0 / (m - 1))
     return (R - x) * fraction, (R - x_other) * fraction
 

@@ -18,8 +18,19 @@ Four kernel families are assembled as dense row-stochastic matrices:
 
 All of them are reversible with respect to their stationary weights, so the
 spectral analysis symmetrizes with D^{1/2} K D^{-1/2} and uses a dense
-symmetric eigensolver.  State spaces are hard-capped at :data:`STATE_CAP`
-dense states: this module is a verifier, exactness beats scale.
+symmetric eigensolver: one eigensolve per kernel, of the matrix with the
+constant direction deflated.  State spaces are hard-capped at
+:data:`STATE_CAP` dense states: this module is a verifier, exactness beats
+scale.
+
+The exact pipeline in :mod:`spectel.bounds` builds kernels in stacks: every
+context that fixes the same index set has the same free shape, so the
+private ``_*_stack`` builders take a stack of conditionals (B, *shape) and
+return a (B, N, N) stack of matrices, checked and eigensolved as one.  A
+stack holds B * N^2 <= (full state count) * N floats, so it is never larger
+than the top-level kernel.  The public single-context functions are stacks
+of one over the same code, and a stacked build is bit for bit the
+single-context one.
 
 Canonical enumerations (normative, so matrices are comparable across runs):
 free-coordinate product states are row-major in increasing coordinate order;
@@ -74,14 +85,7 @@ class WeightedKernel:
             raise DomainError(
                 f"weights shape {w.shape} does not match matrix order {mat.shape[0]}"
             )
-        if np.any(mat < 0) or np.any(w < 0):
-            raise DomainError("kernel entries and weights must be nonnegative")
-        row_err = np.abs(mat.sum(axis=1) - 1.0).max()
-        if row_err > _ROW_TOL:
-            raise DomainError(f"rows must sum to 1 within {_ROW_TOL}, max error {row_err:.3e}")
-        w_err = abs(w.sum() - 1.0)
-        if w_err > _ROW_TOL:
-            raise DomainError(f"weights must sum to 1 within {_ROW_TOL}, error {w_err:.3e}")
+        _check_stochastic(mat[None], w[None])
         mat = mat.copy()
         w = w.copy()
         mat.setflags(write=False)
@@ -99,7 +103,12 @@ class WeightedKernel:
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    """Operator norm on mean-zero functions, the gap, and the bottom eigenvalue."""
+    """Operator norm on mean-zero functions, the gap, and the bottom eigenvalue.
+
+    ``min_eigenvalue`` is the smallest eigenvalue of the deflated operator,
+    that is ``min(lambda_min, 0)`` of the symmetrized kernel: exact whenever
+    it is <= 0, which is the only case in which a PSD check can fail.
+    """
 
     norm: float
     gap: float
@@ -113,45 +122,103 @@ def _check_cap(n_states: int) -> None:
         )
 
 
+def _check_stochastic(matrices: np.ndarray, weights: np.ndarray) -> None:
+    """The structural checks of :class:`WeightedKernel` on a stack (B, N, N), (B, N)."""
+    if np.any(matrices < 0) or np.any(weights < 0):
+        raise DomainError("kernel entries and weights must be nonnegative")
+    row_err = np.abs(matrices.sum(axis=2) - 1.0).max()
+    if row_err > _ROW_TOL:
+        raise DomainError(f"rows must sum to 1 within {_ROW_TOL}, max error {row_err:.3e}")
+    w_err = np.abs(weights.sum(axis=1) - 1.0).max()
+    if w_err > _ROW_TOL:
+        raise DomainError(f"weights must sum to 1 within {_ROW_TOL}, error {w_err:.3e}")
+
+
+def _support_groups(keep: np.ndarray):
+    """Split a stack by support: yields (stack indices, kept columns) per distinct row of ``keep``."""
+    if (keep == keep[0]).all():
+        yield np.arange(len(keep)), np.flatnonzero(keep[0])
+        return
+    masks, inverse = np.unique(keep, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    for k, mask in enumerate(masks):
+        yield np.flatnonzero(inverse == k), np.flatnonzero(mask)
+
+
 def _block_rows(
     weights: np.ndarray, gamma_pos: tuple[int, ...]
 ) -> tuple[tuple[int, ...], np.ndarray]:
-    """Conditional rows of the axes ``gamma_pos`` given all other axes.
+    """Conditional rows of the axes ``gamma_pos`` given all other axes, per tensor of a stack.
 
-    Returns the other axes ``rest_pos`` and a matrix whose row ``r`` (the
-    ``rest_pos`` values, row-major) is the conditional pmf of the gamma block
-    (row-major); zero-mass rows fall back to uniform.
+    ``weights`` is a stack (B, *shape) and ``gamma_pos`` counts the axes of
+    one tensor.  Returns the other axes ``rest_pos`` and a (B, R, block)
+    array whose row ``r`` (the ``rest_pos`` values, row-major) is the
+    conditional pmf of the gamma block (row-major); zero-mass rows fall back
+    to uniform.  The stack axis is never merged with the others, so each
+    tensor's rows are summed exactly as for a stack of one.
     """
-    rest_pos = tuple(p for p in range(weights.ndim) if p not in gamma_pos)
-    block = int(np.prod([weights.shape[p] for p in gamma_pos]))
-    joint = weights.transpose(rest_pos + gamma_pos).reshape(-1, block)
-    mass = joint.sum(axis=1, keepdims=True)
+    rest_pos = tuple(p for p in range(weights.ndim - 1) if p not in gamma_pos)
+    block = int(np.prod([weights.shape[p + 1] for p in gamma_pos]))
+    order = (0,) + tuple(p + 1 for p in rest_pos + gamma_pos)
+    joint = weights.transpose(order).reshape(len(weights), -1, block)
+    mass = joint.sum(axis=2, keepdims=True)
     return rest_pos, np.where(mass > 0, joint / np.where(mass > 0, mass, 1.0), 1.0 / block)
 
 
-def _pair_table(weights: np.ndarray, pos_i: int, pos_j: int) -> np.ndarray:
-    """Joint table of free coordinates ``pos_i`` (rows) and ``pos_j`` (columns)."""
-    drop = tuple(p for p in range(weights.ndim) if p not in (pos_i, pos_j))
-    pair = weights.sum(axis=drop) if drop else weights
-    return pair.T if pos_i > pos_j else pair
+def _coordinate_tables(weights: np.ndarray) -> tuple[list[np.ndarray], dict, dict]:
+    """One-coordinate marginals, pair tables and pair rows of a stack of conditionals.
 
-
-def _coordinate_marginals(
-    target: FiniteTarget, ctx: CondContext
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Conditional tensor and one-coordinate marginals of a supported context.
-
-    Shared by the index/value walks and the correlation and influence
-    routes, all of which need at least two free coordinates.
+    For a stack (B, *shape), ``marginals[a]`` is (B, k_a); ``pairs[(a, b)]``
+    is the (B, k_a, k_b) joint table for every ordered pair a != b, each
+    summed once, and ``rows[(a, b)]`` holds its rows normalized: the
+    conditional pmf of coordinate b given each value of coordinate a,
+    uniform on zero mass.  Shared by the index/value walks and the
+    correlation and influence routes, all of which need at least two free
+    coordinates.
     """
-    free, weights = supported_conditional(target, ctx)
-    m = len(free)
+    m = weights.ndim - 1
     if m < 2:
         raise DomainError(f"need at least 2 free coordinates, got {m}")
     marginals = [
-        weights.sum(axis=tuple(p for p in range(m) if p != pos)) for pos in range(m)
+        weights.sum(axis=tuple(p + 1 for p in range(m) if p != pos)) for pos in range(m)
     ]
-    return weights, marginals
+    pairs = {}
+    for a, b in itertools.combinations(range(m), 2):
+        drop = tuple(p + 1 for p in range(m) if p not in (a, b))
+        pairs[(a, b)] = weights.sum(axis=drop) if drop else weights
+        pairs[(b, a)] = pairs[(a, b)].transpose(0, 2, 1)
+    rows = {key: _block_rows(pair, (1,))[1] for key, pair in pairs.items()}
+    return marginals, pairs, rows
+
+
+def _context_tables(target: FiniteTarget, ctx: CondContext):
+    """:func:`_coordinate_tables` of one supported context, as a stack of one."""
+    return _coordinate_tables(supported_conditional(target, ctx)[1][None])
+
+
+def _gibbs_stack(weights: np.ndarray, l: int) -> np.ndarray:
+    """Block Gibbs matrices (B, N, N) of a stack of conditionals (B, *shape).
+
+    Entries accumulate over the blocks in the order of
+    ``itertools.combinations``, one ``+=`` per block, so every matrix is bit
+    for bit the one a single-context build gives.
+    """
+    n_ctx, shape = weights.shape[0], weights.shape[1:]
+    m = len(shape)
+    if not 1 <= l <= m:
+        raise DomainError(f"block size {l} out of range 1..{m}")
+    n_states = int(np.prod(shape))
+    _check_cap(n_states)
+
+    kernel = np.zeros((n_ctx, n_states, n_states))
+    canon = np.arange(n_states).reshape(shape)
+    for gamma_pos in itertools.combinations(range(m), l):
+        rest_pos, rows = _block_rows(weights, gamma_pos)
+        idx = canon.transpose(rest_pos + gamma_pos).reshape(rows.shape[1:])
+        kernel[:, idx[:, :, None], idx[:, None, :]] += rows[:, :, None, :]
+    kernel /= comb(m, l)
+    _check_stochastic(kernel, weights.reshape(n_ctx, -1))
+    return kernel
 
 
 def gibbs_kernel(target: FiniteTarget, ctx: CondContext, l: int) -> WeightedKernel:
@@ -163,21 +230,8 @@ def gibbs_kernel(target: FiniteTarget, ctx: CondContext, l: int) -> WeightedKern
     context.  With ``l`` equal to the number of free coordinates every row
     equals the stationary weights (one-step exact resampling).
     """
-    free, weights = supported_conditional(target, ctx)
-    m = len(free)
-    if not 1 <= l <= m:
-        raise DomainError(f"block size {l} out of range 1..{m}")
-    n_states = weights.size
-    _check_cap(n_states)
-
-    kernel = np.zeros((n_states, n_states))
-    canon = np.arange(n_states).reshape(weights.shape)
-    for gamma_pos in itertools.combinations(range(m), l):
-        rest_pos, rows = _block_rows(weights, gamma_pos)
-        idx = canon.transpose(rest_pos + gamma_pos).reshape(rows.shape)
-        kernel[idx[:, :, None], idx[:, None, :]] += rows[:, None, :]
-    kernel /= comb(m, l)
-    return WeightedKernel(kernel, weights.reshape(-1))
+    _, weights = supported_conditional(target, ctx)
+    return WeightedKernel(_gibbs_stack(weights[None], l)[0], weights.reshape(-1))
 
 
 def _insert_sorted(lam: tuple[int, ...], y: tuple[int, ...], i: int, v: int):
@@ -244,37 +298,41 @@ def indexed_states(target: FiniteTarget, ctx: CondContext) -> list[tuple[int, in
     return [(i, x) for i in free for x in range(target.axes[i - 1])]
 
 
-def pair_conditional_rows(weights: np.ndarray, pos_i: int, pos_j: int) -> np.ndarray:
-    """Rows of the conditional of free coordinate ``pos_j`` given ``pos_i``.
+def _walk_stack(
+    marginals: list[np.ndarray], rows: dict[tuple[int, int], np.ndarray], altered: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index/value walk matrices (B, N, N) and stationary weights (B, N).
 
-    Row ``x`` is the conditional pmf of coordinate ``pos_j`` given that
-    coordinate ``pos_i`` equals ``x`` (and the ambient context); zero-mass
-    rows fall back to uniform.
+    ``marginals`` and ``rows`` are the one-coordinate marginals and the pair
+    conditional rows (see :func:`_coordinate_tables`) of a stack of
+    conditionals.
     """
-    return _block_rows(_pair_table(weights, pos_i, pos_j), (1,))[1]
-
-
-def _walk_kernel(target: FiniteTarget, ctx: CondContext, altered: bool) -> WeightedKernel:
-    weights_tensor, marginals = _coordinate_marginals(target, ctx)
     m = len(marginals)
-    sizes = weights_tensor.shape
+    n_ctx = marginals[0].shape[0]
+    sizes = [marg.shape[1] for marg in marginals]
     n_states = sum(sizes)
     _check_cap(n_states)
     offsets = np.concatenate(([0], np.cumsum(sizes)))
-    kernel = np.zeros((n_states, n_states))
+    kernel = np.zeros((n_ctx, n_states, n_states))
     for a in range(m):
         sa = slice(offsets[a], offsets[a + 1])
         for b in range(m):
             sb = slice(offsets[b], offsets[b + 1])
-            if a == b:
-                if altered:
-                    kernel[sa, sb] = np.tile(marginals[a], (sizes[a], 1)) / m
-                else:
-                    kernel[sa, sb] = np.eye(sizes[a]) / m
+            if a != b:
+                kernel[:, sa, sb] = rows[(a, b)] / m
+            elif altered:
+                kernel[:, sa, sb] = marginals[a][:, None, :] / m
             else:
-                kernel[sa, sb] = pair_conditional_rows(weights_tensor, a, b) / m
-    phi = np.concatenate(marginals) / m
-    return WeightedKernel(kernel, phi)
+                kernel[:, sa, sb] = np.eye(sizes[a]) / m
+    phi = np.concatenate(marginals, axis=1) / m
+    _check_stochastic(kernel, phi)
+    return kernel, phi
+
+
+def _walk_kernel(target: FiniteTarget, ctx: CondContext, altered: bool) -> WeightedKernel:
+    marginals, _, rows = _context_tables(target, ctx)
+    matrices, phi = _walk_stack(marginals, rows, altered)
+    return WeightedKernel(matrices[0], phi[0])
 
 
 def random_walk_kernel(target: FiniteTarget, ctx: CondContext) -> WeightedKernel:
@@ -301,36 +359,61 @@ def altered_random_walk_kernel(target: FiniteTarget, ctx: CondContext) -> Weight
     return _walk_kernel(target, ctx, altered=True)
 
 
+def _spectral_stack(
+    matrices: np.ndarray, weights: np.ndarray, balance_tol: float = 1e-10
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Norms, gaps and bottom eigenvalues of a stack (B, N, N) with weights (B, N).
+
+    Kernels whose zero-weight states differ are solved in separate
+    sub-stacks, one per support mask; see :func:`spectral_summary`.
+    """
+    norm = np.empty(len(matrices))
+    bottom = np.empty(len(matrices))
+    for sel, keep in _support_groups(weights > 0.0):
+        if len(sel) == len(matrices) and len(keep) == weights.shape[1]:
+            mat, w = matrices, weights
+        else:
+            mat, w = matrices[np.ix_(sel, keep, keep)], weights[np.ix_(sel, keep)]
+        flux = w[:, :, None] * mat
+        flux -= flux.transpose(0, 2, 1).copy()
+        balance_err = float(np.abs(flux).max())
+        del flux
+        if balance_err > balance_tol:
+            raise NumericalContractError(
+                f"detailed balance violated by {balance_err:.3e} (tol {balance_tol:.1e})"
+            )
+        d = np.sqrt(w)
+        sym = d[:, :, None] * mat
+        sym /= d[:, None, :]
+        sym = 0.5 * (sym + sym.transpose(0, 2, 1))
+        sym -= d[:, :, None] * d[:, None, :]
+        spectrum = np.linalg.eigvalsh(sym)
+        del sym
+        norm[sel] = np.maximum(np.abs(spectrum[:, 0]), np.abs(spectrum[:, -1]))
+        bottom[sel] = spectrum[:, 0]
+    gap = 1.0 - norm
+    bad = (gap < -1e-10) | (gap > 1.0 + 1e-10)
+    if bad.any():
+        raise NumericalContractError(f"gap {float(gap[bad][0])!r} escaped [0, 1]")
+    return norm, np.clip(gap, 0.0, 1.0), bottom
+
+
 def spectral_summary(kernel: WeightedKernel, *, balance_tol: float = 1e-10) -> SpectralSummary:
     """Operator norm and gap of a reversible kernel on mean-zero functions.
 
     States with zero stationary weight are dropped (the similarity transform
     is singular there), the kernel is symmetrized as D^{1/2} K D^{-1/2}, and
-    the constant-function direction is deflated before taking the largest
-    absolute eigenvalue.  Detailed balance beyond ``balance_tol`` raises
+    the constant-function direction is deflated.  One eigensolve of the
+    deflated matrix gives both the largest absolute eigenvalue (the norm)
+    and the bottom eigenvalue, which is ``min(lambda_min, 0)`` of the
+    symmetrized kernel because deflation moves the top eigenvalue 1 to 0.
+    Detailed balance beyond ``balance_tol`` raises
     :class:`NumericalContractError`.
     """
-    keep = kernel.weights > 0.0
-    mat = kernel.matrix[np.ix_(keep, keep)]
-    w = kernel.weights[keep]
-    flux = w[:, None] * mat
-    balance_err = float(np.abs(flux - flux.T).max())
-    if balance_err > balance_tol:
-        raise NumericalContractError(
-            f"detailed balance violated by {balance_err:.3e} (tol {balance_tol:.1e})"
-        )
-    d = np.sqrt(w)
-    sym = (d[:, None] * mat) / d[None, :]
-    sym = 0.5 * (sym + sym.T)
-    min_eig = float(np.linalg.eigvalsh(sym)[0])
-    deflated = sym - np.outer(d, d)
-    spectrum = np.linalg.eigvalsh(deflated)
-    norm = float(max(abs(spectrum[0]), abs(spectrum[-1])))
-    gap = 1.0 - norm
-    if gap < -1e-10 or gap > 1.0 + 1e-10:
-        raise NumericalContractError(f"gap {gap!r} escaped [0, 1]")
-    gap = min(max(gap, 0.0), 1.0)
-    return SpectralSummary(norm=norm, gap=gap, min_eigenvalue=min_eig)
+    norm, gap, bottom = _spectral_stack(kernel.matrix[None], kernel.weights[None], balance_tol)
+    return SpectralSummary(
+        norm=float(norm[0]), gap=float(gap[0]), min_eigenvalue=float(bottom[0])
+    )
 
 
 def sample_gibbs_chain(
@@ -355,8 +438,8 @@ def sample_gibbs_chain(
     combos = list(itertools.combinations(range(n), l))
     tables = []
     for gamma in combos:
-        rest, rows = _block_rows(target.probs, gamma)
-        cum = np.cumsum(rows, axis=1)
+        rest, rows = _block_rows(target.probs[None], gamma)
+        cum = np.cumsum(rows[0], axis=1)
         cum[:, -1] = 1.0
         strides = []
         acc = 1

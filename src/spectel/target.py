@@ -165,10 +165,10 @@ def free_indices(target: FiniteTarget, ctx: CondContext) -> tuple[int, ...]:
     return _free(target, ctx.lam)
 
 
-def _context_slice(target: FiniteTarget, ctx: CondContext) -> np.ndarray:
-    """Unnormalized tensor over the free axes with the context plugged in."""
+def _context_slice(target: FiniteTarget, lam: tuple[int, ...], y: tuple[int, ...]) -> np.ndarray:
+    """Unnormalized tensor over the free axes with the assignment ``y`` to ``lam`` plugged in."""
     index: list = [slice(None)] * target.n
-    for i, v in zip(ctx.lam, ctx.y):
+    for i, v in zip(lam, y):
         index[i - 1] = v
     return target.probs[tuple(index)]
 
@@ -176,7 +176,7 @@ def _context_slice(target: FiniteTarget, ctx: CondContext) -> np.ndarray:
 def marginal_mass(target: FiniteTarget, ctx: CondContext) -> float:
     """Marginal probability of the context's assignment (1 for the empty context)."""
     _check_context(target, ctx)
-    return float(_context_slice(target, ctx).sum())
+    return float(_context_slice(target, ctx.lam, ctx.y).sum())
 
 
 def is_supported(target: FiniteTarget, ctx: CondContext) -> bool:
@@ -201,7 +201,7 @@ def marginal(target: FiniteTarget, gamma: Iterable[int]) -> np.ndarray:
 
 def _conditional(target: FiniteTarget, g: tuple[int, ...], ctx: CondContext) -> np.ndarray:
     """:func:`conditional` for arguments the caller has already validated."""
-    block = _context_slice(target, ctx)
+    block = _context_slice(target, ctx.lam, ctx.y)
     drop = tuple(pos for pos, i in enumerate(_free(target, ctx.lam)) if i not in g)
     joint = block.sum(axis=drop) if drop else block
     mass = float(block.sum())
@@ -242,7 +242,7 @@ def supported_conditional(
     marginal mass is zero, so no uniform fallback is ever returned.
     """
     _check_context(target, ctx)
-    block = _context_slice(target, ctx)
+    block = _context_slice(target, ctx.lam, ctx.y)
     mass = float(block.sum())
     if not mass > 0.0:
         raise DomainError(f"context {ctx} has zero marginal mass")
@@ -260,14 +260,37 @@ def supported_contexts(target: FiniteTarget, lambda_size: int) -> Iterator[CondC
         raise DomainError(
             f"lambda_size {lambda_size} out of range 0..{target.n - 1}"
         )
-    if lambda_size == 0:
-        yield EMPTY_CONTEXT
-        return
     for lam in itertools.combinations(range(1, target.n + 1), lambda_size):
-        marg = marginal(target, lam)
-        for y in np.ndindex(marg.shape):
-            if marg[y] > 0.0:
-                yield CondContext(lam, tuple(int(v) for v in y))
+        for y in _supported_assignments(target, lam):
+            yield CondContext(lam, y)
+
+
+def _supported_assignments(target: FiniteTarget, lam: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Assignments to the index set ``lam`` with positive mass, row-major."""
+    if not lam:
+        return [()]
+    marg = marginal(target, lam)
+    return [tuple(int(v) for v in y) for y in np.ndindex(marg.shape) if marg[y] > 0.0]
+
+
+def _supported_group(
+    target: FiniteTarget, lam: tuple[int, ...]
+) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Supported assignments of an index set and their stacked conditionals.
+
+    Assignments come in the order :func:`supported_contexts` yields them.
+    Entry ``k`` of the ``(B, *free_shape)`` stack is the conditional tensor
+    of the free coordinates given ``lam = ys[k]``, computed on the same slice
+    and with the same division as :func:`supported_conditional`, so its bits
+    match.  ``lam`` must be a valid, strictly increasing index set.
+    """
+    ys = _supported_assignments(target, lam)
+    shape = tuple(target.axes[i - 1] for i in _free(target, lam))
+    stack = np.empty((len(ys),) + shape)
+    for k, y in enumerate(ys):
+        block = _context_slice(target, lam, y)
+        np.divide(block, float(block.sum()), out=stack[k])
+    return ys, stack
 
 
 def random_target(

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from spectel import product_target, random_target, target_to_dict
+from spectel import NumericalContractError, product_target, random_target, target_to_dict
 from spectel.cli import (
     EXIT_BAD_INPUT,
     EXIT_CHECKS_FAILED,
@@ -92,6 +92,23 @@ class TestVerifyFinite:
             assert code == EXIT_BAD_INPUT
             err = capsys.readouterr().err
             assert err.startswith("spectel: ") and err.count("\n") == 1
+
+    def test_random_state_cap_checked_before_drawing(self, capsys):
+        # 10^9 states: the cap must fire before the joint tensor is allocated.
+        code = main(["verify-finite", "--random", "1", "--axes", "1000,1000,1000"])
+        assert code == EXIT_RESOURCE
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_numerical_contract_exit_one(self, product3_path, capsys, monkeypatch):
+        def violated(*args, **kwargs):
+            raise NumericalContractError("detailed balance violated by 1.000e-03")
+
+        monkeypatch.setattr("spectel.cli.assemble_bounds", violated)
+        code = main(["verify-finite", "--target", product3_path])
+        assert code == EXIT_CHECKS_FAILED
+        err = capsys.readouterr().err
+        assert err.startswith("spectel: numerical contract violated: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("axes", ["2,x", "x", "-2,2"])
     def test_malformed_axes_exit_two(self, capsys, axes):

@@ -210,9 +210,7 @@ class TestCoupling:
     def test_marginal_kolmogorov_smirnov(self):
         rng = np.random.default_rng(77)
         m, budget, x = 4, 1.0, 0.25
-        u = rng.random(1_000_000)
-        fraction = 1.0 - (1.0 - u) ** (1.0 / (m - 1))
-        samples = (budget - x) * fraction
+        samples, _ = coupling_sample(budget, m, x, 0.5, rng, size=1_000_000)
         top = budget - x
 
         def cdf(z):
@@ -226,11 +224,7 @@ class TestCoupling:
         x, xp = 0.2, 0.5
         d_in = contraction_metric(budget, x, xp)
         draws = 100_000
-        ratios = np.empty(draws)
-        u = rng.random(draws)
-        fraction = 1.0 - (1.0 - u) ** (1.0 / (m - 1))
-        out_a = (budget - x) * fraction
-        out_b = (budget - xp) * fraction
+        out_a, out_b = coupling_sample(budget, m, x, xp, rng, size=draws)
         ratios = (np.abs(out_a - out_b) / (budget - np.maximum(out_a, out_b))) / d_in
         mean, se = ratios.mean(), ratios.std(ddof=1) / np.sqrt(draws)
         assert mean <= 1.0 / (m - 2) + 3 * se
@@ -238,6 +232,14 @@ class TestCoupling:
     def test_needs_m_at_least_three(self, rng):
         with pytest.raises(DomainError):
             coupling_sample(1.0, 2, 0.2, 0.4, rng)
+
+    def test_size_matches_scalar_draws(self):
+        a, b = coupling_sample(0.9, 5, 0.18, 0.54, np.random.default_rng(3), size=5)
+        rng = np.random.default_rng(3)
+        scalar = [coupling_sample(0.9, 5, 0.18, 0.54, rng) for _ in range(5)]
+        assert a.shape == b.shape == (5,)
+        assert a.tolist() == [pair[0] for pair in scalar]
+        assert b.tolist() == [pair[1] for pair in scalar]
 
 
 class TestWassersteinInfluence:

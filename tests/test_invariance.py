@@ -1,17 +1,34 @@
-"""Invariance of every profile value under relabelling the target's coordinates or values.
+"""Properties the paper implies, checked on small random targets.
 
 Renaming coordinates or alphabet values describes the same distribution, so
-``Gap(m, l)``, ``S(m)``, ``G(m)`` and ``eta(m)`` must not move.  Targets are
-small (alphabets of size 2 or 3, at most 4 coordinates) with integer weights,
-so zero entries are common: they leave contexts unsupported and make the
-conditional rows fall back to uniform.
+``Gap(m, l)``, ``S(m)``, ``G(m)`` and ``eta(m)`` must not move.  The batched
+engine must agree with the brute-force oracles of ``conftest`` context by
+context, ``Gap(m, m)`` is 1 and product targets have ``Gap(n, l) = l/n``.
+Targets are small (alphabets of size 2 or 3, at most 4 coordinates) with
+integer weights, so zero entries are common: they leave contexts unsupported,
+make the conditional rows fall back to uniform, and put contexts with
+different zero-weight states into one index-set group.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectel import FiniteTarget, assemble_bounds
+from conftest import oracle_gap, oracle_rw_matrix
+from spectel import (
+    FiniteTarget,
+    assemble_bounds,
+    correlation_coefficient,
+    gap_profile,
+    gibbs_kernel,
+    influence_matrix_tv,
+    product_target,
+    random_walk_kernel,
+    recursive_gibbs_kernel,
+    spectral_radius,
+    spectral_summary,
+    supported_contexts,
+)
 
 SETTINGS = settings(max_examples=12, deadline=None, derandomize=True, database=None)
 
@@ -56,3 +73,89 @@ def test_value_relabelling_invariance(data):
         labels = data.draw(st.permutations(range(size)))
         relabelled = np.take(relabelled, labels, axis=axis)
     assert_same_profiles(profile_values(tensor), profile_values(relabelled))
+
+
+@SETTINGS
+@given(data=st.data())
+def test_gap_profile_matches_recursive_oracle(data):
+    tensor = data.draw(targets())
+    target = FiniteTarget(tensor.shape, tensor)
+    profile = gap_profile(target)
+    n = target.n
+    for m in range(1, n + 1):
+        contexts = list(supported_contexts(target, n - m))
+        for l in range(1, m + 1):
+            expected = min(
+                oracle_gap(kernel.matrix, kernel.weights)
+                for kernel in (recursive_gibbs_kernel(target, ctx, l) for ctx in contexts)
+            )
+            assert abs(profile.gap(m, l) - expected) <= 1e-12, (m, l)
+        assert abs(profile.gap(m, m) - 1.0) <= 1e-12
+
+
+def first_extremum(values, better):
+    """Value and context of a context-by-context scan that keeps the first extremum."""
+    best = None
+    for value, ctx in values:
+        if best is None or better(value, best[0]):
+            best = (value, ctx)
+    return best[0], {"lambda": list(best[1].lam), "y": list(best[1].y)}
+
+
+@SETTINGS
+@given(data=st.data())
+def test_stacked_engine_equals_context_scan(data):
+    # Exact equality: Gap(m, m) is 1 for every context, so which context a
+    # report names is decided by last-bit rounding; stacking must not move it.
+    tensor = data.draw(targets())
+    target = FiniteTarget(tensor.shape, tensor)
+    report = assemble_bounds(target, 1)
+    n = target.n
+    lt, gt = (lambda a, b: a < b), (lambda a, b: a > b)
+    for m in range(1, n + 1):
+        contexts = list(supported_contexts(target, n - m))
+        for l in range(1, m + 1):
+            gap, ctx = first_extremum(
+                ((spectral_summary(gibbs_kernel(target, c, l)).gap, c) for c in contexts), lt
+            )
+            entry = report.profile.entries[(m, l)]
+            assert (entry.gap, list(entry.lam), list(entry.y)) == (gap, ctx["lambda"], ctx["y"])
+        if m < 2:
+            continue
+        routes = {
+            "S": (report.s_profile, gt, lambda c: correlation_coefficient(target, c)),
+            "G": (report.g_profile, lt, lambda c: spectral_summary(random_walk_kernel(target, c)).gap),
+            "eta": (report.eta_profile, gt, lambda c: spectral_radius(influence_matrix_tv(target, c).entries)),
+        }
+        for name, (profile, better, route) in routes.items():
+            value, ctx = first_extremum(((route(c), c) for c in contexts), better)
+            assert (profile[m], report.extremal_contexts[name][m]) == (value, ctx), (name, m)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_walk_gap_matches_enumeration_oracle(data):
+    tensor = data.draw(targets())
+    target = FiniteTarget(tensor.shape, tensor)
+    g_profile = assemble_bounds(target, 1).g_profile
+    for m, g in g_profile.items():
+        expected = min(
+            oracle_gap(*oracle_rw_matrix(target, ctx.lam, ctx.y)[:2])
+            for ctx in supported_contexts(target, target.n - m)
+        )
+        assert abs(g - expected) <= 1e-12, m
+
+
+@SETTINGS
+@given(data=st.data())
+def test_product_target_gap_is_l_over_n(data):
+    axes = data.draw(st.lists(st.sampled_from((2, 3)), min_size=2, max_size=4))
+    marginals = [
+        np.array(data.draw(st.lists(st.integers(1, 4), min_size=a, max_size=a)), dtype=float)
+        for a in axes
+    ]
+    target = product_target([w / w.sum() for w in marginals])
+    profile = gap_profile(target)
+    n = target.n
+    for l in range(1, n + 1):
+        assert abs(profile.gap(n, l) - l / n) <= 1e-12, l

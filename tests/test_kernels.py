@@ -273,6 +273,12 @@ class TestPsdCheck:
         k = WeightedKernel(np.tile(w, (2, 1)), w)
         assert spectral_summary(k).min_eigenvalue == pytest.approx(0.0, abs=1e-14)
 
+    def test_lazy_two_state_min_eigenvalue_is_zero(self):
+        # Eigenvalues 1 and 1/2: deflating the constant leaves 0 and 1/2, so
+        # min_eigenvalue is min(lambda_min, 0) = 0, not 1/2.
+        lazy = WeightedKernel(np.array([[0.75, 0.25], [0.25, 0.75]]), np.array([0.5, 0.5]))
+        assert spectral_summary(lazy).min_eigenvalue == pytest.approx(0.0, abs=1e-14)
+
     def test_antidiagonal_swap_is_minus_one(self):
         k = WeightedKernel(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.5, 0.5]))
         assert spectral_summary(k).min_eigenvalue == pytest.approx(-1.0, abs=1e-14)
