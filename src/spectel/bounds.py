@@ -36,9 +36,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError
 from .kernels import (
-    STATE_CAP,
+    _check_cap,
     _context_tables,
     _coordinate_tables,
     _gibbs_stack,
@@ -169,11 +169,7 @@ def gap_profile(target: FiniteTarget, l_max: int | None = None) -> GapProfile:
     l_top = n if l_max is None else int(l_max)
     if not 1 <= l_top <= n:
         raise DomainError(f"l_max {l_max} out of range 1..{n}")
-    full_size = int(np.prod(target.axes))
-    if full_size > STATE_CAP:
-        raise ResourceLimitError(
-            f"full state space has {full_size} states, exceeding the cap of {STATE_CAP}"
-        )
+    _check_cap(target.probs.size)
     entries: dict[tuple[int, int], GapEntry] = {}
     min_psd = np.inf
 

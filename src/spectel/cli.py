@@ -14,8 +14,10 @@ by verify-finite and verify-cube.  Reports are JSON only and carry the tool
 version and per-check pass flags; the two verify reports also embed the seed,
 the tolerances and the wall clock.  Exit codes: 0 all checks pass, 1 some
 check failed or a numerical contract was violated (one line on stderr, no
-report), 2 malformed input or bad arguments, 3 state-space cap exceeded,
-4 statistical contract not met.
+report), 2 malformed input or bad arguments (including a ``--random`` COUNT
+below 1 and a ``report-merge`` input that is not a JSON object or whose pass
+flag is not a bool), 3 state-space cap exceeded, 4 statistical contract not
+met.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ from .errors import (
     ResourceLimitError,
     StatisticalContractError,
 )
-from .kernels import STATE_CAP, sample_gibbs_chain
-from .target import FiniteTarget, load_target, random_target
+from .kernels import _check_cap, sample_gibbs_chain
+from .target import FiniteTarget, _check_axes, load_target, random_target
 
 EXIT_OK = 0
 EXIT_CHECKS_FAILED = 1
@@ -115,15 +117,13 @@ def cmd_verify_finite(args: argparse.Namespace) -> int:
     targets: list[tuple[str, FiniteTarget]] = []
     if args.target:
         targets.append((args.target, load_target(args.target)))
-    elif args.random:
+    elif args.random is not None:
+        axes = _check_axes(_parse_axes(args.axes, args.n))
+        if args.random < 1:
+            raise DomainError(f"--random COUNT must be >= 1, got {args.random}")
+        # Checked before random_target allocates the joint tensor.
+        _check_cap(math.prod(axes))
         rng = np.random.default_rng(args.seed)
-        axes = _parse_axes(args.axes, args.n)
-        # Checked before random_target allocates the joint tensor; sizes
-        # below 2 are left to its own check (exit 2).
-        if min(axes) >= 2 and math.prod(axes) > STATE_CAP:
-            raise ResourceLimitError(
-                f"--axes {args.axes} give {math.prod(axes)} states, exceeding the cap of {STATE_CAP}"
-            )
         for k in range(args.random):
             targets.append((f"random[{k}]", random_target(axes, rng)))
     else:
@@ -327,7 +327,13 @@ def cmd_report_merge(args: argparse.Namespace) -> int:
     reports = []
     for path in args.reports:
         with open(path, "r", encoding="utf-8") as fh:
-            reports.append({"path": path, "report": json.load(fh)})
+            report = json.load(fh)
+        if not isinstance(report, dict):
+            raise DomainError(f"{path}: a report must be a JSON object")
+        for key in ("all_passed", "passed"):
+            if not isinstance(report.get(key, False), bool):
+                raise DomainError(f"{path}: {key!r} must be true or false, got {report[key]!r}")
+        reports.append({"path": path, "report": report})
     all_passed = all(
         entry["report"].get("all_passed", entry["report"].get("passed", False))
         for entry in reports

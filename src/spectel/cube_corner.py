@@ -32,7 +32,6 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .bounds import InfluenceMatrix
 from .errors import DomainError, NumericalContractError, StatisticalContractError
@@ -354,9 +353,12 @@ def tv_contraction_check(
     """Total variation between two pair conditionals, three ways.
 
     ``tv_quadrature`` integrates half the absolute density difference with
-    the integration range split at the support edge and at the single
-    density crossing (located by root finding), so every piece is a smooth
-    polynomial and Gauss-Legendre is exact.  ``tv_formula`` is the closed
+    the integration range split at the support edge ``b`` and at the single
+    density crossing, so every piece is a smooth polynomial and
+    Gauss-Legendre is exact.  The crossing solves
+    ((a - z)/(b - z))^(m-2) = (a/b)^(m-1) and is taken in closed form,
+    z = b - (a - b) / ((a/b)^p - 1), evaluated with ``log1p``/``expm1`` so it
+    stays accurate when the two points are close.  ``tv_formula`` is the closed
     form |x - x'|^(m-1) / |a^p - b^p|^(m-2) with a, b the two remaining
     budgets and p = (m-1)/(m-2).  ``bound`` is ((m-2)/(m-1))^(m-2) times the
     rescaling metric.  Disagreement beyond ``match_tol`` or a ceiling
@@ -374,19 +376,14 @@ def tv_contraction_check(
     power = (m - 1) / (m - 2)
     tv_formula = (hi - lo) ** (m - 1) / (a**power - b**power) ** (m - 2)
 
-    def gap_dens(top: float, z: np.ndarray) -> np.ndarray:
-        return (m - 1) * (top - z) ** (m - 2) / top ** (m - 1)
-
-    def diff(z: float) -> float:
-        return float(gap_dens(a, np.asarray(z)) - gap_dens(b, np.asarray(z)))
-
-    cross = brentq(diff, 0.0, b, xtol=1e-15, rtol=1e-15)
+    cross = b - (hi - lo) / np.expm1(power * np.log1p((hi - lo) / b))
     total = 0.0
-    for left, right in ((0.0, cross), (cross, b)):
+    for left, right in ((0.0, cross), (cross, b), (b, a)):
         nodes, wts = _gl_rule(left, right, 64)
-        total += float(np.abs(gap_dens(a, nodes) - gap_dens(b, nodes)) @ wts)
-    nodes, wts = _gl_rule(b, a, 64)
-    total += float(gap_dens(a, nodes) @ wts)
+        diff = nested_conditional_density(m, R, lo, nodes) - nested_conditional_density(
+            m, R, hi, nodes
+        )
+        total += float(np.abs(diff) @ wts)
     tv_quadrature = 0.5 * total
 
     bound = ((m - 2) / (m - 1)) ** (m - 2) * contraction_metric(R, x, x_other)

@@ -1,10 +1,15 @@
 """CLI surfaces: exit codes, report structure, determinism, error paths."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spectel
 from spectel import NumericalContractError, product_target, random_target, target_to_dict
 from spectel.cli import (
     EXIT_BAD_INPUT,
@@ -110,12 +115,25 @@ class TestVerifyFinite:
         assert err.startswith("spectel: numerical contract violated: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
-    @pytest.mark.parametrize("axes", ["2,x", "x", "-2,2"])
-    def test_malformed_axes_exit_two(self, capsys, axes):
-        code = main(["verify-finite", "--random", "1", "--n", "2", f"--axes={axes}"])
+    @pytest.mark.parametrize(
+        "count, n, axes",
+        [
+            pytest.param("1", "2", "2,x", id="2,x"),
+            pytest.param("1", "2", "x", id="x"),
+            pytest.param("1", "2", "-2,2", id="-2,2"),
+            # An empty axes tuple, then a COUNT that would verify nothing.
+            pytest.param("1", "0", "3", id="n=0"),
+            pytest.param("1", "-2", "3", id="n=-2"),
+            pytest.param("-1", "2", "2", id="count=-1"),
+            pytest.param("0", "2", "2", id="count=0"),
+        ],
+    )
+    def test_malformed_axes_exit_two(self, capsys, count, n, axes):
+        code = main(["verify-finite", "--random", count, "--n", n, f"--axes={axes}"])
         assert code == EXIT_BAD_INPUT
         err = capsys.readouterr().err
         assert err.startswith("spectel: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestSample:
@@ -233,10 +251,19 @@ class TestReportMerge:
         code = main(["report-merge", str(good), "--out", str(merged_ok)])
         assert code == EXIT_OK
 
-    def test_merge_malformed_input(self, tmp_path):
+        # A report with neither pass flag counts as failed.
+        fake.write_text("{}")
+        code = main(["report-merge", str(good), str(fake), "--out", str(merged)])
+        assert code == EXIT_CHECKS_FAILED
+
+    def test_merge_malformed_input(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text("{")
-        assert main(["report-merge", str(bad)]) == EXIT_BAD_INPUT
+        for text in ("{", "[1, 2]", '{"all_passed": "no"}', '{"passed": 1}'):
+            bad.write_text(text)
+            assert main(["report-merge", str(bad)]) == EXIT_BAD_INPUT, text
+            err = capsys.readouterr().err
+            assert err.startswith("spectel: ") and err.count("\n") == 1
+            assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -251,3 +278,17 @@ def test_flags_only_where_they_act(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_import_loads_numpy_only():
+    # scipy serves the tests only; importing the CLI must not load it.
+    src = str(Path(spectel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import spectel.cli, sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

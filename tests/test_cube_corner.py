@@ -7,6 +7,7 @@ from spectel import (
     CondSlack,
     CornerState,
     DomainError,
+    NumericalContractError,
     OrthoBasis,
     StatisticalContractError,
     conditional_density,
@@ -282,6 +283,13 @@ class TestTvContraction:
         assert abs(result.tv_quadrature - result.tv_formula) <= 1e-8
         assert result.tv_quadrature <= result.bound + 1e-10
 
+    def test_contract_violations_raise(self):
+        # Quadrature and formula differ by about 2e-16 here.
+        with pytest.raises(NumericalContractError, match="disagrees"):
+            tv_contraction_check(4, 1.0, 0.1, 0.3, match_tol=1e-17)
+        with pytest.raises(NumericalContractError, match="ceiling"):
+            tv_contraction_check(4, 1.0, 0.1, 0.3, bound_slack=-0.1)
+
     def test_m3_closed_form_value(self):
         # Direct single-crossing computation gives 1/3 for these inputs.
         result = tv_contraction_check(3, 1.0, 1e-9, 0.5)
@@ -298,6 +306,23 @@ class TestTvContraction:
                 continue
             result = tv_contraction_check(m, budget, float(x), float(xp))
             assert result.tv_quadrature <= result.bound + 1e-10
+
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_edge_points_match_formula(self, m):
+        # Near-equal pairs, pairs near the budget edge and pairs near zero,
+        # as fractions of the budget; the crossing must still split the
+        # panels at the kink.
+        pairs = [
+            (0.4, 0.4 + 1e-15), (0.4, 0.4 + 1e-12), (0.4, 0.4 + 1e-9), (0.4, 0.401),
+            (0.999, 1 - 1e-12), (0.5, 1 - 1e-9), (1 - 1e-6, 1 - 1e-15),
+            (1 - 1e-3, 1 - 1e-3 + 1e-12), (1e-15, 1e-12), (1e-12, 1e-9),
+            (1e-15, 0.5), (1e-9, 1 - 1e-9), (1e-6, 1e-6 + 1e-15),
+        ]
+        for budget in (0.3, 1.0):
+            for u, v in pairs:
+                result = tv_contraction_check(m, budget, u * budget, v * budget)
+                mismatch = abs(result.tv_quadrature - result.tv_formula)
+                assert mismatch <= 1e-13, (budget, u, v, mismatch)
 
 
 class TestCornerChain:

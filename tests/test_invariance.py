@@ -3,7 +3,9 @@
 Renaming coordinates or alphabet values describes the same distribution, so
 ``Gap(m, l)``, ``S(m)``, ``G(m)`` and ``eta(m)`` must not move.  The batched
 engine must agree with the brute-force oracles of ``conftest`` context by
-context, ``Gap(m, m)`` is 1 and product targets have ``Gap(n, l) = l/n``.
+context, ``Gap(m, m)`` is 1, the telescope inequality holds, and product
+targets have ``Gap(n, l) = l/n`` with ``S``, ``G`` and ``eta`` at their
+independent-case values.
 Targets are small (alphabets of size 2 or 3, at most 4 coordinates) with
 integer weights, so zero entries are common: they leave contexts unsupported,
 make the conditional rows fall back to uniform, and put contexts with
@@ -28,6 +30,7 @@ from spectel import (
     spectral_radius,
     spectral_summary,
     supported_contexts,
+    telescope_verify,
 )
 
 SETTINGS = settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -91,6 +94,8 @@ def test_gap_profile_matches_recursive_oracle(data):
             )
             assert abs(profile.gap(m, l) - expected) <= 1e-12, (m, l)
         assert abs(profile.gap(m, m) - 1.0) <= 1e-12
+    # Zero weights leave zero-mass contexts, which the Dirichlet sweep never has.
+    assert telescope_verify(profile).passed
 
 
 def first_extremum(values, better):
@@ -155,7 +160,12 @@ def test_product_target_gap_is_l_over_n(data):
         for a in axes
     ]
     target = product_target([w / w.sum() for w in marginals])
-    profile = gap_profile(target)
+    report = assemble_bounds(target, 1)
     n = target.n
     for l in range(1, n + 1):
-        assert abs(profile.gap(n, l) - l / n) <= 1e-12, l
+        assert abs(report.profile.gap(n, l) - l / n) <= 1e-12, l
+    # Independent coordinates: S(m) = 1/m, G(m) = (m-1)/m and eta(m) = 0.
+    for m in range(2, n + 1):
+        assert abs(report.s_profile[m] - 1 / m) <= 1e-12, m
+        assert abs(report.g_profile[m] - (m - 1) / m) <= 1e-12, m
+        assert abs(report.eta_profile[m]) <= 1e-12, m
