@@ -17,21 +17,21 @@ Three routes produce lower bounds on ``Gap(m, m-1)``:
   at level ``m`` has spectral radius at most ``eta < m-1``.
 
 Everything here is exact enumeration over supported contexts, never sampling.
-:func:`gap_profile` and :func:`assemble_bounds` walk the contexts in groups,
-one per index set: each group's conditionals are stacked once, each
-(index set, l) Gibbs group is one kernel stack and one stacked eigensolve,
-and the marginals and pair tables of a group are computed once and shared by
-the S, G and eta routes.  Contexts whose zero-weight states differ are
-solved in sub-stacks, one per support mask.  The extremal context of each
-value is the first in canonical order, as in a context-by-context scan.
+:func:`gap_profile` and :func:`assemble_bounds` walk each level's contexts in
+stacks that gather the contexts of one free shape, whatever index set they
+fix, cut so that a stack of Gibbs kernels is never larger than the top-level
+kernel.  Each (stack, l) is one kernel stack and one stacked eigensolve, and
+the marginals and pair tables of a stack are computed once and shared by the
+S, G and eta routes.  Contexts whose zero-weight states differ are solved in
+sub-stacks, one per support mask.  Each value lands in one array per level,
+in canonical order, so the extremal context is the first in canonical order,
+as in a context-by-context scan.
 The single-context functions (:func:`correlation_coefficient`,
 :func:`influence_matrix_tv`) are stacks of one over the same code.
 """
 
 from __future__ import annotations
 
-import itertools
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +48,7 @@ from .kernels import (
     random_walk_kernel,
     spectral_summary,
 )
-from .target import CondContext, FiniteTarget, _supported_group
+from .target import CondContext, FiniteTarget, _supported_level
 
 
 @dataclass(frozen=True)
@@ -142,28 +142,14 @@ class TelescopeReport:
         }
 
 
-def _index_set_groups(target: FiniteTarget, m: int):
-    """Yield (lam, assignments, stacked conditionals) for every index set leaving ``m`` free.
-
-    Index sets come in lexicographic order and assignments row-major, so
-    walking the groups in order visits contexts in canonical order.  Index
-    sets without a supported assignment are skipped.
-    """
-    for lam in itertools.combinations(range(1, target.n + 1), target.n - m):
-        ys, weights = _supported_group(target, lam)
-        if ys:
-            yield lam, ys, weights
-
-
 def gap_profile(target: FiniteTarget, l_max: int | None = None) -> GapProfile:
     """Exact Gap(m, l) for every m and every l <= min(m, l_max).
 
     For each level ``m`` the minimum runs over all index sets of size
     ``n - m`` and all supported assignments, in canonical enumeration order
     (ties keep the first context encountered, for reproducibility).  The
-    contexts of one index set share a free shape, so each (index set, l)
-    group is built as one stack of kernels and solved by one stacked
-    eigensolve.
+    contexts of a level that share a free shape are built as stacks of
+    kernels, each solved by one stacked eigensolve.
     """
     n = target.n
     l_top = n if l_max is None else int(l_max)
@@ -174,15 +160,16 @@ def gap_profile(target: FiniteTarget, l_max: int | None = None) -> GapProfile:
     min_psd = np.inf
 
     for m in range(1, n + 1):
-        for lam, ys, weights in _index_set_groups(target, m):
-            flat = weights.reshape(len(ys), -1)
-            for l in range(1, min(m, l_top) + 1):
-                _, gaps, bottoms = _spectral_stack(_gibbs_stack(weights, l), flat)
+        contexts, stacks = _supported_level(target, m)
+        for l in range(1, min(m, l_top) + 1):
+            gaps = np.empty(len(contexts))
+            for pos, weights in stacks:
+                flat = weights.reshape(len(pos), -1)
+                _, gaps[pos], bottoms = _spectral_stack(_gibbs_stack(weights, l), flat)
                 min_psd = min(min_psd, float(bottoms.min()))
-                k = int(np.argmin(gaps))
-                cur = entries.get((m, l))
-                if cur is None or gaps[k] < cur.gap:
-                    entries[(m, l)] = GapEntry(float(gaps[k]), lam, ys[k])
+            # np.argmin keeps the first context in canonical order on ties.
+            k = int(np.argmin(gaps))
+            entries[(m, l)] = GapEntry(float(gaps[k]), *contexts[k])
     return GapProfile(n=n, entries=entries, min_psd_eigenvalue=float(min_psd))
 
 
@@ -423,20 +410,19 @@ def assemble_bounds(
     extremal: dict[str, dict[int, dict]] = {"S": {}, "G": {}, "eta": {}}
 
     for m in range(max(2, l + 1), n + 1):
-        best: dict[str, tuple] = {}
-        for lam, ys, weights in _index_set_groups(target, m):
-            s, g, eta = _route_values(weights)
-            # First extremum within a group, strict improvement across groups:
-            # the first context in canonical order wins ties.
-            for name, values, k, better in (
-                ("S", s, int(np.argmax(s)), operator.gt),
-                ("G", g, int(np.argmin(g)), operator.lt),
-                ("eta", eta, int(np.argmax(eta)), operator.gt),
-            ):
-                if name not in best or better(values[k], best[name][0]):
-                    best[name] = (float(values[k]), lam, ys[k])
-        for name, profile_m in (("S", s_profile), ("G", g_profile), ("eta", eta_profile)):
-            profile_m[m], lam, y = best[name]
+        contexts, stacks = _supported_level(target, m)
+        values = {name: np.empty(len(contexts)) for name in extremal}
+        for pos, weights in stacks:
+            values["S"][pos], values["G"][pos], values["eta"][pos] = _route_values(weights)
+        # The first extremum in canonical order wins ties.
+        for name, pick, profile_m in (
+            ("S", np.argmax, s_profile),
+            ("G", np.argmin, g_profile),
+            ("eta", np.argmax, eta_profile),
+        ):
+            k = int(pick(values[name]))
+            profile_m[m] = float(values[name][k])
+            lam, y = contexts[k]
             extremal[name][m] = {"lambda": list(lam), "y": list(y)}
 
     levels = range(l + 1, n + 1)

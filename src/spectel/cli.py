@@ -14,10 +14,12 @@ by verify-finite and verify-cube.  Reports are JSON only and carry the tool
 version and per-check pass flags; the two verify reports also embed the seed,
 the tolerances and the wall clock.  Exit codes: 0 all checks pass, 1 some
 check failed or a numerical contract was violated (one line on stderr, no
-report), 2 malformed input or bad arguments (including a ``--random`` COUNT
-below 1 and a ``report-merge`` input that is not a JSON object or whose pass
-flag is not a bool), 3 state-space cap exceeded, 4 statistical contract not
-met.
+report), 2 malformed input or bad arguments (including an input path that
+cannot be opened, such as a directory, an ``--out`` path whose directory does
+not exist, checked before any work starts, a ``--random`` COUNT below 1, a
+negative ``--steps`` and a ``report-merge`` input that is not a JSON object
+or whose pass flag is not a bool), 3 state-space cap exceeded, 4 statistical
+contract not met.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 import warnings
@@ -94,6 +97,13 @@ def _parse_axes(raw: str | None, n: int | None) -> tuple[int, ...]:
     if n is None:
         raise DomainError("--axes SIZE without commas needs --n for the coordinate count")
     return sizes * n
+
+
+def _check_out_dir(out: str | None) -> None:
+    """Reject an output path in a missing directory before any work is done."""
+    parent = os.path.dirname(os.path.abspath(out)) if out else None
+    if parent and not os.path.isdir(parent):
+        raise DomainError(f"--out {out}: directory {parent} does not exist")
 
 
 def _write_report(report: dict, out: str | None) -> None:
@@ -412,8 +422,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out_dir(args.out)
         return args.func(args)
-    except (DomainError, FileNotFoundError) as exc:
+    except (DomainError, OSError) as exc:
         print(f"spectel: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except json.JSONDecodeError as exc:

@@ -546,6 +546,8 @@ def empirical_gap_estimate(
     """
     if not 3 <= n <= 8:
         raise DomainError(f"n must lie in 3..8, got {n}")
+    if steps < 0:
+        raise DomainError("steps must be >= 0")
     if steps < 1_000_000:
         raise StatisticalContractError(
             f"{steps} steps is below the 1e6 floor needed for a stable "

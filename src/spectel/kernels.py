@@ -23,14 +23,14 @@ constant direction deflated.  State spaces are hard-capped at
 :data:`STATE_CAP` dense states: this module is a verifier, exactness beats
 scale.
 
-The exact pipeline in :mod:`spectel.bounds` builds kernels in stacks: every
-context that fixes the same index set has the same free shape, so the
-private ``_*_stack`` builders take a stack of conditionals (B, *shape) and
-return a (B, N, N) stack of matrices, checked and eigensolved as one.  A
-stack holds B * N^2 <= (full state count) * N floats, so it is never larger
-than the top-level kernel.  The public single-context functions are stacks
-of one over the same code, and a stacked build is bit for bit the
-single-context one.
+The exact pipeline in :mod:`spectel.bounds` builds kernels in stacks: the
+contexts of a level that share a free shape, whatever index set they fix,
+are stacked together, so the private ``_*_stack`` builders take a stack of
+conditionals (B, *shape) and return a (B, N, N) stack of matrices, checked
+and eigensolved as one.  Stacks are cut to B * N^2 <= (full state count)^2
+floats, so none is larger than the top-level kernel.  The public
+single-context functions are stacks of one over the same code, and a
+stacked build is bit for bit the single-context one.
 
 Canonical enumerations (normative, so matrices are comparable across runs):
 free-coordinate product states are row-major in increasing coordinate order;
@@ -201,7 +201,10 @@ def _gibbs_stack(weights: np.ndarray, l: int) -> np.ndarray:
 
     Entries accumulate over the blocks in the order of
     ``itertools.combinations``, one ``+=`` per block, so every matrix is bit
-    for bit the one a single-context build gives.
+    for bit the one a single-context build gives.  A block's rows land on
+    the entries whose rest values agree: a strided view of the
+    (B, *shape, *shape) kernel that walks the rest axes of both sides
+    together.
     """
     n_ctx, shape = weights.shape[0], weights.shape[1:]
     m = len(shape)
@@ -210,12 +213,21 @@ def _gibbs_stack(weights: np.ndarray, l: int) -> np.ndarray:
     n_states = int(np.prod(shape))
     _check_cap(n_states)
 
-    kernel = np.zeros((n_ctx, n_states, n_states))
-    canon = np.arange(n_states).reshape(shape)
+    kernel = np.zeros((n_ctx,) + shape * 2)
+    st = kernel.strides
     for gamma_pos in itertools.combinations(range(m), l):
         rest_pos, rows = _block_rows(weights, gamma_pos)
-        idx = canon.transpose(rest_pos + gamma_pos).reshape(rows.shape[1:])
-        kernel[:, idx[:, :, None], idx[:, None, :]] += rows[:, :, None, :]
+        gamma_shape = tuple(shape[p] for p in gamma_pos)
+        view = np.lib.stride_tricks.as_strided(
+            kernel,
+            (n_ctx,) + tuple(shape[p] for p in rest_pos) + gamma_shape * 2,
+            (st[0],)
+            + tuple(st[1 + p] + st[1 + m + p] for p in rest_pos)
+            + tuple(st[1 + p] for p in gamma_pos)
+            + tuple(st[1 + m + p] for p in gamma_pos),
+        )
+        view += rows.reshape(view.shape[: 1 + m - l] + (1,) * l + gamma_shape)
+    kernel = kernel.reshape(n_ctx, n_states, n_states)
     kernel /= comb(m, l)
     _check_stochastic(kernel, weights.reshape(n_ctx, -1))
     return kernel

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -273,24 +274,36 @@ def _supported_assignments(target: FiniteTarget, lam: tuple[int, ...]) -> list[t
     return [tuple(int(v) for v in y) for y in np.ndindex(marg.shape) if marg[y] > 0.0]
 
 
-def _supported_group(
-    target: FiniteTarget, lam: tuple[int, ...]
-) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """Supported assignments of an index set and their stacked conditionals.
+def _supported_level(target: FiniteTarget, m: int):
+    """Supported contexts leaving ``m`` coordinates free, and their stacked conditionals.
 
-    Assignments come in the order :func:`supported_contexts` yields them.
-    Entry ``k`` of the ``(B, *free_shape)`` stack is the conditional tensor
-    of the free coordinates given ``lam = ys[k]``, computed on the same slice
-    and with the same division as :func:`supported_conditional`, so its bits
-    match.  ``lam`` must be a valid, strictly increasing index set.
+    Returns ``(contexts, stacks)``.  ``contexts`` lists every supported
+    (lam, y) in the order :func:`supported_contexts` yields them.  Each
+    stack is ``(positions, weights)``: the conditionals (B, *shape) of
+    contexts with one free shape, from any index set, where row ``k`` is the
+    conditional tensor given ``contexts[positions[k]]``, computed on the
+    same slice and with the same division as :func:`supported_conditional`,
+    so its bits match.  Stacks are cut so that B kernels of order
+    N = prod(shape) hold no more floats than the top-level kernel:
+    B * N^2 <= (full state count)^2.
     """
-    ys = _supported_assignments(target, lam)
-    shape = tuple(target.axes[i - 1] for i in _free(target, lam))
-    stack = np.empty((len(ys),) + shape)
-    for k, y in enumerate(ys):
-        block = _context_slice(target, lam, y)
-        np.divide(block, float(block.sum()), out=stack[k])
-    return ys, stack
+    contexts: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    blocks: dict[tuple[int, ...], list] = {}
+    for lam in itertools.combinations(range(1, target.n + 1), target.n - m):
+        shape = tuple(target.axes[i - 1] for i in _free(target, lam))
+        for y in _supported_assignments(target, lam):
+            blocks.setdefault(shape, []).append((len(contexts), _context_slice(target, lam, y)))
+            contexts.append((lam, y))
+    stacks = []
+    for shape, shape_blocks in blocks.items():
+        cut = target.probs.size**2 // math.prod(shape) ** 2
+        for start in range(0, len(shape_blocks), cut):
+            chunk = shape_blocks[start : start + cut]
+            weights = np.empty((len(chunk),) + shape)
+            for k, (_, block) in enumerate(chunk):
+                np.divide(block, float(block.sum()), out=weights[k])
+            stacks.append((np.array([pos for pos, _ in chunk]), weights))
+    return contexts, stacks
 
 
 def random_target(

@@ -115,6 +115,17 @@ class TestVerifyFinite:
         assert err.startswith("spectel: numerical contract violated: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_missing_out_directory_checked_first(self, product3_path, tmp_path, capsys, monkeypatch):
+        def verified(*args, **kwargs):
+            raise AssertionError("the target was verified before --out was checked")
+
+        monkeypatch.setattr("spectel.cli.assemble_bounds", verified)
+        out = tmp_path / "missing" / "x.json"
+        code = main(["verify-finite", "--target", product3_path, "--out", str(out)])
+        assert code == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("spectel: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "count, n, axes",
         [
@@ -200,6 +211,8 @@ class TestVerifyCube:
         code = main(["verify-cube", "--n", "4", "--steps", "1000"])
         assert code == EXIT_STATISTICAL
         assert "statistical contract" in capsys.readouterr().err
+        # A negative count is malformed input, not too little sampling.
+        assert main(["verify-cube", "--n", "4", "--steps", "-5"]) == EXIT_BAD_INPUT
 
     def test_n_out_of_range_exit_two(self):
         assert main(["verify-cube", "--n", "9"]) == EXIT_BAD_INPUT
@@ -278,6 +291,22 @@ def test_flags_only_where_they_act(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify-finite", "--target", "{dir}"], ["report-merge", "{dir}"]],
+    ids=["verify-finite", "report-merge"],
+)
+def test_directory_input_exit_two(tmp_path, argv):
+    # Run as a process so that an uncaught OSError would show its traceback.
+    src = str(Path(spectel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    command = [sys.executable, "-m", "spectel.cli"] + [a.format(dir=tmp_path) for a in argv]
+    result = subprocess.run(command, env=env, capture_output=True, text=True)
+    assert result.returncode == EXIT_BAD_INPUT
+    assert result.stderr.startswith("spectel: ") and result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr
 
 
 def test_import_loads_numpy_only():

@@ -1,6 +1,7 @@
 """Marginal/conditional exactness, context enumeration, and ingestion rules."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -25,6 +26,9 @@ from spectel import (
     target_from_dict,
     target_to_dict,
 )
+
+from spectel.kernels import _gibbs_stack
+from spectel.target import _supported_level
 
 from conftest import oracle_conditional, oracle_marginal, random_small_target
 
@@ -167,6 +171,44 @@ class TestSupportedContexts:
         sparse = FiniteTarget([2, 2], [0.5, 0.5, 0.0, 0.0])
         with pytest.raises(DomainError, match="zero marginal mass"):
             supported_conditional(sparse, CondContext((1,), (1,)))
+
+
+def _sparse_mixed_target() -> FiniteTarget:
+    weights = np.random.default_rng(5).dirichlet(np.ones(36))
+    weights[[0, 3, 7, 8, 13, 20, 21, 29, 35]] = 0.0
+    return FiniteTarget((2, 3, 2, 3), weights.reshape(2, 3, 2, 3) / weights.sum())
+
+
+@pytest.mark.parametrize(
+    "target",
+    [random_target((2,) * 6, np.random.default_rng(3)), _sparse_mixed_target()],
+    ids=["2^6", "2,3,2,3-sparse"],
+)
+def test_supported_level_stacks(target):
+    size = target.probs.size
+    spanning = 0
+    for m in range(1, target.n + 1):
+        contexts, stacks = _supported_level(target, m)
+        assert contexts == [(c.lam, c.y) for c in supported_contexts(target, target.n - m)]
+        positions = np.concatenate([pos for pos, _ in stacks])
+        # Every supported context exactly once, each stack in canonical order.
+        assert sorted(positions.tolist()) == list(range(len(contexts)))
+        assert all((np.diff(pos) > 0).all() for pos, _ in stacks)
+        by_shape = {}
+        for pos, weights in stacks:
+            for k, p in enumerate(pos):
+                expected = supported_conditional(target, CondContext(*contexts[p]))[1]
+                assert np.array_equal(weights[k], expected)
+            # No Gibbs stack outgrows the top-level kernel, and only the last
+            # stack of a free shape is cut short.
+            n_states = math.prod(weights.shape[1:])
+            assert _gibbs_stack(weights, 1).size == len(pos) * n_states**2 <= size**2
+            by_shape.setdefault(weights.shape[1:], []).append(len(pos))
+            spanning += len({contexts[p][0] for p in pos}) > 1
+        for shape, counts in by_shape.items():
+            assert all(b == size**2 // math.prod(shape) ** 2 for b in counts[:-1])
+    # Contexts of different index sets with one free shape share stacks.
+    assert spanning > 0
 
 
 class TestIngestion:
