@@ -387,6 +387,7 @@ def assemble_bounds(
     slack: float = 1e-9,
     lemma_tol: float = 1e-8,
     psd_tol: float = 1e-10,
+    telescope_tol: float = 1e-9,
 ) -> BoundReport:
     """Compute the full bound report for block size ``l``.
 
@@ -396,20 +397,22 @@ def assemble_bounds(
     routes, whose exact relation G = 1 - S is one of the recorded checks),
     eta from the discrete-metric influence matrices.  Lower bounds multiply
     per-level factors down to ``l``; every bound is checked against the exact
-    gap and the l/n ceiling with ``slack``.
+    gap and the l/n ceiling with ``slack``.  The telescope residuals are
+    checked with ``telescope_tol``.
     """
     n = target.n
     if not 1 <= l <= n:
         raise DomainError(f"block size {l} out of range 1..{n}")
     profile = gap_profile(target)
-    telescope = telescope_verify(profile, tol=slack)
+    telescope = telescope_verify(profile, tol=telescope_tol)
 
     s_profile: dict[int, float] = {}
     g_profile: dict[int, float] = {}
     eta_profile: dict[int, float] = {}
     extremal: dict[str, dict[int, dict]] = {"S": {}, "G": {}, "eta": {}}
 
-    for m in range(max(2, l + 1), n + 1):
+    levels = range(l + 1, n + 1)
+    for m in levels:
         contexts, stacks = _supported_level(target, m)
         values = {name: np.empty(len(contexts)) for name in extremal}
         for pos, weights in stacks:
@@ -425,9 +428,8 @@ def assemble_bounds(
             lam, y = contexts[k]
             extremal[name][m] = {"lambda": list(lam), "y": list(y)}
 
-    levels = range(l + 1, n + 1)
-    corr_bound = float(np.prod([1.0 - s_profile[m] for m in levels])) if l < n else 1.0
-    rw_bound = float(np.prod([g_profile[m] for m in levels])) if l < n else 1.0
+    corr_bound = float(np.prod([1.0 - s_profile[m] for m in levels]))
+    rw_bound = float(np.prod([g_profile[m] for m in levels]))
     # Applicability needs eta strictly below m-1; a 1e-12 margin keeps
     # eigenvalue roundoff at the boundary from producing a noise-level bound.
     specind_factors = {
@@ -437,9 +439,7 @@ def assemble_bounds(
         for m in levels
     }
     if all(f is not None for f in specind_factors.values()):
-        specind_bound: float | None = float(
-            np.prod([specind_factors[m] for m in levels]) if l < n else 1.0
-        )
+        specind_bound: float | None = float(np.prod([specind_factors[m] for m in levels]))
     else:
         specind_bound = None
 

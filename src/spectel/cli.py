@@ -145,6 +145,7 @@ def cmd_verify_finite(args: argparse.Namespace) -> int:
             target,
             args.l,
             slack=tols["bound_slack"],
+            telescope_tol=tols["telescope"],
             lemma_tol=tols["lemma"],
             psd_tol=tols["psd"],
         )
@@ -317,15 +318,14 @@ def cmd_sample(args: argparse.Namespace) -> int:
         if args.n is None:
             raise DomainError("sampling the cube-corner target needs --n")
         states = corner.run_corner_chain(args.n, args.steps, rng)
-        lines = (json.dumps([float(v) for v in row]) for row in states)
     else:
         target = load_target(args.target)
         states = sample_gibbs_chain(target, args.steps, rng, l=args.l)
-        lines = (json.dumps([int(v) for v in row]) for row in states)
     stream = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        for line in lines:
-            stream.write(line + "\n")
+        # Python's list repr of ints and finite floats is byte-for-byte what json.dumps writes.
+        for row in states:
+            stream.write(f"{row.tolist()}\n")
     finally:
         if args.out:
             stream.close()

@@ -38,6 +38,10 @@ from .errors import DomainError, NumericalContractError, StatisticalContractErro
 
 _MAX_POLY_DEGREE = 8
 _QUAD_POINTS = 256
+# Empirical gap estimate: fewest usable lags, bootstrap blocks, resamples.
+_MIN_LAGS = 5
+_N_BLOCKS = 20
+_N_BOOT = 500
 
 
 @lru_cache(maxsize=8)
@@ -502,12 +506,15 @@ class GapEstimate:
     n_blocks: int
 
 
-def _fit_decay_rate(trace: np.ndarray, min_lags: int) -> tuple[float, int]:
+def _fit_decay_rate(trace: np.ndarray) -> tuple[float, int]:
     """Log-linear fit of the autocorrelation over lags with values in (0.05, 0.9)."""
     x = trace - trace.mean()
     n_samples = len(x)
     max_lag = min(1000, n_samples // 10)
-    size = 1 << int(np.ceil(np.log2(2 * n_samples)))
+    # A length-L FFT gives the circular autocovariance, whose lag-k entry picks
+    # up wrapped products x[t] x[t + k - L] only when L < n + k.  Zero-padding
+    # to L >= n + max_lag keeps every lag the fit reads exact and linear.
+    size = 1 << (n_samples + max_lag - 1).bit_length()
     spec = np.fft.rfft(x, size)
     acov = np.fft.irfft(spec * np.conj(spec), size)[: max_lag + 1] / n_samples
     ac = acov / acov[0]
@@ -517,9 +524,9 @@ def _fit_decay_rate(trace: np.ndarray, min_lags: int) -> tuple[float, int]:
             break
         if ac[k] < 0.9:
             lags.append(k)
-    if len(lags) < min_lags:
+    if len(lags) < _MIN_LAGS:
         raise StatisticalContractError(
-            f"only {len(lags)} usable autocorrelation lags (need {min_lags}); "
+            f"only {len(lags)} usable autocorrelation lags (need {_MIN_LAGS}); "
             f"lag-1 autocorrelation {ac[1]:.4f} over {n_samples} samples"
         )
     lags_arr = np.asarray(lags, dtype=float)
@@ -527,22 +534,16 @@ def _fit_decay_rate(trace: np.ndarray, min_lags: int) -> tuple[float, int]:
     return float(np.exp(slope)), len(lags)
 
 
-def empirical_gap_estimate(
-    n: int,
-    steps: int,
-    rng: np.random.Generator,
-    min_lags: int = 5,
-    n_blocks: int = 20,
-    n_boot: int = 500,
-) -> GapEstimate:
+def empirical_gap_estimate(n: int, steps: int, rng: np.random.Generator) -> GapEstimate:
     """Estimate the relaxation rate of the single-site corner chain.
 
     Runs a stationary chain, fits the decay rate rho of the first
     coordinate's autocorrelation (log-linear over lags with autocorrelation
-    in (0.05, 0.9), at least ``min_lags`` of them), and reports 1 - rho.  The
+    in (0.05, 0.9), at least ``_MIN_LAGS`` of them), and reports 1 - rho.  The
     chain's operator is positive semi-definite, so 1 - rho over-estimates the
-    spectral gap up to the test-function gap; the confidence margin comes
-    from a bootstrap over per-block decay estimates.
+    spectral gap up to the test-function gap; the confidence margin is 1.96
+    standard deviations of ``_N_BOOT`` bootstrap means over the decay rates of
+    ``_N_BLOCKS`` equal blocks of the trace.
     """
     if not 3 <= n <= 8:
         raise DomainError(f"n must lie in 3..8, got {n}")
@@ -554,14 +555,14 @@ def empirical_gap_estimate(
             "autocorrelation window"
         )
     trace = run_corner_chain(n, steps, rng, trace_coord=0)
-    rho, lags_used = _fit_decay_rate(trace, min_lags)
+    rho, lags_used = _fit_decay_rate(trace)
 
-    block_len = steps // n_blocks
-    block_rhos = np.empty(n_blocks)
-    for b in range(n_blocks):
+    block_len = steps // _N_BLOCKS
+    block_rhos = np.empty(_N_BLOCKS)
+    for b in range(_N_BLOCKS):
         segment = trace[b * block_len : (b + 1) * block_len]
-        block_rhos[b], _ = _fit_decay_rate(segment, min_lags)
-    draws = rng.integers(0, n_blocks, size=(n_boot, n_blocks))
+        block_rhos[b], _ = _fit_decay_rate(segment)
+    draws = rng.integers(0, _N_BLOCKS, size=(_N_BOOT, _N_BLOCKS))
     boot_means = block_rhos[draws].mean(axis=1)
     ci = 1.96 * float(boot_means.std(ddof=1))
     return GapEstimate(
@@ -571,5 +572,5 @@ def empirical_gap_estimate(
         gap=1.0 - rho,
         ci=ci,
         lags_used=lags_used,
-        n_blocks=n_blocks,
+        n_blocks=_N_BLOCKS,
     )

@@ -43,7 +43,6 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import comb
-from typing import Sequence
 
 import numpy as np
 
@@ -433,13 +432,12 @@ def sample_gibbs_chain(
     steps: int,
     rng: np.random.Generator,
     l: int = 1,
-    x0: Sequence[int] | None = None,
 ) -> np.ndarray:
     """Simulate the block Gibbs chain on the full target; returns (steps, n) values.
 
-    The start defaults to an exact draw from the target, so the emitted chain
-    is stationary.  The trajectory is a deterministic function of the RNG
-    stream and the start.
+    The start is an exact draw from the target, so the emitted chain is
+    stationary.  The trajectory is a deterministic function of the RNG
+    stream.
     """
     n = target.n
     if not 1 <= l <= n:
@@ -462,18 +460,12 @@ def sample_gibbs_chain(
         gamma_values = [tuple(v) for v in np.ndindex(*(axes[p] for p in gamma))]
         tables.append((gamma, rest, tuple(strides), cum.tolist(), gamma_values))
 
-    if x0 is None:
-        flat0 = int(rng.choice(target.probs.size, p=target.probs.ravel()))
-        state = list(np.unravel_index(flat0, axes))
-    else:
-        state = [int(v) for v in x0]
-        if len(state) != n or any(not 0 <= v < axes[p] for p, v in enumerate(state)):
-            raise DomainError(f"start state {x0} is not a valid assignment")
-    state = [int(v) for v in state]
+    flat0 = int(rng.choice(target.probs.size, p=target.probs.ravel()))
+    state = [int(v) for v in np.unravel_index(flat0, axes)]
 
     out = np.empty((steps, n), dtype=np.int64)
-    choice_stream = rng.integers(0, len(combos), size=steps).tolist() if steps else []
-    u_stream = rng.random(steps).tolist() if steps else []
+    choice_stream = rng.integers(0, len(combos), size=steps).tolist()
+    u_stream = rng.random(steps).tolist()
     for t in range(steps):
         gamma, rest, strides, cum, gamma_values = tables[choice_stream[t]]
         r = 0

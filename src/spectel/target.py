@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -33,8 +34,8 @@ INGEST_TOL = 1e-9
 
 def _check_axes(axes: Sequence[int]) -> tuple[int, ...]:
     try:
-        axes_t = tuple(int(a) for a in axes)
-    except (TypeError, ValueError) as exc:
+        axes_t = tuple(operator.index(a) for a in axes)
+    except TypeError as exc:
         raise DomainError(f"alphabet sizes must be integers: {exc}") from None
     if len(axes_t) < 2:
         raise DomainError(f"need at least 2 coordinates, got {len(axes_t)}")
@@ -62,10 +63,13 @@ class FiniteTarget:
     def __init__(self, axes: Sequence[int], probs) -> None:
         axes_t = _check_axes(axes)
         try:
-            arr = np.asarray(probs, dtype=float)
+            arr = np.asarray(probs)
         except (TypeError, ValueError) as exc:
             raise DomainError(f"probabilities must be numeric: {exc}") from None
-        size = int(np.prod(axes_t))
+        if arr.dtype.kind not in "iuf":
+            raise DomainError(f"probabilities must be numeric, got {arr.dtype} entries")
+        arr = arr.astype(float, copy=False)
+        size = math.prod(axes_t)
         if arr.ndim == 1:
             if arr.size != size:
                 raise DomainError(
@@ -311,7 +315,7 @@ def random_target(
 ) -> FiniteTarget:
     """Full-support target with Dirichlet(1)-distributed joint tensor."""
     axes_t = _check_axes(axes)
-    flat = rng.dirichlet(np.ones(int(np.prod(axes_t))))
+    flat = rng.dirichlet(np.ones(math.prod(axes_t)))
     return FiniteTarget(axes_t, flat)
 
 

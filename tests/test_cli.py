@@ -10,7 +10,15 @@ import numpy as np
 import pytest
 
 import spectel
-from spectel import NumericalContractError, product_target, random_target, target_to_dict
+from spectel import (
+    NumericalContractError,
+    load_target,
+    product_target,
+    random_target,
+    run_corner_chain,
+    sample_gibbs_chain,
+    target_to_dict,
+)
 from spectel.cli import (
     EXIT_BAD_INPUT,
     EXIT_CHECKS_FAILED,
@@ -88,6 +96,34 @@ class TestVerifyFinite:
             ["verify-finite", "--target", product3_path, "--tol", "nonsense=1e-3"]
         )
         assert code == EXIT_BAD_INPUT
+
+    @pytest.mark.parametrize(
+        "tol, expected", [("telescope=0.5", 0.5), ("bound_slack=0.5", 1e-9)]
+    )
+    def test_telescope_tolerance_reaches_the_check(self, product3_path, tmp_path, tol, expected):
+        out = tmp_path / "report.json"
+        main(["verify-finite", "--target", product3_path, "--tol", tol, "--out", str(out)])
+        entry = json.loads(out.read_text())["targets"][0]
+        assert entry["residuals"]["tol"] == expected
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            '{"axes": [2.7, 2], "probs": [0.25, 0.25, 0.25, 0.25]}',
+            '{"axes": ["2", 2], "probs": [0.25, 0.25, 0.25, 0.25]}',
+            '{"axes": [1e400, 2], "probs": [0.25, 0.25, 0.25, 0.25]}',
+            '{"axes": [4294967296, 4294967296], "probs": []}',
+            '{"axes": [2, 2], "probs": ["0.25", 0.25, 0.25, 0.25]}',
+        ],
+        ids=["float-size", "string-size", "inf-size", "int64-overflow", "string-prob"],
+    )
+    def test_coercible_target_exit_two(self, tmp_path, capsys, body):
+        path = tmp_path / "t.json"
+        path.write_text(body)
+        assert main(["verify-finite", "--target", str(path)]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("spectel: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_nonpositive_tolerance_exit_two(self, product3_path, capsys):
         for value in ("0", "abc", "nan", "inf"):
@@ -198,6 +234,26 @@ class TestSample:
             )
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    # Each line must be exactly json.dumps of the sampler's row at the same
+    # seed; numpy's own str(row) ("[1 0 2]") would not be.
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_finite_lines_are_json_rows(self, tmp_path, l):
+        t = random_target([2, 3, 2], np.random.default_rng(1))
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(target_to_dict(t)))
+        out = tmp_path / "chain.njson"
+        argv = ["sample", "--target", str(path), "--l", str(l), "--steps", "300", "--seed", "5"]
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        rows = sample_gibbs_chain(load_target(str(path)), 300, np.random.default_rng(5), l=l)
+        assert out.read_text() == "".join(json.dumps(row.tolist()) + "\n" for row in rows)
+
+    def test_cube_lines_are_json_rows(self, tmp_path):
+        out = tmp_path / "cube.njson"
+        argv = ["sample", "--target", "cube", "--n", "4", "--steps", "300", "--seed", "5"]
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        rows = run_corner_chain(4, 300, np.random.default_rng(5))
+        assert out.read_text() == "".join(json.dumps(row.tolist()) + "\n" for row in rows)
 
     def test_cube_requires_n(self):
         assert main(["sample", "--target", "cube", "--steps", "5"]) == EXIT_BAD_INPUT

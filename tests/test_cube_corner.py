@@ -28,7 +28,7 @@ from spectel import (
     verify_eigenrelation,
     wasserstein_influence,
 )
-from spectel.cube_corner import _gl_rule
+from spectel.cube_corner import _fit_decay_rate, _gl_rule
 
 
 def ks_distance(samples: np.ndarray, cdf) -> float:
@@ -369,6 +369,33 @@ class TestCornerChain:
 
 
 class TestEmpiricalGapEstimate:
+    def test_fit_matches_direct_autocovariance(self):
+        # An AR(1) trace decays slowly enough that the fit reads lags up to
+        # max_lag = 400; an FFT too short for n + max_lag wraps those lags.
+        rng = np.random.default_rng(3)
+        phi, n = 0.995, 4000
+        noise = rng.standard_normal(n)
+        trace = np.empty(n)
+        trace[0] = noise[0] / np.sqrt(1 - phi**2)
+        for t in range(1, n):
+            trace[t] = phi * trace[t - 1] + noise[t]
+
+        y = trace - trace.mean()
+        max_lag = min(1000, n // 10)
+        acov = np.array([y[: n - k] @ y[k:] / n for k in range(max_lag + 1)])
+        ac = acov / acov[0]
+        lags = []
+        for k in range(1, max_lag + 1):
+            if ac[k] <= 0.05:
+                break
+            if ac[k] < 0.9:
+                lags.append(k)
+        expected = np.exp(np.polyfit(lags, np.log(ac[lags]), 1)[0])
+
+        rho, used = _fit_decay_rate(trace)
+        assert used == len(lags)
+        assert abs(rho - expected) <= 1e-12
+
     def test_sandwich_n3(self):
         estimate = empirical_gap_estimate(3, 1_000_000, np.random.default_rng(6))
         lower = corner_gap_lower_bound(3).product_form

@@ -233,8 +233,14 @@ class TestIngestion:
     def test_non_numeric_input_rejected(self):
         with pytest.raises(DomainError, match="numeric"):
             FiniteTarget([2, 2], ["a", 0.4, 0.3, 0.3])
-        with pytest.raises(DomainError, match="integers"):
-            FiniteTarget(["x", 2], [0.1, 0.4, 0.3, 0.2])
+        with pytest.raises(DomainError, match="numeric"):
+            FiniteTarget([2, 2], ["0.25", 0.25, 0.25, 0.25])
+        for axes in (["x", 2], [2.7, 2], ["2", 2], [math.inf, 2], [2.0, 2]):
+            with pytest.raises(DomainError, match="integers"):
+                FiniteTarget(axes, [0.1, 0.4, 0.3, 0.2])
+        # 2**32 * 2**32 wraps to 0 in int64; the exact size is checked instead.
+        with pytest.raises(DomainError, match="entries"):
+            FiniteTarget([2**32, 2**32], [])
 
     def test_shape_validation(self):
         with pytest.raises(DomainError):
