@@ -72,7 +72,6 @@ from .cube_corner import (
     correlation_coefficient_bound,
     coupling_sample,
     empirical_gap_estimate,
-    gibbs_step,
     nested_conditional_density,
     poly_eigenvalue,
     run_corner_chain,

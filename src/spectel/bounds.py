@@ -17,15 +17,16 @@ Three routes produce lower bounds on ``Gap(m, m-1)``:
   at level ``m`` has spectral radius at most ``eta < m-1``.
 
 Everything here is exact enumeration over supported contexts, never sampling.
-:func:`gap_profile` and :func:`assemble_bounds` walk each level's contexts in
-stacks that gather the contexts of one free shape, whatever index set they
-fix, cut so that a stack of Gibbs kernels is never larger than the top-level
-kernel.  Each (stack, l) is one kernel stack and one stacked eigensolve, and
-the marginals and pair tables of a stack are computed once and shared by the
-S, G and eta routes.  Contexts whose zero-weight states differ are solved in
-sub-stacks, one per support mask.  Each value lands in one array per level,
-in canonical order, so the extremal context is the first in canonical order,
-as in a context-by-context scan.
+:func:`gap_profile` and :func:`assemble_bounds` share one pass over the levels
+that enumerates each level's contexts once, in stacks that gather the
+contexts of one free shape, whatever index set they fix, cut so that a stack
+of Gibbs kernels is never larger than the top-level kernel.  A stack gets one
+kernel stack and one stacked eigensolve per block size and, on the levels the
+bounds need, the S, G and eta routes, which share one set of marginals and
+pair tables.  Contexts whose zero-weight states differ are solved in
+sub-stacks, one per support mask.  Each value lands in one array per level
+and quantity, in canonical order, and one picker takes the first extremum,
+as a context-by-context scan would.
 The single-context functions (:func:`correlation_coefficient`,
 :func:`influence_matrix_tv`) are stacks of one over the same code.
 """
@@ -142,35 +143,16 @@ class TelescopeReport:
         }
 
 
-def gap_profile(target: FiniteTarget, l_max: int | None = None) -> GapProfile:
-    """Exact Gap(m, l) for every m and every l <= min(m, l_max).
+def gap_profile(target: FiniteTarget) -> GapProfile:
+    """Exact Gap(m, l) for every 1 <= l <= m <= n.
 
     For each level ``m`` the minimum runs over all index sets of size
     ``n - m`` and all supported assignments, in canonical enumeration order
-    (ties keep the first context encountered, for reproducibility).  The
-    contexts of a level that share a free shape are built as stacks of
-    kernels, each solved by one stacked eigensolve.
+    (ties keep the first context encountered, for reproducibility).  Each
+    level is enumerated once; the contexts that share a free shape are built
+    as stacks of kernels, one stacked eigensolve per block size.
     """
-    n = target.n
-    l_top = n if l_max is None else int(l_max)
-    if not 1 <= l_top <= n:
-        raise DomainError(f"l_max {l_max} out of range 1..{n}")
-    _check_cap(target.probs.size)
-    entries: dict[tuple[int, int], GapEntry] = {}
-    min_psd = np.inf
-
-    for m in range(1, n + 1):
-        contexts, stacks = _supported_level(target, m)
-        for l in range(1, min(m, l_top) + 1):
-            gaps = np.empty(len(contexts))
-            for pos, weights in stacks:
-                flat = weights.reshape(len(pos), -1)
-                _, gaps[pos], bottoms = _spectral_stack(_gibbs_stack(weights, l), flat)
-                min_psd = min(min_psd, float(bottoms.min()))
-            # np.argmin keeps the first context in canonical order on ties.
-            k = int(np.argmin(gaps))
-            entries[(m, l)] = GapEntry(float(gaps[k]), *contexts[k])
-    return GapProfile(n=n, entries=entries, min_psd_eigenvalue=float(min_psd))
+    return _scan(target, target.n)[0]
 
 
 def telescope_verify(profile: GapProfile, tol: float = 1e-9) -> TelescopeReport:
@@ -381,6 +363,50 @@ def _route_values(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return s, g, eta
 
 
+# The routes and how each picks its extremum over a level's contexts.
+_ROUTES = (("S", np.argmax), ("G", np.argmin), ("eta", np.argmax))
+
+
+def _extremum(pick, values: np.ndarray, contexts: list) -> tuple:
+    """(value, lam, y) of one level's extremum; ``pick`` keeps the first on ties."""
+    k = int(pick(values))
+    return float(values[k]), *contexts[k]
+
+
+def _scan(
+    target: FiniteTarget, l: int
+) -> tuple[GapProfile, dict[str, dict[int, float]], dict[str, dict[int, dict]]]:
+    """The gap profile, then S, G and eta with their extremal contexts above level ``l``.
+
+    Each level's supported contexts are enumerated once; every stack is
+    solved for each block size ``1..m`` and, when ``m > l``, run through the
+    three routes.
+    """
+    _check_cap(target.probs.size)
+    entries: dict[tuple[int, int], GapEntry] = {}
+    min_psd = np.inf
+    values: dict[str, dict[int, float]] = {name: {} for name, _ in _ROUTES}
+    extremal: dict[str, dict[int, dict]] = {name: {} for name, _ in _ROUTES}
+    for m in range(1, target.n + 1):
+        contexts, stacks = _supported_level(target, m)
+        gaps = np.empty((m, len(contexts)))
+        routes = np.empty((len(_ROUTES), len(contexts)))
+        for pos, weights in stacks:
+            flat = weights.reshape(len(pos), -1)
+            for size in range(1, m + 1):
+                _, gaps[size - 1, pos], bottoms = _spectral_stack(_gibbs_stack(weights, size), flat)
+                min_psd = min(min_psd, float(bottoms.min()))
+            if m > l:
+                routes[:, pos] = _route_values(weights)
+        for size, row in enumerate(gaps, start=1):
+            entries[(m, size)] = GapEntry(*_extremum(np.argmin, row, contexts))
+        for (name, pick), row in zip(_ROUTES, routes if m > l else ()):
+            values[name][m], lam, y = _extremum(pick, row, contexts)
+            extremal[name][m] = {"lambda": list(lam), "y": list(y)}
+    profile = GapProfile(n=target.n, entries=entries, min_psd_eigenvalue=float(min_psd))
+    return profile, values, extremal
+
+
 def assemble_bounds(
     target: FiniteTarget,
     l: int,
@@ -403,31 +429,11 @@ def assemble_bounds(
     n = target.n
     if not 1 <= l <= n:
         raise DomainError(f"block size {l} out of range 1..{n}")
-    profile = gap_profile(target)
+    profile, values, extremal = _scan(target, l)
     telescope = telescope_verify(profile, tol=telescope_tol)
-
-    s_profile: dict[int, float] = {}
-    g_profile: dict[int, float] = {}
-    eta_profile: dict[int, float] = {}
-    extremal: dict[str, dict[int, dict]] = {"S": {}, "G": {}, "eta": {}}
+    s_profile, g_profile, eta_profile = values["S"], values["G"], values["eta"]
 
     levels = range(l + 1, n + 1)
-    for m in levels:
-        contexts, stacks = _supported_level(target, m)
-        values = {name: np.empty(len(contexts)) for name in extremal}
-        for pos, weights in stacks:
-            values["S"][pos], values["G"][pos], values["eta"][pos] = _route_values(weights)
-        # The first extremum in canonical order wins ties.
-        for name, pick, profile_m in (
-            ("S", np.argmax, s_profile),
-            ("G", np.argmin, g_profile),
-            ("eta", np.argmax, eta_profile),
-        ):
-            k = int(pick(values[name]))
-            profile_m[m] = float(values[name][k])
-            lam, y = contexts[k]
-            extremal[name][m] = {"lambda": list(lam), "y": list(y)}
-
     corr_bound = float(np.prod([1.0 - s_profile[m] for m in levels]))
     rw_bound = float(np.prod([g_profile[m] for m in levels]))
     # Applicability needs eta strictly below m-1; a 1e-12 margin keeps

@@ -10,16 +10,18 @@ sample          stream Gibbs-chain states as newline-delimited JSON
 report-merge    combine several report files into one
 
 ``--seed`` is taken by every subcommand except report-merge; ``--tol`` only
-by verify-finite and verify-cube.  Reports are JSON only and carry the tool
-version and per-check pass flags; the two verify reports also embed the seed,
-the tolerances and the wall clock.  Exit codes: 0 all checks pass, 1 some
-check failed or a numerical contract was violated (one line on stderr, no
-report), 2 malformed input or bad arguments (including an input path that
-cannot be opened, such as a directory, an ``--out`` path whose directory does
-not exist, checked before any work starts, a ``--random`` COUNT below 1, a
-negative ``--steps`` and a ``report-merge`` input that is not a JSON object
-or whose pass flag is not a bool), 3 state-space cap exceeded, 4 statistical
-contract not met.
+by verify-finite and verify-cube, each with its own keys (see its --help).
+``sample`` takes ``--n`` only for the cube and ``--l`` only for a target file.
+Reports are JSON only and carry the tool version and per-check pass flags;
+the two verify reports also embed the seed, the command's tolerances and the
+wall clock.  Exit codes: 0 all checks pass, 1 some check failed or a
+numerical contract was violated (one line on stderr, no report), 2 malformed
+input or bad arguments (including an input path that cannot be opened, such
+as a directory, an ``--out`` path whose directory does not exist, checked
+before any work starts, a ``--random`` COUNT below 1, a negative ``--steps``,
+a ``--tol`` key or ``sample`` flag the command does not read and a
+``report-merge`` input that is not a JSON object or whose pass flag is not a
+bool), 3 state-space cap exceeded, 4 statistical contract not met.
 """
 
 from __future__ import annotations
@@ -52,11 +54,8 @@ EXIT_BAD_INPUT = 2
 EXIT_RESOURCE = 3
 EXIT_STATISTICAL = 4
 
-DEFAULT_TOLERANCES = {
-    "telescope": 1e-9,
-    "bound_slack": 1e-9,
-    "lemma": 1e-8,
-    "psd": 1e-10,
+FINITE_TOLERANCES = {"telescope": 1e-9, "bound_slack": 1e-9, "lemma": 1e-8, "psd": 1e-10}
+CUBE_TOLERANCES = {
     "exact": 1e-14,
     "eigenrelation": 1e-8,
     "orthonormality": 1e-10,
@@ -65,8 +64,8 @@ DEFAULT_TOLERANCES = {
 }
 
 
-def _parse_tolerances(pairs: list[str] | None) -> dict[str, float]:
-    tols = dict(DEFAULT_TOLERANCES)
+def _parse_tolerances(pairs: list[str] | None, defaults: dict[str, float]) -> dict[str, float]:
+    tols = dict(defaults)
     for item in pairs or []:
         key, sep, raw = item.partition("=")
         if not sep:
@@ -120,7 +119,7 @@ def _base_report(command: str, **fields) -> dict:
 
 
 def cmd_verify_finite(args: argparse.Namespace) -> int:
-    tols = _parse_tolerances(args.tol)
+    tols = _parse_tolerances(args.tol, FINITE_TOLERANCES)
     started = time.monotonic()
     report = _base_report("verify-finite", seed=args.seed, tolerances=tols)
 
@@ -272,7 +271,7 @@ def _check_contraction_mc(rng: np.random.Generator, draws: int = 100_000) -> dic
 def cmd_verify_cube(args: argparse.Namespace) -> int:
     if not 3 <= args.n <= 8:
         raise DomainError(f"--n must lie in 3..8, got {args.n}")
-    tols = _parse_tolerances(args.tol)
+    tols = _parse_tolerances(args.tol, CUBE_TOLERANCES)
     started = time.monotonic()
     rng = np.random.default_rng(args.seed)
     report = _base_report("verify-cube", seed=args.seed, tolerances=tols)
@@ -317,10 +316,14 @@ def cmd_sample(args: argparse.Namespace) -> int:
     if args.target == "cube":
         if args.n is None:
             raise DomainError("sampling the cube-corner target needs --n")
+        if args.l is not None:
+            raise DomainError("--l sets the block size of a finite target; the cube takes none")
         states = corner.run_corner_chain(args.n, args.steps, rng)
     else:
+        if args.n is not None:
+            raise DomainError("--n sets the cube dimension; a target file sets its own")
         target = load_target(args.target)
-        states = sample_gibbs_chain(target, args.steps, rng, l=args.l)
+        states = sample_gibbs_chain(target, args.steps, rng, l=1 if args.l is None else args.l)
     stream = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         # Python's list repr of ints and finite floats is byte-for-byte what json.dumps writes.
@@ -363,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"spectel {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, seed: bool = True, tol: bool = False) -> None:
+    def common(p: argparse.ArgumentParser, *, seed: bool = True, tol: dict | None = None) -> None:
         if seed:
             p.add_argument("--seed", type=int, default=0, help="RNG seed")
         p.add_argument("--out", type=str, default=None, help="write output to this path")
@@ -372,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--tol",
                 action="append",
                 metavar="KEY=VAL",
-                help=f"override a tolerance; keys: {', '.join(sorted(DEFAULT_TOLERANCES))}",
+                help=f"override a tolerance; keys: {', '.join(sorted(tol))}",
             )
 
     p = sub.add_parser("verify-finite", help="telescope and bound checks on finite targets")
@@ -387,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="alphabet sizes for --random: a single size (with --n) or a comma list",
     )
     p.add_argument("--l", type=int, default=1, help="block size (default 1)")
-    common(p, tol=True)
+    common(p, tol=FINITE_TOLERANCES)
     p.set_defaults(func=cmd_verify_finite)
 
     p = sub.add_parser("verify-cube", help="closed-form and Monte Carlo cube-corner checks")
@@ -395,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--steps", type=int, default=2_000_000, help="Gibbs steps for the empirical estimate"
     )
-    common(p, tol=True)
+    common(p, tol=CUBE_TOLERANCES)
     p.set_defaults(func=cmd_verify_cube)
 
     p = sub.add_parser("sample", help="stream chain states as newline-delimited JSON")
@@ -406,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
         help='path to a target JSON file, or the builtin name "cube"',
     )
     p.add_argument("--n", type=int, default=None, help="dimension for the cube target")
-    p.add_argument("--l", type=int, default=1, help="block size for finite targets")
+    p.add_argument("--l", type=int, default=None, help="block size for a target file (default 1)")
     p.add_argument("--steps", type=int, default=1000, help="number of states to emit")
     common(p)
     p.set_defaults(func=cmd_sample)

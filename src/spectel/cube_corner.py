@@ -146,23 +146,6 @@ def stationary_corner_sample(n: int, rng: np.random.Generator) -> tuple[float, .
             return tuple(float(v) for v in x)
 
 
-def gibbs_step(state: CornerState, rng: np.random.Generator) -> CornerState:
-    """One single-site update: redraw a uniform coordinate on (0, remaining budget).
-
-    Exact-boundary draws (probability zero) are rejected and redrawn so the
-    output always satisfies the open-support invariants.
-    """
-    i = int(rng.integers(state.n))
-    rest = sum(state.x) - state.x[i]
-    budget = 1.0 - rest
-    while True:
-        new_val = budget * rng.random()
-        if 0.0 < new_val and rest + new_val < 1.0:
-            break
-    new_x = state.x[:i] + (new_val,) + state.x[i + 1 :]
-    return CornerState(state.n, new_x)
-
-
 def run_corner_chain(
     n: int,
     steps: int,
@@ -412,7 +395,7 @@ class OrthoBasis:
     matrix within 1e-10 of the identity up to the degree cap of 8.
     """
 
-    def __init__(self, m: int, R: float, degree: int, quad_points: int = _QUAD_POINTS):
+    def __init__(self, m: int, R: float, degree: int):
         if degree < 1:
             raise DomainError(f"degree must be >= 1, got {degree}")
         if degree > _MAX_POLY_DEGREE:
@@ -422,13 +405,13 @@ class OrthoBasis:
         self.m = int(m)
         self.R = float(R)
         self.degree = int(degree)
-        self.nodes, self.gl_weights = _gl_rule(0.0, self.R, quad_points)
+        self.nodes, self.gl_weights = _gl_rule(0.0, self.R)
         self.density = conditional_density(CondSlack(self.R, self.m), self.nodes)
         self._wq = self.gl_weights * self.density
 
         n_polys = degree + 1
         coeffs = np.zeros((n_polys, n_polys))
-        vals = np.empty((n_polys, quad_points))
+        vals = np.empty((n_polys, _QUAD_POINTS))
         for k in range(n_polys):
             c = np.zeros(n_polys)
             c[k] = 1.0

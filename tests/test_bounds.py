@@ -21,6 +21,7 @@ from spectel import (
     supported_contexts,
     telescope_verify,
 )
+from spectel import bounds
 
 from conftest import coupled_pair_target, random_small_target
 
@@ -54,11 +55,6 @@ class TestGapProfile:
         assert spectral_summary(gibbs_kernel(t, ctx, 1)).gap == pytest.approx(
             entry.gap, abs=1e-12
         )
-
-    def test_l_max_limits_entries(self, rng):
-        t = random_small_target(rng, n_choices=(3,))
-        profile = gap_profile(t, l_max=1)
-        assert (3, 1) in profile.entries and (3, 2) not in profile.entries
 
 
 class TestTelescope:
@@ -226,6 +222,21 @@ class TestAssembleBounds:
         profile = gap_profile(prod)
         for l in range(1, prod.n + 1):
             assert profile.gap(prod.n, l) == pytest.approx(l / prod.n, abs=1e-9)
+
+    @pytest.mark.parametrize("l", [1, 2, 4])
+    def test_each_level_enumerated_once(self, rng, monkeypatch, l):
+        # The gap profile and the S/G/eta routes share one pass over the levels.
+        calls = []
+        enumerate_level = bounds._supported_level
+
+        def counted(target, m):
+            calls.append(m)
+            return enumerate_level(target, m)
+
+        monkeypatch.setattr(bounds, "_supported_level", counted)
+        t = random_target([2, 3, 2, 2], rng)
+        assemble_bounds(t, l)
+        assert calls == [1, 2, 3, 4]
 
     def test_block_size_two(self, rng):
         t = random_small_target(rng, n_choices=(4,), axes_choices=(2, 3))

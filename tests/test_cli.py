@@ -20,11 +20,13 @@ from spectel import (
     target_to_dict,
 )
 from spectel.cli import (
+    CUBE_TOLERANCES,
     EXIT_BAD_INPUT,
     EXIT_CHECKS_FAILED,
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_STATISTICAL,
+    FINITE_TOLERANCES,
     main,
 )
 
@@ -48,7 +50,8 @@ class TestVerifyFinite:
         assert report["all_passed"] is True
         assert report["tool"] == "spectel"
         assert "version" in report and "seed" in report
-        assert "tolerances" in report and "wallclock_s" in report
+        assert "wallclock_s" in report
+        assert set(report["tolerances"]) == {"telescope", "bound_slack", "lemma", "psd"}
         target_entry = report["targets"][0]
         for residual in target_entry["residuals"]["telescope"].values():
             assert residual >= -1e-9
@@ -91,11 +94,20 @@ class TestVerifyFinite:
         big.write_text(json.dumps({"axes": [150, 150], "probs": probs.tolist()}))
         assert main(["verify-finite", "--target", str(big)]) == EXIT_RESOURCE
 
-    def test_unknown_tolerance_exit_two(self, product3_path):
-        code = main(
-            ["verify-finite", "--target", product3_path, "--tol", "nonsense=1e-3"]
-        )
-        assert code == EXIT_BAD_INPUT
+    def test_unknown_tolerance_exit_two(self, product3_path, capsys):
+        # Each command takes only the keys it reads, so the other's keys are unknown.
+        finite = ["verify-finite", "--target", product3_path]
+        for argv, keys in (
+            (finite + ["--tol", "nonsense=1e-3"], FINITE_TOLERANCES),
+            (finite + ["--tol", "tv_match=5"], FINITE_TOLERANCES),
+            (["verify-cube", "--tol", "psd=1e-3"], CUBE_TOLERANCES),
+            (["verify-cube", "--tol", "bound_slack=1e-3"], CUBE_TOLERANCES),
+        ):
+            assert main(argv) == EXIT_BAD_INPUT, argv
+            err = capsys.readouterr().err
+            assert err.startswith("spectel: unknown tolerance") and err.count("\n") == 1
+            assert err.endswith(f"; known keys: {', '.join(sorted(keys))}\n")
+            assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "tol, expected", [("telescope=0.5", 0.5), ("bound_slack=0.5", 1e-9)]
@@ -255,8 +267,17 @@ class TestSample:
         rows = run_corner_chain(4, 300, np.random.default_rng(5))
         assert out.read_text() == "".join(json.dumps(row.tolist()) + "\n" for row in rows)
 
-    def test_cube_requires_n(self):
-        assert main(["sample", "--target", "cube", "--steps", "5"]) == EXIT_BAD_INPUT
+    def test_cube_requires_n(self, product3_path, capsys):
+        # The cube needs --n and takes no --l; a target file takes no --n.
+        for argv in (
+            ["sample", "--target", "cube", "--steps", "5"],
+            ["sample", "--target", "cube", "--n", "3", "--l", "7"],
+            ["sample", "--target", product3_path, "--n", "9"],
+        ):
+            assert main(argv) == EXIT_BAD_INPUT, argv
+            err = capsys.readouterr().err
+            assert err.startswith("spectel: ") and err.count("\n") == 1
+            assert "Traceback" not in err
 
     def test_missing_file(self, tmp_path):
         assert main(["sample", "--target", str(tmp_path / "nope.json")]) == EXIT_BAD_INPUT
@@ -282,6 +303,9 @@ class TestVerifyCube:
         report = json.loads(out.read_text())
         assert code == EXIT_OK
         assert report["all_passed"] is True
+        assert set(report["tolerances"]) == {
+            "exact", "eigenrelation", "orthonormality", "tv_match", "tv_bound_slack"
+        }
         checks = report["checks"]
         sandwich = checks["empirical_sandwich"]
         assert sandwich["lower_bound"] == pytest.approx(5 / 36)

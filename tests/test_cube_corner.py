@@ -16,7 +16,6 @@ from spectel import (
     correlation_coefficient_bound,
     coupling_sample,
     empirical_gap_estimate,
-    gibbs_step,
     nested_conditional_density,
     poly_eigenvalue,
     run_corner_chain,
@@ -334,10 +333,8 @@ class TestCornerChain:
         CornerState(3, (0.2, 0.3, 0.4))
 
     def test_step_preserves_support(self, rng):
-        state = CornerState(4, stationary_corner_sample(4, rng))
-        for _ in range(500):
-            state = gibbs_step(state, rng)
-            assert sum(state.x) < 1.0 and all(v > 0 for v in state.x)
+        trajectory = run_corner_chain(4, 500, rng)
+        assert (trajectory > 0.0).all() and (trajectory.sum(axis=1) < 1.0).all()
 
     def test_determinism(self):
         x0 = (0.1, 0.2, 0.3)
