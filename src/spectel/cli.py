@@ -11,7 +11,8 @@ report-merge    combine several report files into one
 
 ``--seed`` is taken by every subcommand except report-merge; ``--tol`` only
 by verify-finite and verify-cube, each with its own keys (see its --help).
-``sample`` takes ``--n`` only for the cube and ``--l`` only for a target file.
+``sample`` takes ``--n`` only for the cube and ``--l`` only for a target file;
+``verify-finite`` takes ``--axes`` only with ``--random``, ``--n`` only with one SIZE.
 Reports are JSON only and carry the tool version and per-check pass flags;
 the two verify reports also embed the seed, the command's tolerances and the
 wall clock.  Exit codes: 0 all checks pass, 1 some check failed or a
@@ -19,9 +20,9 @@ numerical contract was violated (one line on stderr, no report), 2 malformed
 input or bad arguments (including an input path that cannot be opened, such
 as a directory, an ``--out`` path whose directory does not exist, checked
 before any work starts, a ``--random`` COUNT below 1, a negative ``--steps``,
-a ``--tol`` key or ``sample`` flag the command does not read and a
-``report-merge`` input that is not a JSON object or whose pass flag is not a
-bool), 3 state-space cap exceeded, 4 statistical contract not met.
+a ``--tol`` key or flag the command does not read and a ``report-merge``
+input that is not a JSON object or whose pass flag is not a bool), 3
+state-space cap exceeded, 4 statistical contract not met.
 """
 
 from __future__ import annotations
@@ -92,6 +93,8 @@ def _parse_axes(raw: str | None, n: int | None) -> tuple[int, ...]:
     except ValueError:
         raise DomainError(f"--axes expects integer sizes, got {raw!r}") from None
     if "," in raw:
+        if n is not None:
+            raise DomainError("--n goes only with a single --axes SIZE, not a comma list")
         return sizes
     if n is None:
         raise DomainError("--axes SIZE without commas needs --n for the coordinate count")
@@ -125,6 +128,8 @@ def cmd_verify_finite(args: argparse.Namespace) -> int:
 
     targets: list[tuple[str, FiniteTarget]] = []
     if args.target:
+        if args.n is not None or args.axes is not None:
+            raise DomainError("--n and --axes go only with --random; a target file sets its own")
         targets.append((args.target, load_target(args.target)))
     elif args.random is not None:
         axes = _check_axes(_parse_axes(args.axes, args.n))
@@ -382,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group()
     source.add_argument("--target", type=str, help="path to a target JSON file")
     source.add_argument("--random", type=int, help="verify COUNT random Dirichlet(1) targets")
-    p.add_argument("--n", type=int, default=None, help="coordinate count for --random")
+    p.add_argument("--n", type=int, default=None, help="coordinate count for one --axes SIZE")
     p.add_argument(
         "--axes",
         type=str,

@@ -52,8 +52,8 @@ def _leggauss(points: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _gl_rule(a: float, b: float, points: int = _QUAD_POINTS) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights mapped to (a, b)."""
+def _gl_rule(a: float, b, points: int = _QUAD_POINTS) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights mapped to (a, b); a column ``b`` gives one rule per row."""
     t, w = _leggauss(points)
     half = 0.5 * (b - a)
     return a + half * (t + 1.0), half * w
@@ -97,13 +97,16 @@ class CondSlack:
             raise DomainError(f"free-coordinate count m must be >= 1, got {self.m}")
 
 
+def _density(m: int, R, x) -> np.ndarray:
+    """m (R - x)^(m-1) / R^m where 0 < x < R, else 0, elementwise in ``R`` and ``x``."""
+    inside = (x > 0.0) & (x < R)
+    gap = np.where(inside, R - x, 0.0)
+    return np.where(inside, m * gap ** (m - 1) / R**m, 0.0)
+
+
 def conditional_density(slack: CondSlack, x) -> np.ndarray | float:
     """Density m (R - x)^(m-1) / R^m on (0, R), zero outside."""
-    R, m = slack.R, slack.m
-    x_arr = np.asarray(x, dtype=float)
-    inside = (x_arr > 0.0) & (x_arr < R)
-    gap = np.where(inside, R - x_arr, 0.0)
-    vals = np.where(inside, m * gap ** (m - 1) / R**m, 0.0)
+    vals = _density(slack.m, slack.R, np.asarray(x, dtype=float))
     return float(vals) if np.isscalar(x) else vals
 
 
@@ -117,11 +120,7 @@ def nested_conditional_density(m: int, R: float, x: float, z) -> np.ndarray | fl
         raise DomainError(f"pair conditional needs m >= 2, got {m}")
     if not 0.0 < x < R:
         raise DomainError(f"conditioned value {x} outside (0, {R})")
-    z_arr = np.asarray(z, dtype=float)
-    top = R - x
-    inside = (z_arr > 0.0) & (z_arr < top)
-    gap = np.where(inside, top - z_arr, 0.0)
-    vals = np.where(inside, (m - 1) * gap ** (m - 2) / top ** (m - 1), 0.0)
+    vals = _density(m - 1, R - x, np.asarray(z, dtype=float))
     return float(vals) if np.isscalar(z) else vals
 
 
@@ -457,12 +456,9 @@ def verify_eigenrelation(
         raise DomainError(f"need m >= 2 free coordinates, got {m}")
     basis = OrthoBasis(m, R, max_degree)
     outer = basis.nodes
-    t, glw = _leggauss(_QUAD_POINTS)
-    half = 0.5 * (R - outer)
-    inner = half[:, None] * (t[None, :] + 1.0)
-    inner_w = half[:, None] * glw[None, :]
     top = (R - outer)[:, None]
-    dens = (m - 1) * (R - outer[:, None] - inner) ** (m - 2) / top ** (m - 1)
+    inner, inner_w = _gl_rule(0.0, top)
+    dens = _density(m - 1, top, inner)
 
     worst = 0.0
     for k in range(1, max_degree + 1):

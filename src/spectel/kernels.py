@@ -439,7 +439,12 @@ def sample_gibbs_chain(
 
     The start is an exact draw from the target, so the emitted chain is
     stationary.  The trajectory is a deterministic function of the RNG
-    stream.
+    stream: ``rng.choice`` for the start, then one ``rng.integers`` call for
+    the blocks and one ``rng.random`` call for the uniforms.  The state is a
+    flat row-major index into ``target.probs``; a step looks up its rest row
+    in the block's tables and bisects that row's cumulative pmf.  The tables
+    (numpy arrays read through memoryviews, 16 bytes per entry) grow as
+    C(n, l) * N for N states.
     """
     n = target.n
     if not 1 <= l <= n:
@@ -447,34 +452,26 @@ def sample_gibbs_chain(
     if steps < 0:
         raise DomainError("steps must be >= 0")
     axes = target.axes
-    combos = list(itertools.combinations(range(n), l))
+    flat = np.arange(target.probs.size).reshape(axes)
     tables = []
-    for gamma in combos:
+    for gamma in itertools.combinations(range(n), l):
         rest, rows = _block_rows(target.probs[None], gamma)
         cum = np.cumsum(rows[0], axis=1)
         cum[:, -1] = 1.0
-        strides = []
-        acc = 1
-        for p in reversed(rest):
-            strides.append(acc)
-            acc *= axes[p]
-        strides.reverse()
-        gamma_values = [tuple(v) for v in np.ndindex(*(axes[p] for p in gamma))]
-        tables.append((gamma, rest, tuple(strides), cum.tolist(), gamma_values))
+        index = flat.transpose(rest + gamma).reshape(cum.shape)
+        row_of = np.empty(flat.size, dtype=np.int64)
+        row_of[index] = np.arange(len(index))[:, None]
+        base, offset = index[:, 0].tolist(), index[0].tolist()
+        tables.append((memoryview(row_of), base, offset, list(map(memoryview, cum))))
 
-    flat0 = int(rng.choice(target.probs.size, p=target.probs.ravel()))
-    state = [int(v) for v in np.unravel_index(flat0, axes)]
-
-    out = np.empty((steps, n), dtype=np.int64)
-    choice_stream = rng.integers(0, len(combos), size=steps).tolist()
+    s = int(rng.choice(flat.size, p=target.probs.ravel()))
+    path = np.empty(steps, dtype=np.int64)
+    choice_stream = rng.integers(0, len(tables), size=steps).tolist()
     u_stream = rng.random(steps).tolist()
     for t in range(steps):
-        gamma, rest, strides, cum, gamma_values = tables[choice_stream[t]]
-        r = 0
-        for s, p in zip(strides, rest):
-            r += s * state[p]
-        g = bisect_right(cum[r], u_stream[t])
-        for p, v in zip(gamma, gamma_values[g]):
-            state[p] = v
-        out[t] = state
-    return out
+        row_of, base, offset, cum = tables[choice_stream[t]]
+        r = row_of[s]
+        s = base[r] + offset[bisect_right(cum[r], u_stream[t])]
+        path[t] = s
+    del choice_stream, u_stream
+    return np.stack(np.unravel_index(path, axes), axis=1)

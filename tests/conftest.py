@@ -108,6 +108,43 @@ def oracle_gibbs_matrix(target: FiniteTarget, lam, y, l):
     return matrix, weights, states
 
 
+def oracle_gibbs_chain(target: FiniteTarget, steps: int, rng, l: int) -> np.ndarray:
+    """Block Gibbs trajectory replayed from the sampler's documented stream.
+
+    Draws the start with ``rng.choice`` over the flat joint, then every block
+    with one ``rng.integers`` call and every uniform with one ``rng.random``
+    call.  A step redraws the chosen block (blocks in ``itertools.combinations``
+    order) by inverse CDF of its conditional given all other coordinates,
+    read from :func:`oracle_conditional` with the block values row-major.
+    """
+    n = target.n
+    blocks = list(itertools.combinations(range(1, n + 1), l))
+    full = _full_states(target.axes)
+    state = list(full[int(rng.choice(len(full), p=target.probs.ravel()))])
+    choices = rng.integers(0, len(blocks), size=steps).tolist()
+    uniforms = rng.random(steps).tolist()
+    rows = {}
+    path = []
+    for k, u in zip(choices, uniforms):
+        gamma = blocks[k]
+        lam = tuple(i for i in range(1, n + 1) if i not in gamma)
+        y = tuple(state[i - 1] for i in lam)
+        if (gamma, y) not in rows:
+            rows[(gamma, y)] = oracle_conditional(target, gamma, lam, y).ravel().tolist()
+        values = list(itertools.product(*[range(target.axes[i - 1]) for i in gamma]))
+        acc = 0.0
+        pick = values[-1]
+        for value, p in zip(values, rows[(gamma, y)]):
+            acc += p
+            if u < acc:
+                pick = value
+                break
+        for i, v in zip(gamma, pick):
+            state[i - 1] = v
+        path.append(list(state))
+    return np.array(path, dtype=np.int64).reshape(steps, n)
+
+
 def oracle_rw_matrix(target: FiniteTarget, lam, y):
     """Index/value walk matrix by enumeration; states ordered (coord, value)."""
     probs = _prob_lookup(target)

@@ -88,6 +88,15 @@ class TestVerifyFinite:
     def test_missing_arguments_exit_two(self):
         assert main(["verify-finite"]) == EXIT_BAD_INPUT
 
+    def test_sizes_only_with_random(self, product3_path, capsys):
+        # A target file sets its own axes, so --n and --axes would go unread.
+        for flags in (["--n", "5"], ["--axes", "3,3"], ["--axes", "2", "--n", "3"]):
+            argv = ["verify-finite", "--target", product3_path, *flags]
+            assert main(argv) == EXIT_BAD_INPUT, argv
+            err = capsys.readouterr().err
+            assert err.startswith("spectel: ") and err.count("\n") == 1
+            assert "Traceback" not in err
+
     def test_state_cap_exit_three(self, tmp_path):
         big = tmp_path / "big.json"
         probs = np.full(22500, 1.0 / 22500)
@@ -177,9 +186,11 @@ class TestVerifyFinite:
     @pytest.mark.parametrize(
         "count, n, axes",
         [
-            pytest.param("1", "2", "2,x", id="2,x"),
+            pytest.param("1", None, "2,x", id="2,x"),
             pytest.param("1", "2", "x", id="x"),
-            pytest.param("1", "2", "-2,2", id="-2,2"),
+            pytest.param("1", None, "-2,2", id="-2,2"),
+            # --n goes only with a single size.
+            pytest.param("1", "7", "2,2", id="n-with-axes-list"),
             # An empty axes tuple, then a COUNT that would verify nothing.
             pytest.param("1", "0", "3", id="n=0"),
             pytest.param("1", "-2", "3", id="n=-2"),
@@ -188,7 +199,8 @@ class TestVerifyFinite:
         ],
     )
     def test_malformed_axes_exit_two(self, capsys, count, n, axes):
-        code = main(["verify-finite", "--random", count, "--n", n, f"--axes={axes}"])
+        sizes = ["--n", n] if n is not None else []
+        code = main(["verify-finite", "--random", count, *sizes, f"--axes={axes}"])
         assert code == EXIT_BAD_INPUT
         err = capsys.readouterr().err
         assert err.startswith("spectel: ") and err.count("\n") == 1

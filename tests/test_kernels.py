@@ -27,6 +27,7 @@ from spectel import (
 from conftest import (
     coupled_pair_target,
     oracle_gap,
+    oracle_gibbs_chain,
     oracle_gibbs_matrix,
     oracle_rw_matrix,
     random_small_target,
@@ -311,6 +312,21 @@ class TestSampleGibbsChain:
         assert states.shape == (500, 3)
         for p, size in enumerate(t.axes):
             assert states[:, p].min() >= 0 and states[:, p].max() < size
+
+    @pytest.mark.parametrize("axes", [(2, 3, 4, 2), (3, 2, 3)], ids=["2x3x4x2", "3x2x3"])
+    def test_matches_replay_oracle(self, axes):
+        # Mixed sizes with zeroed entries: a block whose values land on the
+        # wrong coordinates, or a wrong rest row, changes the trajectory.
+        gen = np.random.default_rng(29)
+        probs = gen.dirichlet(np.ones(int(np.prod(axes))))
+        probs[gen.random(probs.size) < 0.4] = 0.0
+        t = FiniteTarget(axes, probs / probs.sum())
+        for l in range(1, len(axes) + 1):
+            for steps in (0, 1, 3000):
+                got = sample_gibbs_chain(t, steps, np.random.default_rng(steps + l), l=l)
+                want = oracle_gibbs_chain(t, steps, np.random.default_rng(steps + l), l)
+                assert got.dtype == np.int64 and got.shape == (steps, len(axes))
+                np.testing.assert_array_equal(got, want, err_msg=f"l={l} steps={steps}")
 
     def test_stationary_frequencies_chi_square(self):
         # Thin the chain so the chi-square independence assumption holds:
