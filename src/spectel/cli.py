@@ -17,12 +17,13 @@ Reports are JSON only and carry the tool version and per-check pass flags;
 the two verify reports also embed the seed, the command's tolerances and the
 wall clock.  Exit codes: 0 all checks pass, 1 some check failed or a
 numerical contract was violated (one line on stderr, no report), 2 malformed
-input or bad arguments (including an input path that cannot be opened, such
-as a directory, an ``--out`` path whose directory does not exist, checked
-before any work starts, a ``--random`` COUNT below 1, a negative ``--steps``,
-a ``--tol`` key or flag the command does not read and a ``report-merge``
-input that is not a JSON object or whose pass flag is not a bool), 3
-state-space cap exceeded, 4 statistical contract not met.
+input or bad arguments, one line on stderr (including an argument the parser
+rejects, an input path that cannot be opened, such as a directory, an
+``--out`` path whose directory does not exist, checked before any work
+starts, a ``--random`` COUNT below 1, a negative ``--steps``, a ``--tol`` key
+or flag the command does not read and a ``report-merge`` input that is not a
+JSON object or whose pass flag is not a bool), 3 state-space cap exceeded, 4
+statistical contract not met.
 """
 
 from __future__ import annotations
@@ -362,8 +363,16 @@ def cmd_report_merge(args: argparse.Namespace) -> int:
     return EXIT_OK if all_passed else EXIT_CHECKS_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """Rejects a malformed argument with a DomainError that names the subcommand."""
+
+    def error(self, message: str):
+        command = self.prog.partition(" ")[2]
+        raise DomainError(f"{command}: {message}" if command else message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spectel",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -427,9 +436,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:
+            raise DomainError(f"{args.command}: unrecognized arguments: {' '.join(extra)}")
         _check_out_dir(args.out)
         return args.func(args)
     except (DomainError, OSError) as exc:

@@ -155,40 +155,42 @@ def run_corner_chain(
     """Run the single-site Gibbs chain; stationary start unless ``x0`` is given.
 
     Returns the full (steps, n) trajectory, or just one coordinate's trace
-    when ``trace_coord`` is set (memory-light for long runs).  The output is
-    a deterministic function of the RNG stream and the start.
+    when ``trace_coord`` is set (memory-light for long runs).  Per block of
+    65,536 steps the loop only updates the state; the block's rows are then
+    forward-filled from the values it drew.  The output is a deterministic
+    function of the RNG stream and the start.
     """
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
     if steps < 0:
         raise DomainError("steps must be >= 0")
+    if trace_coord is not None and not 0 <= trace_coord < n:
+        raise DomainError(f"trace_coord must lie in 0..{n - 1}, got {trace_coord}")
     if x0 is None:
         x = list(stationary_corner_sample(n, rng))
     else:
         x = [float(v) for v in x0]
         CornerState(n, tuple(x))
     total = sum(x)
-    tracing = trace_coord is not None
-    out = np.empty(steps) if tracing else np.empty((steps, n))
-    done = 0
+    cols = np.arange(n) if trace_coord is None else np.asarray(trace_coord)
+    out = np.empty((steps, *cols.shape))
     block = 1 << 16
-    while done < steps:
-        b = min(block, steps - done)
-        idx = rng.integers(0, n, size=b).tolist()
-        us = rng.random(size=b).tolist()
-        for t in range(b):
-            i = idx[t]
+    for start in range(0, steps, block):
+        b = min(block, steps - start)
+        idx = rng.integers(0, n, size=b)
+        vals = rng.random(size=b).tolist()
+        seq = x + vals  # [j]: coordinate j at the block start, [n + t]: step t's value
+        for t, i in enumerate(idx.tolist()):
             rest = total - x[i]
-            new_val = (1.0 - rest) * us[t]
+            new_val = (1.0 - rest) * vals[t]
             while new_val <= 0.0 or rest + new_val >= 1.0:
                 new_val = (1.0 - rest) * rng.random()
             total = rest + new_val
             x[i] = new_val
-            if tracing:
-                out[done + t] = x[trace_coord]
-            else:
-                out[done + t] = x
-        done += b
+            seq[n + t] = new_val
+        pos = np.where(np.equal.outer(cols, idx), np.arange(n, n + b), cols[..., None])
+        np.maximum.accumulate(pos, axis=-1, out=pos)
+        out[start : start + b] = np.array(seq)[pos].T
     return out
 
 
@@ -281,24 +283,21 @@ def coupling_sample(
     output distance is at most 1/(m-2) times the input distance, which is why
     m >= 3 is required.  With ``size=None`` one pair of floats is returned;
     with an integer ``size`` the uniforms are drawn in one call and a pair of
-    arrays is returned (equal to ``size`` scalar draws from the same stream
-    unless a uniform is exactly 0, which only is redrawn).
+    arrays is returned, equal to ``size`` scalar draws from the same stream
+    unless a uniform is exactly 0.  One loop redraws zeros in both modes.
     """
     if m < 3:
         raise DomainError(f"the coupling contraction constant needs m >= 3, got {m}")
     if not (0.0 < x < R and 0.0 < x_other < R):
         raise DomainError(f"both points must lie in (0, {R})")
-    u = rng.random(size)
-    if size is None:
-        while u <= 0.0:
-            u = rng.random()
-    else:
+    u = np.array(rng.random(size))
+    zero = u <= 0.0
+    while zero.any():
+        u[zero] = rng.random(int(zero.sum()))
         zero = u <= 0.0
-        while zero.any():
-            u[zero] = rng.random(int(zero.sum()))
-            zero = u <= 0.0
     fraction = 1.0 - (1.0 - u) ** (1.0 / (m - 1))
-    return (R - x) * fraction, (R - x_other) * fraction
+    a, b = (R - x) * fraction, (R - x_other) * fraction
+    return (float(a), float(b)) if size is None else (a, b)
 
 
 def wasserstein_influence(m: int) -> InfluenceMatrix:

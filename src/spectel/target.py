@@ -322,6 +322,8 @@ def random_target(
 def product_target(marginals: Sequence[np.ndarray]) -> FiniteTarget:
     """Target whose coordinates are independent with the given marginals."""
     vecs = [np.asarray(m, dtype=float) for m in marginals]
+    if not vecs:
+        raise DomainError("a product target needs at least one marginal")
     for v in vecs:
         if v.ndim != 1:
             raise DomainError("each marginal must be a 1-D probability vector")

@@ -145,6 +145,41 @@ def oracle_gibbs_chain(target: FiniteTarget, steps: int, rng, l: int) -> np.ndar
     return np.array(path, dtype=np.int64).reshape(steps, n)
 
 
+def oracle_corner_chain(n: int, steps: int, rng, x0=None) -> np.ndarray:
+    """Single-site corner chain replayed from the sampler's documented stream.
+
+    A stationary start is the first Dirichlet(1, ..., 1) draw on n + 1 parts
+    whose first n entries lie strictly inside the corner.  Steps come in
+    blocks of 65,536, each with one ``rng.integers`` call for the coordinates
+    and one ``rng.random`` call for the uniforms.  A step sets coordinate i to
+    (1 - rest) u, where rest is the running total minus x_i, and redraws u
+    with ``rng.random()`` while the state would leave the open corner.  The
+    full state is recorded after every step.
+    """
+    if x0 is None:
+        while True:
+            x = [float(v) for v in rng.dirichlet(np.ones(n + 1))[:n]]
+            if all(v > 0.0 for v in x) and sum(x) < 1.0:
+                break
+    else:
+        x = [float(v) for v in x0]
+    total = sum(x)
+    path = []
+    while len(path) < steps:
+        b = min(1 << 16, steps - len(path))
+        coords = rng.integers(0, n, size=b).tolist()
+        uniforms = rng.random(size=b).tolist()
+        for i, u in zip(coords, uniforms):
+            rest = total - x[i]
+            value = (1.0 - rest) * u
+            while not (value > 0.0 and rest + value < 1.0):
+                value = (1.0 - rest) * rng.random()
+            x[i] = value
+            total = rest + value
+            path.append(list(x))
+    return np.array(path, dtype=float).reshape(steps, n)
+
+
 def oracle_rw_matrix(target: FiniteTarget, lam, y):
     """Index/value walk matrix by enumeration; states ordered (coord, value)."""
     probs = _prob_lookup(target)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import spectel
+from spectel import cube_corner as corner
 from spectel import (
     NumericalContractError,
     load_target,
@@ -27,6 +29,7 @@ from spectel.cli import (
     EXIT_RESOURCE,
     EXIT_STATISTICAL,
     FINITE_TOLERANCES,
+    build_parser,
     main,
 )
 
@@ -196,11 +199,15 @@ class TestVerifyFinite:
             pytest.param("1", "-2", "3", id="n=-2"),
             pytest.param("-1", "2", "2", id="count=-1"),
             pytest.param("0", "2", "2", id="count=0"),
+            # No sizes at all, and one size without a coordinate count.
+            pytest.param("1", None, None, id="no-axes"),
+            pytest.param("1", None, "3", id="size-without-n"),
         ],
     )
     def test_malformed_axes_exit_two(self, capsys, count, n, axes):
         sizes = ["--n", n] if n is not None else []
-        code = main(["verify-finite", "--random", count, *sizes, f"--axes={axes}"])
+        sizes += [f"--axes={axes}"] if axes is not None else []
+        code = main(["verify-finite", "--random", count, *sizes])
         assert code == EXIT_BAD_INPUT
         err = capsys.readouterr().err
         assert err.startswith("spectel: ") and err.count("\n") == 1
@@ -336,6 +343,21 @@ class TestVerifyCube:
         assert sandwich["lower_bound"] == pytest.approx(5 / 72)
         assert sandwich["upper_bound"] == pytest.approx(0.25)
 
+    def test_contract_failures_become_failed_checks(self, tmp_path, monkeypatch):
+        def violated(*args, **kwargs):
+            raise NumericalContractError("residual above tolerance")
+
+        monkeypatch.setattr(corner, "verify_eigenrelation", violated)
+        monkeypatch.setattr(corner, "tv_contraction_check", violated)
+        out = tmp_path / "cube.json"
+        code = main(
+            ["verify-cube", "--n", "3", "--steps", "1000000", "--seed", "1", "--out", str(out)]
+        )
+        assert code == EXIT_CHECKS_FAILED
+        checks = json.loads(out.read_text())["checks"]
+        failed = {name for name, check in checks.items() if not check["passed"]}
+        assert failed == {"eigenrelation", "tv_contraction"}
+
 
 class TestReportMerge:
     def test_merge_pass_and_fail(self, product3_path, tmp_path):
@@ -379,10 +401,48 @@ class TestReportMerge:
         ["report-merge", "r.json", "--tol", "psd=1e-3"],
     ],
 )
-def test_flags_only_where_they_act(argv):
+def test_flags_only_where_they_act(argv, capsys):
+    assert main(argv) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"spectel: {argv[0]}: unrecognized arguments: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, start",
+    [
+        (["verify-finite", "--random", "1", "--axes", "2,2", "--l", "x"], "verify-finite: "),
+        (["verify-finite", "--target", "t.json", "--random", "1"], "verify-finite: "),
+        (["verify-cube", "--n"], "verify-cube: "),
+        (["sample", "--steps", "5"], "sample: "),
+        (["bogus"], "argument command: "),
+        ([], "the following arguments are required: "),
+    ],
+)
+def test_parser_rejection_one_line(argv, start, capsys):
+    assert main(argv) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("spectel: " + start) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["sample", "--help"]])
+def test_help_and_version_exit_zero(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
-    assert exc.value.code == 2
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
+def test_readme_cli_lines_parse():
+    # A flag renamed or removed in the parser must be renamed in README too.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("spectel ")]
+    assert len(lines) >= 6
+    parser = build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert args.command == line.split()[1]
 
 
 @pytest.mark.parametrize(

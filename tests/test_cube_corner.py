@@ -29,6 +29,8 @@ from spectel import (
 )
 from spectel.cube_corner import _fit_decay_rate, _gl_rule
 
+from conftest import oracle_corner_chain
+
 
 def ks_distance(samples: np.ndarray, cdf) -> float:
     s = np.sort(samples)
@@ -238,8 +240,28 @@ class TestCoupling:
         rng = np.random.default_rng(3)
         scalar = [coupling_sample(0.9, 5, 0.18, 0.54, rng) for _ in range(5)]
         assert a.shape == b.shape == (5,)
+        assert all(type(v) is float for pair in scalar for v in pair)
         assert a.tolist() == [pair[0] for pair in scalar]
         assert b.tolist() == [pair[1] for pair in scalar]
+
+    @pytest.mark.parametrize("size", [None, 3])
+    def test_exact_zero_uniforms_redrawn(self, size):
+        class ZerosFirst:
+            """Exact zeros on the first call, then 0.5 for every uniform."""
+
+            calls = 0
+
+            def random(self, size=None):
+                self.calls += 1
+                value = 0.0 if self.calls == 1 else 0.5
+                return value if size is None else np.full(size, value)
+
+        rng = ZerosFirst()
+        a, b = coupling_sample(1.0, 3, 0.2, 0.4, rng, size=size)
+        fraction = 1.0 - 0.5**0.5
+        assert rng.calls == 2
+        np.testing.assert_array_equal(a, np.full(size or (), 0.8 * fraction))
+        np.testing.assert_array_equal(b, np.full(size or (), 0.6 * fraction))
 
 
 class TestWassersteinInfluence:
@@ -358,6 +380,33 @@ class TestCornerChain:
         means = trace.reshape(batches, -1).mean(axis=1)
         se = means.std(ddof=1) / np.sqrt(batches)
         assert abs(means.mean() - 1.0 / (n + 1)) <= 3 * se
+
+    @pytest.mark.parametrize(
+        "n, steps, x0",
+        [(n, steps, None) for n in (2, 5) for steps in (0, 1, 65_537, 140_000)]
+        + [
+            pytest.param(2, 65_537, (0.4, 0.5), id="2-65537-x0"),
+            pytest.param(5, 140_000, (0.1, 0.2, 0.05, 0.3, 0.01), id="5-140000-x0"),
+        ],
+    )
+    def test_matches_stream_oracle(self, n, steps, x0):
+        # Crossing the 65,536-step block boundary checks that a coordinate not
+        # yet drawn in a block keeps its value from the block start.
+        want = oracle_corner_chain(n, steps, np.random.default_rng(steps + n), x0)
+        full = run_corner_chain(n, steps, np.random.default_rng(steps + n), x0)
+        assert full.shape == (steps, n)
+        np.testing.assert_array_equal(full, want)
+        for j in range(n):
+            trace = run_corner_chain(
+                n, steps, np.random.default_rng(steps + n), x0, trace_coord=j
+            )
+            assert trace.shape == (steps,)
+            np.testing.assert_array_equal(trace, want[:, j])
+
+    @pytest.mark.parametrize("coord", [-1, 3, 7])
+    def test_trace_coord_out_of_range(self, coord):
+        with pytest.raises(DomainError, match="trace_coord"):
+            run_corner_chain(3, 10, np.random.default_rng(0), trace_coord=coord)
 
     def test_stationary_sampler_in_support(self, rng):
         for _ in range(100):

@@ -44,6 +44,10 @@ class TestMarginal:
         np.testing.assert_allclose(marginal(t, (1,)), p1, atol=1e-15)
         np.testing.assert_allclose(marginal(t, (2,)), p2, atol=1e-15)
 
+    def test_product_target_needs_a_marginal(self):
+        with pytest.raises(DomainError, match="at least one marginal"):
+            product_target([])
+
     def test_full_index_set_returns_tensor(self):
         np.testing.assert_array_equal(marginal(HAND, (1, 2)), HAND.probs)
 
