@@ -109,8 +109,8 @@ class InfluenceMatrix:
         arr = np.asarray(entries, dtype=float)
         if arr.shape != (dim, dim):
             raise DomainError(f"influence matrix shape {arr.shape} != ({dim}, {dim})")
-        if np.any(arr < 0):
-            raise DomainError("influence coefficients must be nonnegative")
+        if not ((arr >= 0).all() and np.isfinite(arr).all()):
+            raise DomainError("influence coefficients must be finite and nonnegative")
         if np.any(np.diag(arr) != 0.0):
             raise DomainError("influence matrix diagonal must be exactly zero")
         arr = arr.copy()
@@ -281,8 +281,8 @@ def spectral_radius(matrix) -> float:
     arr = np.asarray(matrix, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DomainError(f"matrix must be square, got shape {arr.shape}")
-    if np.any(arr < 0):
-        raise DomainError("spectral radius is defined here for nonnegative matrices")
+    if not ((arr >= 0).all() and np.isfinite(arr).all()):
+        raise DomainError("spectral radius is defined here for finite nonnegative matrices")
     if arr.size == 0:
         return 0.0
     return float(np.abs(np.linalg.eigvals(arr)).max())

@@ -15,14 +15,18 @@ by verify-finite and verify-cube, each with its own keys (see its --help).
 ``verify-finite`` takes ``--axes`` only with ``--random``, ``--n`` only with one SIZE.
 Reports are JSON only and carry the tool version and per-check pass flags;
 the two verify reports also embed the seed, the command's tolerances and the
-wall clock.  Exit codes: 0 all checks pass, 1 some check failed or a
-numerical contract was violated (one line on stderr, no report), 2 malformed
-input or bad arguments, one line on stderr (including an argument the parser
-rejects, an input path that cannot be opened, such as a directory, an
-``--out`` path whose directory does not exist, checked before any work
-starts, a ``--random`` COUNT below 1, a negative ``--steps``, a ``--tol`` key
-or flag the command does not read and a ``report-merge`` input that is not a
-JSON object or whose pass flag is not a bool), 3 state-space cap exceeded, 4
+wall clock.  verify-cube passes a check only when each measured value
+satisfies ``value <= tol`` (or ``value <= bound``), compared here, so a NaN
+fails and a failed check records what it measured.  Exit codes: 0 all
+checks pass, 1 some check failed or a numerical contract was violated (one
+line on stderr, no report), 2 malformed input or bad arguments, one line on
+stderr (including an argument the parser rejects, an input path that cannot
+be opened, such as a directory, an ``--out`` path that is a directory or
+whose directory does not exist, checked before any work starts, a
+``--random`` COUNT below 1, a negative ``--steps``, a ``--tol`` key or flag
+the command does not read and a ``report-merge`` input that is not a JSON
+object or whose pass flag is not a bool), 3 state-space cap exceeded or a
+``--steps`` whose chain would store more than ``STATE_CAP**2`` values, 4
 statistical contract not met.
 """
 
@@ -64,6 +68,9 @@ CUBE_TOLERANCES = {
     "tv_match": 1e-8,
     "tv_bound_slack": 1e-10,
 }
+# Random point pairs in the TV sweep and coupling draws per m in the Monte Carlo check.
+TV_DRAWS = 100
+MC_DRAWS = 100_000
 
 
 def _parse_tolerances(pairs: list[str] | None, defaults: dict[str, float]) -> dict[str, float]:
@@ -103,9 +110,13 @@ def _parse_axes(raw: str | None, n: int | None) -> tuple[int, ...]:
 
 
 def _check_out_dir(out: str | None) -> None:
-    """Reject an output path in a missing directory before any work is done."""
-    parent = os.path.dirname(os.path.abspath(out)) if out else None
-    if parent and not os.path.isdir(parent):
+    """Reject an output path that is a directory or lies in a missing one, before any work."""
+    if not out:
+        return
+    if os.path.isdir(out):
+        raise DomainError(f"--out {out} is a directory")
+    parent = os.path.dirname(os.path.abspath(out))
+    if not os.path.isdir(parent):
         raise DomainError(f"--out {out}: directory {parent} does not exist")
 
 
@@ -188,7 +199,7 @@ def _check_closed_forms(tol: float) -> dict:
         bound = corner.corner_gap_lower_bound(n)
         ok &= bound.product_form <= 1.0 / n
         if bound.simplified_floor is not None:
-            ok &= bound.product_form >= bound.simplified_floor - tol
+            ok &= bound.simplified_floor - bound.product_form <= tol
     return {"passed": bool(ok), "details": details}
 
 
@@ -216,15 +227,9 @@ def _check_eigenrelation(tols: dict) -> dict:
     for m in range(2, 7):
         for budget in (0.3, 1.0):
             basis = corner.OrthoBasis(m, budget, 6)
+            residual = corner.verify_eigenrelation(basis)
             ortho = basis.orthonormality_residual()
-            try:
-                residual = corner.verify_eigenrelation(
-                    m, budget, 6, tol=tols["eigenrelation"]
-                )
-                good = ortho <= tols["orthonormality"]
-            except NumericalContractError:
-                residual, good = float("nan"), False
-            ok &= good
+            ok &= residual <= tols["eigenrelation"] and ortho <= tols["orthonormality"]
             details[f"m={m},R={budget}"] = {
                 "max_residual": residual,
                 "orthonormality_residual": ortho,
@@ -232,44 +237,39 @@ def _check_eigenrelation(tols: dict) -> dict:
     return {"passed": bool(ok), "details": details}
 
 
-def _check_tv_sweep(rng: np.random.Generator, tols: dict, count: int = 100) -> dict:
-    worst_gap = 0.0
+def _check_tv_sweep(rng: np.random.Generator, tols: dict) -> dict:
+    mismatches = []
     ok = True
-    for _ in range(count):
+    for _ in range(TV_DRAWS):
         m = int(rng.integers(3, 9))
         budget = float(rng.uniform(0.3, 1.0))
         x, xp = sorted(float(v) for v in rng.uniform(0.0, budget, 2))
         if not 0.0 < x < xp < budget:
             continue
-        try:
-            result = corner.tv_contraction_check(
-                m,
-                budget,
-                x,
-                xp,
-                match_tol=tols["tv_match"],
-                bound_slack=tols["tv_bound_slack"],
-            )
-            worst_gap = max(worst_gap, abs(result.tv_quadrature - result.tv_formula))
-        except NumericalContractError:
-            ok = False
-    return {"passed": bool(ok), "worst_formula_mismatch": worst_gap}
+        result = corner.tv_contraction_check(m, budget, x, xp)
+        mismatch = abs(result.tv_quadrature - result.tv_formula)
+        ok &= (
+            mismatch <= tols["tv_match"]
+            and result.tv_quadrature <= result.bound + tols["tv_bound_slack"]
+        )
+        mismatches.append(mismatch)
+    # np.max keeps a NaN that the builtin max would drop.
+    return {"passed": bool(ok), "worst_formula_mismatch": float(np.max(mismatches, initial=0.0))}
 
 
-def _check_contraction_mc(rng: np.random.Generator, draws: int = 100_000) -> dict:
+def _check_contraction_mc(rng: np.random.Generator) -> dict:
     details = {}
     ok = True
     for m in (4, 5):
         budget = 0.9
         x, xp = 0.2 * budget, 0.6 * budget
         d_in = corner.contraction_metric(budget, x, xp)
-        out_a, out_b = corner.coupling_sample(budget, m, x, xp, rng, size=draws)
+        out_a, out_b = corner.coupling_sample(budget, m, x, xp, rng, size=MC_DRAWS)
         d_out = np.abs(out_a - out_b) / (budget - np.maximum(out_a, out_b))
         ratios = d_out / d_in
         mean = float(ratios.mean())
-        se = float(ratios.std(ddof=1) / np.sqrt(draws))
-        good = mean <= 1.0 / (m - 2) + 3.0 * se
-        ok &= good
+        se = float(ratios.std(ddof=1) / np.sqrt(MC_DRAWS))
+        ok &= mean <= 1.0 / (m - 2) + 3.0 * se
         details[str(m)] = {"mean_ratio": mean, "se": se, "ceiling": 1.0 / (m - 2)}
     return {"passed": bool(ok), "details": details}
 

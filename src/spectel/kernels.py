@@ -123,15 +123,26 @@ def _check_cap(n_states: int) -> None:
         )
 
 
+def _check_storage(entries: int) -> None:
+    """Refuse a sampler run that would store more values than the largest dense kernel."""
+    if entries > STATE_CAP**2:
+        raise ResourceLimitError(
+            f"the run would store {entries} values, exceeding the cap of {STATE_CAP**2}"
+        )
+
+
 def _check_stochastic(matrices: np.ndarray, weights: np.ndarray) -> None:
-    """The structural checks of :class:`WeightedKernel` on a stack (B, N, N), (B, N)."""
-    if np.any(matrices < 0) or np.any(weights < 0):
-        raise DomainError("kernel entries and weights must be nonnegative")
+    """The structural checks of :class:`WeightedKernel` on a stack (B, N, N), (B, N).
+
+    Each test passes only on a valid value, so a NaN fails it.
+    """
+    if not ((matrices >= 0).all() and (weights >= 0).all()):
+        raise DomainError("kernel entries and weights must be nonnegative numbers")
     row_err = np.abs(matrices.sum(axis=2) - 1.0).max()
-    if row_err > _ROW_TOL:
+    if not row_err <= _ROW_TOL:
         raise DomainError(f"rows must sum to 1 within {_ROW_TOL}, max error {row_err:.3e}")
     w_err = np.abs(weights.sum(axis=1) - 1.0).max()
-    if w_err > _ROW_TOL:
+    if not w_err <= _ROW_TOL:
         raise DomainError(f"weights must sum to 1 within {_ROW_TOL}, error {w_err:.3e}")
 
 
@@ -391,7 +402,7 @@ def _spectral_stack(
         flux -= flux.transpose(0, 2, 1).copy()
         balance_err = float(np.abs(flux).max())
         del flux
-        if balance_err > _BALANCE_TOL:
+        if not balance_err <= _BALANCE_TOL:
             raise NumericalContractError(
                 f"detailed balance violated by {balance_err:.3e} (tol {_BALANCE_TOL:.1e})"
             )
@@ -406,7 +417,7 @@ def _spectral_stack(
         bottom[sel] = spectrum[:, 0]
     # norm >= 0, so the gap can leave [0, 1] only from below.
     gap = 1.0 - norm
-    if (gap < -1e-10).any():
+    if not (gap >= -1e-10).all():
         raise NumericalContractError(f"gap {float(gap.min())!r} fell below 0")
     return norm, np.maximum(gap, 0.0), bottom
 
@@ -444,13 +455,16 @@ def sample_gibbs_chain(
     flat row-major index into ``target.probs``; a step looks up its rest row
     in the block's tables and bisects that row's cumulative pmf.  The tables
     (numpy arrays read through memoryviews, 16 bytes per entry) grow as
-    C(n, l) * N for N states.
+    C(n, l) * N for N states.  A run whose trajectory and tables would hold
+    more than ``STATE_CAP**2`` values raises :class:`ResourceLimitError`
+    before anything is allocated.
     """
     n = target.n
     if not 1 <= l <= n:
         raise DomainError(f"block size {l} out of range 1..{n}")
     if steps < 0:
         raise DomainError("steps must be >= 0")
+    _check_storage(steps * n + 2 * comb(n, l) * target.probs.size)
     axes = target.axes
     flat = np.arange(target.probs.size).reshape(axes)
     tables = []

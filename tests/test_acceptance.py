@@ -175,7 +175,7 @@ def test_criterion_8_eigenrelation():
     worst = 0.0
     for m in range(2, 7):
         for budget in (0.3, 1.0):
-            worst = max(worst, sp.verify_eigenrelation(m, budget, 6, tol=1e-8))
+            worst = max(worst, sp.verify_eigenrelation(sp.OrthoBasis(m, budget, 6)))
     assert worst <= 1e-8
     print(f"\nACCEPTANCE 8: eigenrelation residual {worst:.2e}: PASS")
 
@@ -191,8 +191,7 @@ def test_criterion_9_tv_and_coupling_contraction():
         x, xp = np.sort(rng.uniform(0.0, budget, 2))
         if not 0.0 < x < xp < budget:
             continue
-        result = sp.tv_contraction_check(m, budget, float(x), float(xp),
-                                         match_tol=1e-8, bound_slack=1e-10)
+        result = sp.tv_contraction_check(m, budget, float(x), float(xp))
         assert abs(result.tv_quadrature - result.tv_formula) <= 1e-8
         assert result.tv_quadrature <= result.bound + 1e-10
         checked += 1

@@ -154,6 +154,9 @@ class TestInfluenceTv:
             InfluenceMatrix(2, np.array([[0.0, -0.1], [0.1, 0.0]]), "tv-discrete")
         with pytest.raises(DomainError):
             InfluenceMatrix(2, np.array([[0.5, 0.1], [0.1, 0.0]]), "tv-discrete")
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DomainError):
+                InfluenceMatrix(2, np.array([[0.0, bad], [1.0, 0.0]]), "tv-discrete")
 
 
 class TestSpectralRadius:
@@ -172,8 +175,9 @@ class TestSpectralRadius:
         assert spectral_radius(mat) == pytest.approx(1.5, abs=1e-12)
 
     def test_negative_entry_rejected(self):
-        with pytest.raises(DomainError):
-            spectral_radius(np.array([[0.0, -1.0], [1.0, 0.0]]))
+        for bad in (-1.0, np.nan, np.inf):
+            with pytest.raises(DomainError):
+                spectral_radius(np.array([[0.0, bad], [1.0, 0.0]]))
 
 
 class TestAssembleBounds:

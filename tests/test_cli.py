@@ -1,6 +1,7 @@
 """CLI surfaces: exit codes, report structure, determinism, error paths."""
 
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -29,6 +30,7 @@ from spectel.cli import (
     EXIT_RESOURCE,
     EXIT_STATISTICAL,
     FINITE_TOLERANCES,
+    _check_eigenrelation,
     build_parser,
     main,
 )
@@ -180,11 +182,12 @@ class TestVerifyFinite:
             raise AssertionError("the target was verified before --out was checked")
 
         monkeypatch.setattr("spectel.cli.assemble_bounds", verified)
-        out = tmp_path / "missing" / "x.json"
-        code = main(["verify-finite", "--target", product3_path, "--out", str(out)])
-        assert code == EXIT_BAD_INPUT
-        err = capsys.readouterr().err
-        assert err.startswith("spectel: ") and err.count("\n") == 1
+        # A path in a missing directory, and a path that is a directory.
+        for out in (tmp_path / "missing" / "x.json", tmp_path):
+            code = main(["verify-finite", "--target", product3_path, "--out", str(out)])
+            assert code == EXIT_BAD_INPUT
+            err = capsys.readouterr().err
+            assert err.startswith("spectel: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "count, n, axes",
@@ -344,11 +347,12 @@ class TestVerifyCube:
         assert sandwich["upper_bound"] == pytest.approx(0.25)
 
     def test_contract_failures_become_failed_checks(self, tmp_path, monkeypatch):
-        def violated(*args, **kwargs):
-            raise NumericalContractError("residual above tolerance")
-
-        monkeypatch.setattr(corner, "verify_eigenrelation", violated)
-        monkeypatch.setattr(corner, "tv_contraction_check", violated)
+        # A NaN residual compares false with every tolerance, so it fails.
+        nan = float("nan")
+        monkeypatch.setattr(corner, "verify_eigenrelation", lambda basis: nan)
+        monkeypatch.setattr(
+            corner, "tv_contraction_check", lambda m, R, x, xp: corner.TvCheck(nan, 0.0, 1.0)
+        )
         out = tmp_path / "cube.json"
         code = main(
             ["verify-cube", "--n", "3", "--steps", "1000000", "--seed", "1", "--out", str(out)]
@@ -357,6 +361,59 @@ class TestVerifyCube:
         checks = json.loads(out.read_text())["checks"]
         failed = {name for name, check in checks.items() if not check["passed"]}
         assert failed == {"eigenrelation", "tv_contraction"}
+        assert math.isnan(checks["tv_contraction"]["worst_formula_mismatch"])
+        details = checks["eigenrelation"]["details"].values()
+        assert all(math.isnan(d["max_residual"]) for d in details)
+
+    def test_tight_tolerances_record_measured_residuals(self, tmp_path):
+        out = tmp_path / "cube.json"
+        code = main(
+            ["verify-cube", "--n", "3", "--steps", "1000000", "--seed", "1", "--out", str(out),
+             "--tol", "eigenrelation=1e-30", "--tol", "tv_match=1e-30"]
+        )
+        assert code == EXIT_CHECKS_FAILED
+        checks = json.loads(out.read_text())["checks"]
+        failed = {name for name, check in checks.items() if not check["passed"]}
+        assert failed == {"eigenrelation", "tv_contraction"}
+        # The failing checks report what they measured, not a placeholder.
+        residuals = [d["max_residual"] for d in checks["eigenrelation"]["details"].values()]
+        residuals.append(checks["tv_contraction"]["worst_formula_mismatch"])
+        assert all(math.isfinite(r) and 1e-30 < r <= 1e-8 for r in residuals)
+
+    def test_one_basis_per_m_and_budget(self, monkeypatch):
+        built = []
+
+        class CountingBasis(corner.OrthoBasis):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(corner, "OrthoBasis", CountingBasis)
+        assert _check_eigenrelation(CUBE_TOLERANCES)["passed"]
+        assert len(built) == len(set(built)) == 10
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-cube", "--n", "3"],
+        ["sample", "--target", "cube", "--n", "3"],
+        ["sample", "--target", "{target}"],
+    ],
+    ids=["verify-cube", "sample-cube", "sample-target"],
+)
+def test_oversized_steps_exit_three(tmp_path, argv):
+    # 10^13 stored values: refused before numpy is asked for the memory.
+    path = tmp_path / "product2.json"
+    path.write_text(json.dumps(target_to_dict(product_target([[0.5, 0.5]] * 2))))
+    src = str(Path(spectel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    command = [sys.executable, "-m", "spectel.cli"]
+    command += [a.format(target=path) for a in argv] + ["--steps", "10000000000000"]
+    result = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == EXIT_RESOURCE
+    assert result.stderr.startswith("spectel: ") and result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr
 
 
 class TestReportMerge:

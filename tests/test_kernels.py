@@ -11,6 +11,7 @@ from spectel import (
     FiniteTarget,
     NumericalContractError,
     ResourceLimitError,
+    STATE_CAP,
     WeightedKernel,
     altered_random_walk_kernel,
     gibbs_kernel,
@@ -297,9 +298,21 @@ class TestWeightedKernelValidation:
     def test_negative_entries_rejected(self):
         with pytest.raises(DomainError):
             WeightedKernel(np.array([[1.1, -0.1], [0.0, 1.0]]), np.array([0.5, 0.5]))
+        # NaN fails every check; inf fails the row or weight sum.
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DomainError):
+                WeightedKernel(np.array([[bad, 1.0], [0.5, 0.5]]), np.array([0.5, 0.5]))
+            with pytest.raises(DomainError):
+                WeightedKernel(np.eye(2), np.array([bad, 1.0]))
 
 
 class TestSampleGibbsChain:
+    def test_oversized_run_refused(self):
+        # The trajectory alone would hold more values than the largest dense kernel.
+        t = random_target([2, 3, 2], np.random.default_rng(5))
+        with pytest.raises(ResourceLimitError, match="would store"):
+            sample_gibbs_chain(t, STATE_CAP**2 // 3 + 1, np.random.default_rng(0))
+
     def test_determinism(self, rng):
         t = random_target([2, 3, 2], np.random.default_rng(5))
         a = sample_gibbs_chain(t, 200, np.random.default_rng(11))
