@@ -19,29 +19,20 @@ from .target import (
     EMPTY_CONTEXT,
     FiniteTarget,
     conditional,
-    conditional_tensor,
-    free_indices,
-    is_supported,
     load_target,
     marginal,
-    marginal_mass,
-    product_of_marginals,
     product_target,
     random_target,
     supported_conditional,
     supported_contexts,
     target_from_dict,
-    target_to_dict,
 )
 from .kernels import (
     STATE_CAP,
     SpectralSummary,
     WeightedKernel,
-    altered_random_walk_kernel,
     gibbs_kernel,
-    indexed_states,
     random_walk_kernel,
-    recursive_gibbs_kernel,
     sample_gibbs_chain,
     spectral_summary,
 )
@@ -53,7 +44,6 @@ from .bounds import (
     TelescopeReport,
     assemble_bounds,
     correlation_coefficient,
-    correlation_via_walk,
     gap_profile,
     influence_matrix_tv,
     spectral_radius,

@@ -46,8 +46,6 @@ from .kernels import (
     _spectral_stack,
     _support_groups,
     _walk_stack,
-    random_walk_kernel,
-    spectral_summary,
 )
 from .target import CondContext, FiniteTarget, _supported_level
 
@@ -173,19 +171,6 @@ def telescope_verify(profile: GapProfile, tol: float = 1e-9) -> TelescopeReport:
         r >= -tol for r in chained.values()
     )
     return TelescopeReport(residuals=residuals, chained=chained, tol=tol, passed=passed)
-
-
-def correlation_via_walk(target: FiniteTarget, ctx: CondContext) -> float:
-    """Summation correlation coefficient computed as 1 minus the walk's gap.
-
-    The index/value walk's spectral gap equals one minus the correlation
-    coefficient, so this is the cheap route; :func:`correlation_coefficient`
-    evaluates the defining Rayleigh quotient directly and serves as the
-    independent cross-check.  For full-support targets the value lies in
-    [1/m, 1]; degenerate conditionals (all components deterministic) collapse
-    the mean-zero subspace and yield 0.
-    """
-    return 1.0 - spectral_summary(random_walk_kernel(target, ctx)).gap
 
 
 def _correlation_stack(
@@ -357,7 +342,7 @@ def _route_values(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     and shared by the three routes.
     """
     marginals, pairs, rows = _coordinate_tables(weights)
-    g = _spectral_stack(*_walk_stack(marginals, rows, altered=False))[1]
+    g = _spectral_stack(*_walk_stack(marginals, rows))[1]
     s = _correlation_stack(marginals, pairs)
     eta = np.abs(np.linalg.eigvals(_influence_stack(marginals, rows))).max(axis=-1)
     return s, g, eta

@@ -17,17 +17,21 @@ Reports are JSON only and carry the tool version and per-check pass flags;
 the two verify reports also embed the seed, the command's tolerances and the
 wall clock.  verify-cube passes a check only when each measured value
 satisfies ``value <= tol`` (or ``value <= bound``), compared here, so a NaN
-fails and a failed check records what it measured.  Exit codes: 0 all
-checks pass, 1 some check failed or a numerical contract was violated (one
-line on stderr, no report), 2 malformed input or bad arguments, one line on
-stderr (including an argument the parser rejects, an input path that cannot
-be opened, such as a directory, an ``--out`` path that is a directory or
-whose directory does not exist, checked before any work starts, a
-``--random`` COUNT below 1, a negative ``--steps``, a ``--tol`` key or flag
-the command does not read and a ``report-merge`` input that is not a JSON
-object or whose pass flag is not a bool), 3 state-space cap exceeded or a
-``--steps`` whose chain would store more than ``STATE_CAP**2`` values, 4
-statistical contract not met.
+fails and a failed check records what it measured.  verify-finite records a
+numerical-contract violation as a failed ``numerical_contract`` check, with
+the message, in that target's entry, and still writes the report.  Exit
+codes: 0 all checks pass, 1 some check failed (or, in verify-cube, a
+polynomial basis degenerated: one line on stderr, no report), 2 malformed
+input or bad arguments, one line on stderr (including an argument the parser
+rejects, an input path that cannot be opened, such as a directory, an
+``--out`` path that is a directory or whose directory does not exist,
+checked before any work starts, a ``--random`` COUNT below 1, a negative
+``--steps``, a ``--tol`` key or flag the command does not read and a
+``report-merge`` input that is not a JSON object or whose pass flag is not a
+bool), 3 state-space cap exceeded or a ``--steps`` whose chain would store
+more than ``STATE_CAP**2`` values, 4 statistical contract not met (a
+verify-cube ``--steps`` below 1e6).  verify-cube checks ``--steps`` before
+any of its checks runs.
 """
 
 from __future__ import annotations
@@ -157,16 +161,21 @@ def cmd_verify_finite(args: argparse.Namespace) -> int:
 
     entries = []
     for name, target in targets:
-        bound_report = assemble_bounds(
-            target,
-            args.l,
-            slack=tols["bound_slack"],
-            telescope_tol=tols["telescope"],
-            lemma_tol=tols["lemma"],
-            psd_tol=tols["psd"],
-        )
         entry = {"name": name, "axes": list(target.axes)}
-        entry.update(bound_report.to_json_dict())
+        try:
+            bound_report = assemble_bounds(
+                target,
+                args.l,
+                slack=tols["bound_slack"],
+                telescope_tol=tols["telescope"],
+                lemma_tol=tols["lemma"],
+                psd_tol=tols["psd"],
+            )
+        except NumericalContractError as exc:
+            # One target's failure is a failed check; the other targets keep their entries.
+            entry.update(checks={"numerical_contract": False}, error=str(exc), passed=False)
+        else:
+            entry.update(bound_report.to_json_dict())
         entries.append(entry)
 
     report["l"] = args.l
@@ -278,6 +287,7 @@ def cmd_verify_cube(args: argparse.Namespace) -> int:
     if not 3 <= args.n <= 8:
         raise DomainError(f"--n must lie in 3..8, got {args.n}")
     tols = _parse_tolerances(args.tol, CUBE_TOLERANCES)
+    corner._check_estimate_steps(args.steps)
     started = time.monotonic()
     rng = np.random.default_rng(args.seed)
     report = _base_report("verify-cube", seed=args.seed, tolerances=tols)

@@ -500,6 +500,18 @@ def _fit_decay_rate(trace: np.ndarray) -> tuple[float, int]:
     return float(np.exp(slope)), len(lags)
 
 
+def _check_estimate_steps(steps: int) -> None:
+    """The step-count rules of :func:`empirical_gap_estimate`, checked before any work."""
+    if steps < 0:
+        raise DomainError("steps must be >= 0")
+    if steps < 1_000_000:
+        raise StatisticalContractError(
+            f"{steps} steps is below the 1e6 floor needed for a stable "
+            "autocorrelation window"
+        )
+    _check_storage(steps)  # the chain keeps one coordinate's trace
+
+
 def empirical_gap_estimate(n: int, steps: int, rng: np.random.Generator) -> GapEstimate:
     """Estimate the relaxation rate of the single-site corner chain.
 
@@ -513,13 +525,7 @@ def empirical_gap_estimate(n: int, steps: int, rng: np.random.Generator) -> GapE
     """
     if not 3 <= n <= 8:
         raise DomainError(f"n must lie in 3..8, got {n}")
-    if steps < 0:
-        raise DomainError("steps must be >= 0")
-    if steps < 1_000_000:
-        raise StatisticalContractError(
-            f"{steps} steps is below the 1e6 floor needed for a stable "
-            "autocorrelation window"
-        )
+    _check_estimate_steps(steps)
     trace = run_corner_chain(n, steps, rng, trace_coord=0)
     rho, lags_used = _fit_decay_rate(trace)
 

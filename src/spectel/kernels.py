@@ -1,22 +1,17 @@
 """Exact transition operators for random-scan Gibbs samplers on finite targets.
 
-Four kernel families are assembled as dense row-stochastic matrices:
+Two kernel families are assembled as dense row-stochastic matrices:
 
 * :func:`gibbs_kernel` -- one step of the block Gibbs sampler targeting the
   conditional distribution of the free coordinates given a context, with
   block size ``l`` (the uniform mixture over all size-``l`` blocks of the
-  conditional-resample transition);
-* :func:`recursive_gibbs_kernel` -- the same chain assembled by the recursive
-  form (fix one more coordinate, recurse, average), which must agree with the
-  direct form entrywise;
+  conditional-resample transition; the test suite rebuilds it by the
+  paper's recursive form as an oracle);
 * :func:`random_walk_kernel` -- the index/value walk on the disjoint union of
   the free alphabets: move to a uniformly chosen coordinate and redraw its
-  value from the one-coordinate conditional given the current (index, value);
-* :func:`altered_random_walk_kernel` -- identical except that staying on the
-  same coordinate redraws the value from that coordinate's conditional
-  marginal instead of keeping it.
+  value from the one-coordinate conditional given the current (index, value).
 
-All of them are reversible with respect to their stationary weights, so the
+Both are reversible with respect to their stationary weights, so the
 spectral analysis symmetrizes with D^{1/2} K D^{-1/2} and uses a dense
 symmetric eigensolver: one eigensolve per kernel, of the matrix with the
 constant direction deflated.  State spaces are hard-capped at
@@ -47,14 +42,7 @@ from math import comb
 import numpy as np
 
 from .errors import DomainError, NumericalContractError, ResourceLimitError
-from .target import (
-    CondContext,
-    FiniteTarget,
-    _conditional,
-    _free,
-    free_indices,
-    supported_conditional,
-)
+from .target import CondContext, FiniteTarget, supported_conditional
 
 # Dense-eigensolver cap on the number of states of a single kernel.
 STATE_CAP = 20_000
@@ -258,72 +246,8 @@ def gibbs_kernel(target: FiniteTarget, ctx: CondContext, l: int) -> WeightedKern
     return WeightedKernel(_gibbs_stack(weights[None], l)[0], weights.reshape(-1))
 
 
-def _insert_sorted(lam: tuple[int, ...], y: tuple[int, ...], i: int, v: int):
-    pos = 0
-    while pos < len(lam) and lam[pos] < i:
-        pos += 1
-    return lam[:pos] + (i,) + lam[pos:], y[:pos] + (v,) + y[pos:]
-
-
-def _recursive_matrix(
-    target: FiniteTarget,
-    lam: tuple[int, ...],
-    y: tuple[int, ...],
-    l: int,
-    memo: dict,
-) -> np.ndarray:
-    key = (lam, y)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    free = _free(target, lam)
-    m = len(free)
-    shape = tuple(target.axes[i - 1] for i in free)
-    n_states = int(np.prod(shape))
-    if m == l:
-        # Base case: redraw the whole free block in one shot.
-        row = _conditional(target, free, CondContext(lam, y)).reshape(-1)
-        matrix = np.tile(row, (n_states, 1))
-    else:
-        matrix = np.zeros((n_states, n_states))
-        canon = np.arange(n_states).reshape(shape)
-        for pos, i in enumerate(free):
-            for v in range(target.axes[i - 1]):
-                lam2, y2 = _insert_sorted(lam, y, i, v)
-                sub = _recursive_matrix(target, lam2, y2, l, memo)
-                idx = np.take(canon, v, axis=pos).reshape(-1)
-                matrix[np.ix_(idx, idx)] += sub
-        matrix /= m
-    memo[key] = matrix
-    return matrix
-
-
-def recursive_gibbs_kernel(target: FiniteTarget, ctx: CondContext, l: int) -> WeightedKernel:
-    """Gibbs transition matrix assembled by the recursive construction.
-
-    Below the full-block base case, the step fixes one uniformly chosen free
-    coordinate at its current value and recurses on the remaining ones.
-    Averaging the embedded sub-kernels reproduces :func:`gibbs_kernel`
-    entrywise (within 1e-12); the recursion carries the zero-mass-to-uniform
-    conditional convention through unsupported sub-contexts so the match is
-    exact row by row.
-    """
-    free, weights = supported_conditional(target, ctx)
-    if not 1 <= l <= len(free):
-        raise DomainError(f"block size {l} out of range 1..{len(free)}")
-    _check_cap(weights.size)
-    matrix = _recursive_matrix(target, ctx.lam, ctx.y, l, {})
-    return WeightedKernel(matrix, weights.reshape(-1))
-
-
-def indexed_states(target: FiniteTarget, ctx: CondContext) -> list[tuple[int, int]]:
-    """Canonical enumeration of the index/value walk space: (coordinate, value)."""
-    free = free_indices(target, ctx)
-    return [(i, x) for i in free for x in range(target.axes[i - 1])]
-
-
 def _walk_stack(
-    marginals: list[np.ndarray], rows: dict[tuple[int, int], np.ndarray], altered: bool
+    marginals: list[np.ndarray], rows: dict[tuple[int, int], np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Index/value walk matrices (B, N, N) and stationary weights (B, N).
 
@@ -344,19 +268,11 @@ def _walk_stack(
             sb = slice(offsets[b], offsets[b + 1])
             if a != b:
                 kernel[:, sa, sb] = rows[(a, b)] / m
-            elif altered:
-                kernel[:, sa, sb] = marginals[a][:, None, :] / m
             else:
                 kernel[:, sa, sb] = np.eye(sizes[a]) / m
     phi = np.concatenate(marginals, axis=1) / m
     _check_stochastic(kernel, phi)
     return kernel, phi
-
-
-def _walk_kernel(target: FiniteTarget, ctx: CondContext, altered: bool) -> WeightedKernel:
-    marginals, _, rows = _context_tables(target, ctx)
-    matrices, phi = _walk_stack(marginals, rows, altered)
-    return WeightedKernel(matrices[0], phi[0])
 
 
 def random_walk_kernel(target: FiniteTarget, ctx: CondContext) -> WeightedKernel:
@@ -369,18 +285,9 @@ def random_walk_kernel(target: FiniteTarget, ctx: CondContext) -> WeightedKernel
     marginal of coordinate ``i`` on ``A`` divided by the number of free
     coordinates.
     """
-    return _walk_kernel(target, ctx, altered=False)
-
-
-def altered_random_walk_kernel(target: FiniteTarget, ctx: CondContext) -> WeightedKernel:
-    """Index/value walk that redraws the value even when the index repeats.
-
-    Identical to :func:`random_walk_kernel` except the ``j' == j`` branch
-    redraws the value from coordinate ``j``'s conditional marginal.  On the
-    subspace of functions with zero mean within every coordinate component,
-    the two walks differ exactly by Id/m.
-    """
-    return _walk_kernel(target, ctx, altered=True)
+    marginals, _, rows = _context_tables(target, ctx)
+    matrices, phi = _walk_stack(marginals, rows)
+    return WeightedKernel(matrices[0], phi[0])
 
 
 def _spectral_stack(

@@ -164,29 +164,12 @@ def _free(target: FiniteTarget, lam: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(i for i in range(1, target.n + 1) if i not in fixed)
 
 
-def free_indices(target: FiniteTarget, ctx: CondContext) -> tuple[int, ...]:
-    """Complement of the context's index set, sorted, 1-based."""
-    _check_context(target, ctx)
-    return _free(target, ctx.lam)
-
-
 def _context_slice(target: FiniteTarget, lam: tuple[int, ...], y: tuple[int, ...]) -> np.ndarray:
     """Unnormalized tensor over the free axes with the assignment ``y`` to ``lam`` plugged in."""
     index: list = [slice(None)] * target.n
     for i, v in zip(lam, y):
         index[i - 1] = v
     return target.probs[tuple(index)]
-
-
-def marginal_mass(target: FiniteTarget, ctx: CondContext) -> float:
-    """Marginal probability of the context's assignment (1 for the empty context)."""
-    _check_context(target, ctx)
-    return float(_context_slice(target, ctx.lam, ctx.y).sum())
-
-
-def is_supported(target: FiniteTarget, ctx: CondContext) -> bool:
-    """Whether the context carries positive marginal mass."""
-    return marginal_mass(target, ctx) > 0.0
 
 
 def marginal(target: FiniteTarget, gamma: Iterable[int]) -> np.ndarray:
@@ -204,18 +187,6 @@ def marginal(target: FiniteTarget, gamma: Iterable[int]) -> np.ndarray:
     return target.probs.sum(axis=drop)
 
 
-def _conditional(target: FiniteTarget, g: tuple[int, ...], ctx: CondContext) -> np.ndarray:
-    """:func:`conditional` for arguments the caller has already validated."""
-    block = _context_slice(target, ctx.lam, ctx.y)
-    drop = tuple(pos for pos, i in enumerate(_free(target, ctx.lam)) if i not in g)
-    joint = block.sum(axis=drop) if drop else block
-    mass = float(block.sum())
-    if mass > 0.0:
-        return joint / mass
-    shape = tuple(target.axes[i - 1] for i in g)
-    return np.full(shape, 1.0 / np.prod(shape))
-
-
 def conditional(target: FiniteTarget, gamma: Iterable[int], ctx: CondContext) -> np.ndarray:
     """Conditional tensor of ``gamma`` given the context, over sorted gamma axes.
 
@@ -229,13 +200,14 @@ def conditional(target: FiniteTarget, gamma: Iterable[int], ctx: CondContext) ->
     _check_context(target, ctx)
     if set(g) & set(ctx.lam):
         raise DomainError(f"gamma {g} overlaps lambda {ctx.lam}")
-    return _conditional(target, g, ctx)
-
-
-def conditional_tensor(target: FiniteTarget, ctx: CondContext) -> np.ndarray:
-    """Conditional of all free coordinates given the context."""
-    _check_context(target, ctx)
-    return _conditional(target, _free(target, ctx.lam), ctx)
+    block = _context_slice(target, ctx.lam, ctx.y)
+    drop = tuple(pos for pos, i in enumerate(_free(target, ctx.lam)) if i not in g)
+    joint = block.sum(axis=drop) if drop else block
+    mass = float(block.sum())
+    if mass > 0.0:
+        return joint / mass
+    shape = tuple(target.axes[i - 1] for i in g)
+    return np.full(shape, 1.0 / np.prod(shape))
 
 
 def supported_conditional(
@@ -333,11 +305,6 @@ def product_target(marginals: Sequence[np.ndarray]) -> FiniteTarget:
     return FiniteTarget(tuple(v.size for v in vecs), tensor)
 
 
-def product_of_marginals(target: FiniteTarget) -> FiniteTarget:
-    """Independent target with the same single-coordinate marginals."""
-    return product_target([marginal(target, (i,)) for i in range(1, target.n + 1)])
-
-
 def target_from_dict(data: dict) -> FiniteTarget:
     """Build a target from the JSON wire format ``{"axes": [...], "probs": [...]}``.
 
@@ -346,10 +313,6 @@ def target_from_dict(data: dict) -> FiniteTarget:
     if not isinstance(data, dict) or "axes" not in data or "probs" not in data:
         raise DomainError('target JSON must be {"axes": [...], "probs": [...]}')
     return FiniteTarget(data["axes"], data["probs"])
-
-
-def target_to_dict(target: FiniteTarget) -> dict:
-    return {"axes": list(target.axes), "probs": target.probs.ravel().tolist()}
 
 
 def load_target(path: str) -> FiniteTarget:

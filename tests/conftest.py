@@ -4,6 +4,13 @@ The oracles re-derive marginals, conditionals, and transition matrices by
 explicit enumeration (plain Python loops over full assignments), independent
 of the package's vectorized tensor assembly, so entrywise comparisons are a
 genuine dual route and expected values in tests are computed, not copied.
+
+Beside them sit single-context constructions the package does not ship: the
+paper's recursive Gibbs kernel, the altered index/value walk, the walk route
+to the correlation coefficient and a few context helpers.  They are built
+from the package's public ``conditional``, ``marginal`` and single-context
+kernels, never from its batched engine, so they check that engine by a
+second route.
 """
 
 from __future__ import annotations
@@ -13,7 +20,18 @@ import itertools
 import numpy as np
 import pytest
 
-from spectel import CondContext, FiniteTarget, random_target
+from spectel import (
+    CondContext,
+    FiniteTarget,
+    WeightedKernel,
+    conditional,
+    marginal,
+    product_target,
+    random_target,
+    random_walk_kernel,
+    spectral_summary,
+    supported_conditional,
+)
 
 
 @pytest.fixture
@@ -228,6 +246,107 @@ def oracle_rw_matrix(target: FiniteTarget, lam, y):
         [single_mass(i, x) / lam_mass / m for (i, x) in walk_states]
     )
     return matrix, weights, walk_states
+
+
+def free_indices(target: FiniteTarget, ctx: CondContext) -> tuple[int, ...]:
+    """Complement of the context's index set, sorted, 1-based."""
+    return tuple(i for i in range(1, target.n + 1) if i not in ctx.lam)
+
+
+def marginal_mass(target: FiniteTarget, ctx: CondContext) -> float:
+    """Marginal probability of a nonempty context's assignment."""
+    return float(marginal(target, ctx.lam)[ctx.y])
+
+
+def conditional_tensor(target: FiniteTarget, ctx: CondContext) -> np.ndarray:
+    """Conditional of all free coordinates given the context."""
+    return conditional(target, free_indices(target, ctx), ctx)
+
+
+def product_of_marginals(target: FiniteTarget) -> FiniteTarget:
+    """Independent target with the same single-coordinate marginals."""
+    return product_target([marginal(target, (i,)) for i in range(1, target.n + 1)])
+
+
+def target_to_dict(target: FiniteTarget) -> dict:
+    """The JSON wire format ``{"axes": [...], "probs": [...]}`` of a target."""
+    return {"axes": list(target.axes), "probs": target.probs.ravel().tolist()}
+
+
+def _fix(lam: tuple, y: tuple, i: int, v: int) -> tuple[tuple, tuple]:
+    """The index set and assignment (lam, y) with coordinate ``i`` also fixed at ``v``."""
+    pos = sum(1 for k in lam if k < i)
+    return lam[:pos] + (i,) + lam[pos:], y[:pos] + (v,) + y[pos:]
+
+
+def _recursive_matrix(target: FiniteTarget, lam: tuple, y: tuple, l: int, memo: dict):
+    if (lam, y) in memo:
+        return memo[(lam, y)]
+    free = tuple(i for i in range(1, target.n + 1) if i not in lam)
+    shape = tuple(target.axes[i - 1] for i in free)
+    n_states = int(np.prod(shape))
+    if len(free) == l:
+        # Base case: redraw the whole free block in one shot.
+        row = conditional(target, free, CondContext(lam, y)).reshape(-1)
+        matrix = np.tile(row, (n_states, 1))
+    else:
+        matrix = np.zeros((n_states, n_states))
+        canon = np.arange(n_states).reshape(shape)
+        for pos, i in enumerate(free):
+            for v in range(target.axes[i - 1]):
+                idx = np.take(canon, v, axis=pos).reshape(-1)
+                matrix[np.ix_(idx, idx)] += _recursive_matrix(target, *_fix(lam, y, i, v), l, memo)
+        matrix /= len(free)
+    memo[(lam, y)] = matrix
+    return matrix
+
+
+def recursive_gibbs_kernel(target: FiniteTarget, ctx: CondContext, l: int) -> WeightedKernel:
+    """Block Gibbs kernel by the paper's recursive construction.
+
+    Below the full-block base case, the step fixes one uniformly chosen free
+    coordinate at its current value and recurses on the remaining ones;
+    averaging the embedded sub-kernels must reproduce ``gibbs_kernel``
+    entrywise.  The rows come from ``spectel.conditional``, whose
+    zero-mass-to-uniform convention carries through unsupported sub-contexts.
+    """
+    _, weights = supported_conditional(target, ctx)
+    matrix = _recursive_matrix(target, ctx.lam, ctx.y, l, {})
+    return WeightedKernel(matrix, weights.reshape(-1))
+
+
+def indexed_states(target: FiniteTarget, ctx: CondContext) -> list[tuple[int, int]]:
+    """States of the index/value walk in canonical order: (coordinate, value)."""
+    return [(i, x) for i in free_indices(target, ctx) for x in range(target.axes[i - 1])]
+
+
+def altered_random_walk_kernel(target: FiniteTarget, ctx: CondContext) -> WeightedKernel:
+    """Index/value walk that redraws the value even when the index repeats.
+
+    From ``(j, x)`` the step picks a free coordinate ``i`` uniformly and draws
+    its value from the conditional of ``i`` given the context and ``X_j = x``,
+    or given the context alone when ``i == j``.  Rows come from
+    ``spectel.conditional``, not from the walk's own tables, so on functions
+    with zero mean within every coordinate component it differs from
+    ``random_walk_kernel`` by exactly Id/m.
+    """
+    free = free_indices(target, ctx)
+    m = len(free)
+    states = indexed_states(target, ctx)
+    start = {i: states.index((i, 0)) for i in free}
+    matrix = np.zeros((len(states), len(states)))
+    for row, (j, x) in enumerate(states):
+        inner = CondContext(*_fix(ctx.lam, ctx.y, j, x))
+        for i in free:
+            law = conditional(target, (i,), ctx if i == j else inner)
+            matrix[row, start[i] : start[i] + law.size] = law / m
+    weights = np.concatenate([conditional(target, (i,), ctx) for i in free]) / m
+    return WeightedKernel(matrix, weights)
+
+
+def correlation_via_walk(target: FiniteTarget, ctx: CondContext) -> float:
+    """Summation correlation coefficient as one minus the index/value walk's gap."""
+    return 1.0 - spectral_summary(random_walk_kernel(target, ctx)).gap
 
 
 def oracle_gap(matrix: np.ndarray, weights: np.ndarray) -> float:

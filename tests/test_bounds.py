@@ -11,10 +11,8 @@ from spectel import (
     InfluenceMatrix,
     assemble_bounds,
     correlation_coefficient,
-    correlation_via_walk,
     gap_profile,
     influence_matrix_tv,
-    product_of_marginals,
     product_target,
     random_target,
     spectral_radius,
@@ -23,7 +21,12 @@ from spectel import (
 )
 from spectel import bounds
 
-from conftest import coupled_pair_target, random_small_target
+from conftest import (
+    correlation_via_walk,
+    coupled_pair_target,
+    product_of_marginals,
+    random_small_target,
+)
 
 
 class TestGapProfile:

@@ -20,7 +20,6 @@ from spectel import (
     random_target,
     run_corner_chain,
     sample_gibbs_chain,
-    target_to_dict,
 )
 from spectel.cli import (
     CUBE_TOLERANCES,
@@ -34,6 +33,8 @@ from spectel.cli import (
     build_parser,
     main,
 )
+
+from conftest import target_to_dict
 
 
 @pytest.fixture
@@ -173,9 +174,45 @@ class TestVerifyFinite:
         monkeypatch.setattr("spectel.cli.assemble_bounds", violated)
         code = main(["verify-finite", "--target", product3_path])
         assert code == EXIT_CHECKS_FAILED
-        err = capsys.readouterr().err
-        assert err.startswith("spectel: numerical contract violated: ")
-        assert err.count("\n") == 1 and "Traceback" not in err
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert report["all_passed"] is False
+        assert report["targets"] == [
+            {
+                "name": product3_path,
+                "axes": [2, 2, 2],
+                "checks": {"numerical_contract": False},
+                "error": "detailed balance violated by 1.000e-03",
+                "passed": False,
+            }
+        ]
+
+    def test_numerical_contract_keeps_other_targets(self, capsys, monkeypatch):
+        argv = ["verify-finite", "--random", "3", "--axes", "2", "--n", "3", "--seed", "4"]
+        assert main(argv) == EXIT_OK
+        clean = json.loads(capsys.readouterr().out)["targets"]
+        verify = spectel.cli.assemble_bounds
+        calls = []
+
+        def second_fails(*args, **kwargs):
+            calls.append(args[0])
+            if len(calls) == 2:
+                raise NumericalContractError("gap -0.5 fell below 0")
+            return verify(*args, **kwargs)
+
+        monkeypatch.setattr("spectel.cli.assemble_bounds", second_fails)
+        assert main(argv) == EXIT_CHECKS_FAILED
+        targets = json.loads(capsys.readouterr().out)["targets"]
+        assert len(calls) == 3
+        assert targets[0] == clean[0] and targets[2] == clean[2]
+        assert targets[1] == {
+            "name": "random[1]",
+            "axes": [2, 2, 2],
+            "checks": {"numerical_contract": False},
+            "error": "gap -0.5 fell below 0",
+            "passed": False,
+        }
 
     def test_missing_out_directory_checked_first(self, product3_path, tmp_path, capsys, monkeypatch):
         def verified(*args, **kwargs):
@@ -312,6 +349,20 @@ class TestVerifyCube:
         assert "statistical contract" in capsys.readouterr().err
         # A negative count is malformed input, not too little sampling.
         assert main(["verify-cube", "--n", "4", "--steps", "-5"]) == EXIT_BAD_INPUT
+
+    def test_steps_checked_first(self, capsys, monkeypatch):
+        def checked(*args, **kwargs):
+            raise AssertionError("a check ran before --steps was checked")
+
+        monkeypatch.setattr("spectel.cli._check_closed_forms", checked)
+        for steps, code in [
+            ("-5", EXIT_BAD_INPUT),
+            ("10000000000000", EXIT_RESOURCE),
+            ("1000", EXIT_STATISTICAL),
+        ]:
+            assert main(["verify-cube", "--n", "4", "--steps", steps]) == code
+            err = capsys.readouterr().err
+            assert err.startswith("spectel: ") and err.count("\n") == 1
 
     def test_n_out_of_range_exit_two(self):
         assert main(["verify-cube", "--n", "9"]) == EXIT_BAD_INPUT
@@ -487,6 +538,16 @@ def test_help_and_version_exit_zero(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
+def test_readme_python_quick_start_runs(capsys):
+    # An export renamed or removed from the package must be renamed in README too.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```python\n")[1:]
+    assert blocks
+    for block in blocks:
+        exec(compile(block.split("```", 1)[0], "README.md", "exec"), {})
     assert capsys.readouterr().out
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_gap, oracle_rw_matrix
+from conftest import oracle_gap, oracle_rw_matrix, recursive_gibbs_kernel
 from spectel import (
     FiniteTarget,
     assemble_bounds,
@@ -26,7 +26,6 @@ from spectel import (
     influence_matrix_tv,
     product_target,
     random_walk_kernel,
-    recursive_gibbs_kernel,
     spectral_radius,
     spectral_summary,
     supported_contexts,

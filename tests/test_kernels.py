@@ -13,25 +13,25 @@ from spectel import (
     ResourceLimitError,
     STATE_CAP,
     WeightedKernel,
-    altered_random_walk_kernel,
     gibbs_kernel,
-    indexed_states,
     product_target,
     random_target,
     random_walk_kernel,
-    recursive_gibbs_kernel,
     sample_gibbs_chain,
     spectral_summary,
     supported_contexts,
 )
 
 from conftest import (
+    altered_random_walk_kernel,
     coupled_pair_target,
+    indexed_states,
     oracle_gap,
     oracle_gibbs_chain,
     oracle_gibbs_matrix,
     oracle_rw_matrix,
     random_small_target,
+    recursive_gibbs_kernel,
 )
 
 
