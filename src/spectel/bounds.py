@@ -21,12 +21,15 @@ Everything here is exact enumeration over supported contexts, never sampling.
 that enumerates each level's contexts once, in stacks that gather the
 contexts of one free shape, whatever index set they fix, cut so that a stack
 of Gibbs kernels is never larger than the top-level kernel.  A stack gets one
-kernel stack and one stacked eigensolve per block size and, on the levels the
-bounds need, the S, G and eta routes, which share one set of marginals and
-pair tables.  Contexts whose zero-weight states differ are solved in
-sub-stacks, one per support mask.  Each value lands in one array per level
-and quantity, in canonical order, and one picker takes the first extremum,
-as a context-by-context scan would.
+stacked eigensolve per block size and route and, on the levels the bounds
+need, the S, G and eta routes, which share one set of marginals and pair
+tables.  For a block size ``l < m``, a context with no zero weight is solved
+through the Gram matrix of its kept sets when that matrix is the smaller;
+every other context through its dense kernel (see
+:func:`spectel.kernels._gibbs_spectra`).  Dense contexts whose zero-weight
+states differ are solved in sub-stacks, one per support mask.  Each value
+lands in one array per level and quantity, in canonical order, and one
+picker takes the first extremum, as a context-by-context scan would.
 The single-context functions (:func:`correlation_coefficient`,
 :func:`influence_matrix_tv`) are stacks of one over the same code.
 """
@@ -42,7 +45,7 @@ from .kernels import (
     _check_cap,
     _context_tables,
     _coordinate_tables,
-    _gibbs_stack,
+    _gibbs_spectra,
     _spectral_stack,
     _support_groups,
     _walk_stack,
@@ -147,8 +150,8 @@ def gap_profile(target: FiniteTarget) -> GapProfile:
     For each level ``m`` the minimum runs over all index sets of size
     ``n - m`` and all supported assignments, in canonical enumeration order
     (ties keep the first context encountered, for reproducibility).  Each
-    level is enumerated once; the contexts that share a free shape are built
-    as stacks of kernels, one stacked eigensolve per block size.
+    level is enumerated once; the contexts that share a free shape are
+    solved as stacks, one stacked eigensolve per block size and route.
     """
     return _scan(target, target.n)[0]
 
@@ -377,9 +380,8 @@ def _scan(
         gaps = np.empty((m, len(contexts)))
         routes = np.empty((len(_ROUTES), len(contexts)))
         for pos, weights in stacks:
-            flat = weights.reshape(len(pos), -1)
             for size in range(1, m + 1):
-                _, gaps[size - 1, pos], bottoms = _spectral_stack(_gibbs_stack(weights, size), flat)
+                _, gaps[size - 1, pos], bottoms = _gibbs_spectra(weights, size)
                 min_psd = min(min_psd, float(bottoms.min()))
             if m > l:
                 routes[:, pos] = _route_values(weights)

@@ -18,14 +18,25 @@ constant direction deflated.  State spaces are hard-capped at
 :data:`STATE_CAP` dense states: this module is a verifier, exactness beats
 scale.
 
+The exact pipeline solves a block Gibbs kernel by the smaller of two
+eigenproblems (:func:`_gibbs_spectra`).  The kernel is an average of
+projections onto the functions of its kept sets, so its nonzero spectrum is
+that of their Gram matrix (:func:`_gram_stack`), of order
+``D = sum_R prod_{i in R} q_i`` against ``N = prod q_i``.  A context takes
+the Gram route when ``l < m``, ``D < N`` and all its weights are positive;
+the full-block kernels (``l = m``, gap 1 for every context) and contexts
+with zero weights stay dense, because their gaps tie and the context a
+report names is chosen by last-bit rounding.
+
 The exact pipeline in :mod:`spectel.bounds` builds kernels in stacks: the
 contexts of a level that share a free shape, whatever index set they fix,
 are stacked together, so the private ``_*_stack`` builders take a stack of
 conditionals (B, *shape) and return a (B, N, N) stack of matrices, checked
-and eigensolved as one.  Stacks are cut to B * N^2 <= (full state count)^2
-floats, so none is larger than the top-level kernel.  The public
-single-context functions are stacks of one over the same code, and a
-stacked build is bit for bit the single-context one.
+and eigensolved as one; the Gram builder returns the spectral values of its
+stack.  Stacks are cut to B * N^2 <= (full state count)^2 floats, so none is
+larger than the top-level kernel.  The public single-context functions are
+stacks of one over the same code, and a stacked build is bit for bit the
+single-context one.
 
 Canonical enumerations (normative, so matrices are comparable across runs):
 free-coordinate product states are row-major in increasing coordinate order;
@@ -35,6 +46,7 @@ index/value walk states are ordered by coordinate index, then value.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import comb
@@ -119,14 +131,17 @@ def _check_storage(entries: int) -> None:
         )
 
 
-def _check_stochastic(matrices: np.ndarray, weights: np.ndarray) -> None:
+def _check_stochastic(matrices: np.ndarray, weights: np.ndarray, blocks=None) -> None:
     """The structural checks of :class:`WeightedKernel` on a stack (B, N, N), (B, N).
 
+    With ``blocks``, the first column of each column block, every block of
+    every row must sum to 1 (a row of side-by-side conditional tables).
     Each test passes only on a valid value, so a NaN fails it.
     """
     if not ((matrices >= 0).all() and (weights >= 0).all()):
         raise DomainError("kernel entries and weights must be nonnegative numbers")
-    row_err = np.abs(matrices.sum(axis=2) - 1.0).max()
+    sums = matrices.sum(axis=2) if blocks is None else np.add.reduceat(matrices, blocks, axis=2)
+    row_err = np.abs(sums - 1.0).max()
     if not row_err <= _ROW_TOL:
         raise DomainError(f"rows must sum to 1 within {_ROW_TOL}, max error {row_err:.3e}")
     w_err = np.abs(weights.sum(axis=1) - 1.0).max()
@@ -246,6 +261,102 @@ def gibbs_kernel(target: FiniteTarget, ctx: CondContext, l: int) -> WeightedKern
     return WeightedKernel(_gibbs_stack(weights[None], l)[0], weights.reshape(-1))
 
 
+def _gram_order(shape: tuple[int, ...], l: int) -> int:
+    """Order of the block-``l`` Gram matrix on ``shape``: the summed sizes of the kept alphabets."""
+    m = len(shape)
+    return sum(math.prod(shape[p] for p in kept) for kept in itertools.combinations(range(m), m - l))
+
+
+def _gram_stack(
+    weights: np.ndarray, l: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Norms, gaps and bottom eigenvalues of the block-``l`` Gibbs kernels of a stack (B, *shape).
+
+    The kernel is an average of projections, ``(1/k) sum_R J_R J_R*``, where
+    ``R`` runs over the ``k`` kept sets of size ``m - l`` in the order of
+    ``itertools.combinations`` and ``J_R`` embeds the functions of ``x_R``.
+    So its nonzero spectrum is that of the Gram matrix ``(1/k) J* J``, whose
+    (R, R') block is ``pi(x_R = a, x_R' = b) / sqrt(pi_R(a) pi_R'(b))``:
+    order ``D = sum_R prod_{i in R} q_i`` instead of ``N = prod q_i``.  Each
+    pair table is summed by ``np.bincount`` over the flat state codes of
+    ``(x_R, x_R')`` and fills block (R, R') and, as its transpose, block
+    (R', R), so detailed balance holds by construction.  Every conditional
+    table ``pi(x_R' | x_R)`` must be row-stochastic within ``_ROW_TOL``.  The
+    constant direction ``u = sqrt(pi_R(a) / k)`` is deflated, and one
+    eigensolve gives the norm and ``min(lambda_min, 0)``.  Every weight must
+    be positive, so no marginal is zero; ``l`` must be below ``m``.
+    """
+    n_ctx, shape = weights.shape[0], weights.shape[1:]
+    m = len(shape)
+    if not 1 <= l < m:
+        raise DomainError(f"Gram block size {l} out of range 1..{m - 1}")
+    kept = list(itertools.combinations(range(m), m - l))
+    k = len(kept)
+    # rows[r, x]: the Gram row of the values state x takes on kept set r.
+    strides = np.zeros((k, m), dtype=np.int64)
+    offsets = [0]
+    for r, keep in enumerate(kept):
+        step = 1
+        for p in reversed(keep):
+            strides[r, p] = step
+            step *= shape[p]
+        offsets.append(offsets[-1] + step)
+    order = offsets[-1]
+    rows = strides @ np.indices(shape).reshape(m, -1) + np.array(offsets[:-1])[:, None]
+
+    flat = weights.reshape(n_ctx, 1, -1)
+    base = np.arange(n_ctx)[:, None, None] * order
+
+    def tables(codes: np.ndarray, size: int) -> np.ndarray:
+        """Weight sums per code of each context: one bincount over the stack."""
+        mass = np.broadcast_to(flat, (n_ctx,) + codes.shape)
+        return np.bincount((base * size + codes).ravel(), mass.ravel(), n_ctx * order * size)
+
+    marg = tables(rows, 1).reshape(n_ctx, order)
+    first, second = np.triu_indices(k, 1)
+    gram = tables(rows[first] * order + rows[second], order).reshape(n_ctx, order, order)
+    gram += gram.transpose(0, 2, 1)
+    diag = np.arange(order)
+    gram[:, diag, diag] = marg
+    _check_stochastic(gram / marg[:, :, None], marg / k, offsets[:-1])
+
+    d = np.sqrt(marg)
+    gram /= d[:, :, None] * d[:, None, :]
+    gram /= k
+    u = np.sqrt(marg / k)
+    gram -= u[:, :, None] * u[:, None, :]
+    norm, bottom = _extremes(np.linalg.eigvalsh(gram))
+    return norm, _gaps(norm), np.minimum(bottom, 0.0)
+
+
+def _gibbs_spectra(
+    weights: np.ndarray, l: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Norms, gaps and bottom eigenvalues of the block-``l`` Gibbs kernels of a stack (B, *shape).
+
+    A context takes the Gram route (:func:`_gram_stack`) when ``l < m``, the
+    Gram order is below ``N`` and every one of its weights is positive; the
+    others are built densely and solved by :func:`_spectral_stack`.  The
+    ``(m, m)`` kernels and contexts with zero weights stay dense because
+    their gaps tie (every ``Gap(m, m)`` is 1, reducible chains have gap 0),
+    and which tied context a report names is decided by last-bit rounding.
+    A context's route depends on its own weights only, never on its stack.
+    """
+    shape = weights.shape[1:]
+    flat = weights.reshape(len(weights), -1)
+    on_gram = np.zeros(len(flat), dtype=bool)
+    if l < len(shape) and _gram_order(shape, l) < flat.shape[1]:
+        on_gram = (flat > 0).all(axis=1)
+    if not on_gram.any():
+        return _spectral_stack(_gibbs_stack(weights, l), flat)
+    if on_gram.all():
+        return _gram_stack(weights, l)
+    out = np.empty((3, len(flat)))
+    out[:, on_gram] = _gram_stack(weights[on_gram], l)
+    out[:, ~on_gram] = _spectral_stack(_gibbs_stack(weights[~on_gram], l), flat[~on_gram])
+    return out[0], out[1], out[2]
+
+
 def _walk_stack(
     marginals: list[np.ndarray], rows: dict[tuple[int, int], np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -290,11 +401,39 @@ def random_walk_kernel(target: FiniteTarget, ctx: CondContext) -> WeightedKernel
     return WeightedKernel(matrices[0], phi[0])
 
 
+def _extremes(spectrum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest absolute and smallest eigenvalue of each ascending spectrum of a stack."""
+    return np.maximum(np.abs(spectrum[:, 0]), np.abs(spectrum[:, -1])), spectrum[:, 0]
+
+
+def _gaps(norm: np.ndarray) -> np.ndarray:
+    """Gaps ``1 - norm``; one below -1e-10 raises :class:`NumericalContractError`."""
+    # norm >= 0, so the gap can leave [0, 1] only from below.
+    gap = 1.0 - norm
+    if not (gap >= -1e-10).all():
+        raise NumericalContractError(f"gap {float(gap.min())!r} fell below 0")
+    return np.maximum(gap, 0.0)
+
+
+def _balance_error(matrices: np.ndarray, weights: np.ndarray) -> float:
+    """Largest |w_i K_ij - w_j K_ji| of a stack, taken over one half of the rows at a time."""
+    n = matrices.shape[1]
+    step = -(-n // 2)
+    err = 0.0
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        flux = weights[:, rows, None] * matrices[:, rows]
+        flux -= weights[:, None, :] * matrices[:, :, rows].transpose(0, 2, 1)
+        err = max(err, float(np.abs(flux).max()))
+    return err
+
+
 def _spectral_stack(
     matrices: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Norms, gaps and bottom eigenvalues of a stack (B, N, N) with weights (B, N).
 
+    The stack is symmetrized in its own buffer, so it must be a temporary.
     Kernels whose zero-weight states differ are solved in separate
     sub-stacks, one per support mask; see :func:`spectral_summary`.
     """
@@ -305,28 +444,20 @@ def _spectral_stack(
             mat, w = matrices, weights
         else:
             mat, w = matrices[np.ix_(sel, keep, keep)], weights[np.ix_(sel, keep)]
-        flux = w[:, :, None] * mat
-        flux -= flux.transpose(0, 2, 1).copy()
-        balance_err = float(np.abs(flux).max())
-        del flux
+        balance_err = _balance_error(mat, w)
         if not balance_err <= _BALANCE_TOL:
             raise NumericalContractError(
                 f"detailed balance violated by {balance_err:.3e} (tol {_BALANCE_TOL:.1e})"
             )
         d = np.sqrt(w)
-        sym = d[:, :, None] * mat
-        sym /= d[:, None, :]
-        sym = 0.5 * (sym + sym.transpose(0, 2, 1))
-        sym -= d[:, :, None] * d[:, None, :]
-        spectrum = np.linalg.eigvalsh(sym)
-        del sym
-        norm[sel] = np.maximum(np.abs(spectrum[:, 0]), np.abs(spectrum[:, -1]))
-        bottom[sel] = spectrum[:, 0]
-    # norm >= 0, so the gap can leave [0, 1] only from below.
-    gap = 1.0 - norm
-    if not (gap >= -1e-10).all():
-        raise NumericalContractError(f"gap {float(gap.min())!r} fell below 0")
-    return norm, np.maximum(gap, 0.0), bottom
+        mat *= d[:, :, None]
+        mat /= d[:, None, :]
+        np.add(mat, mat.transpose(0, 2, 1), out=mat)
+        mat *= 0.5
+        mat -= d[:, :, None] * d[:, None, :]
+        norm[sel], bottom[sel] = _extremes(np.linalg.eigvalsh(mat))
+        del mat
+    return norm, _gaps(norm), bottom
 
 
 def spectral_summary(kernel: WeightedKernel) -> SpectralSummary:
@@ -341,7 +472,7 @@ def spectral_summary(kernel: WeightedKernel) -> SpectralSummary:
     Detailed balance violated beyond 1e-10 raises
     :class:`NumericalContractError`.
     """
-    norm, gap, bottom = _spectral_stack(kernel.matrix[None], kernel.weights[None])
+    norm, gap, bottom = _spectral_stack(kernel.matrix[None].copy(), kernel.weights[None])
     return SpectralSummary(
         norm=float(norm[0]), gap=float(gap[0]), min_eigenvalue=float(bottom[0])
     )

@@ -59,6 +59,14 @@ class TestGapProfile:
             entry.gap, abs=1e-12
         )
 
+    @pytest.mark.parametrize("axes", [(2, 3, 4), (3, 3, 3), (2, 2, 2, 2), (3, 2, 3, 2)])
+    def test_one_step_down_gap_equals_walk_gap(self, axes, rng):
+        # At l = m - 1 the kept sets are single coordinates, so the Gram
+        # matrix (1/m) J*J is the index/value walk: Gap(m, m-1) = G(m).
+        report = assemble_bounds(random_target(axes, rng), 1)
+        for m in range(2, len(axes) + 1):
+            assert abs(report.profile.gap(m, m - 1) - report.g_profile[m]) <= 1e-12, m
+
 
 class TestTelescope:
     def test_product_target_residuals_vanish(self):

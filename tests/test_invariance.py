@@ -9,7 +9,9 @@ independent-case values.
 Targets are small (alphabets of size 2 or 3, at most 4 coordinates) with
 integer weights, so zero entries are common: they leave contexts unsupported,
 make the conditional rows fall back to uniform, and put contexts with
-different zero-weight states into one index-set group.
+different zero-weight states into one index-set group.  Full-support targets
+(weights 1..4) put every context whose Gram matrix is the smaller on the
+Gram route, which contexts with zero weights never take.
 """
 
 import numpy as np
@@ -31,15 +33,17 @@ from spectel import (
     supported_contexts,
     telescope_verify,
 )
+from spectel.kernels import _gram_order, _gram_stack
+from spectel.target import supported_conditional
 
 SETTINGS = settings(max_examples=12, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
-def targets(draw) -> np.ndarray:
+def targets(draw, low: int = 0) -> np.ndarray:
     axes = draw(st.lists(st.sampled_from((2, 3)), min_size=2, max_size=4))
     size = int(np.prod(axes))
-    weights = draw(st.lists(st.integers(0, 4), min_size=size, max_size=size))
+    weights = draw(st.lists(st.integers(low, 4), min_size=size, max_size=size))
     if not any(weights):
         weights[draw(st.integers(0, size - 1))] = 1
     tensor = np.array(weights, dtype=float).reshape(axes)
@@ -77,10 +81,7 @@ def test_value_relabelling_invariance(data):
     assert_same_profiles(profile_values(tensor), profile_values(relabelled))
 
 
-@SETTINGS
-@given(data=st.data())
-def test_gap_profile_matches_recursive_oracle(data):
-    tensor = data.draw(targets())
+def assert_matches_recursive_oracle(tensor: np.ndarray) -> None:
     target = FiniteTarget(tensor.shape, tensor)
     profile = gap_profile(target)
     n = target.n
@@ -97,6 +98,18 @@ def test_gap_profile_matches_recursive_oracle(data):
     assert telescope_verify(profile).passed
 
 
+@SETTINGS
+@given(data=st.data())
+def test_gap_profile_matches_recursive_oracle(data):
+    assert_matches_recursive_oracle(data.draw(targets()))
+
+
+@SETTINGS
+@given(data=st.data())
+def test_gap_profile_matches_recursive_oracle_on_full_support(data):
+    assert_matches_recursive_oracle(data.draw(targets(low=1)))
+
+
 def first_extremum(values, better):
     """Value and context of a context-by-context scan that keeps the first extremum."""
     best = None
@@ -106,12 +119,17 @@ def first_extremum(values, better):
     return best[0], {"lambda": list(best[1].lam), "y": list(best[1].y)}
 
 
-@SETTINGS
-@given(data=st.data())
-def test_stacked_engine_equals_context_scan(data):
+def context_gap(target: FiniteTarget, ctx, l: int) -> float:
+    """One context's block-``l`` gap, by the route the engine takes for it, as a stack of one."""
+    weights = supported_conditional(target, ctx)[1]
+    if l < weights.ndim and _gram_order(weights.shape, l) < weights.size and (weights > 0).all():
+        return float(_gram_stack(weights[None], l)[1][0])
+    return spectral_summary(gibbs_kernel(target, ctx, l)).gap
+
+
+def assert_stacked_engine_equals_context_scan(tensor: np.ndarray) -> None:
     # Exact equality: Gap(m, m) is 1 for every context, so which context a
     # report names is decided by last-bit rounding; stacking must not move it.
-    tensor = data.draw(targets())
     target = FiniteTarget(tensor.shape, tensor)
     report = assemble_bounds(target, 1)
     n = target.n
@@ -119,9 +137,7 @@ def test_stacked_engine_equals_context_scan(data):
     for m in range(1, n + 1):
         contexts = list(supported_contexts(target, n - m))
         for l in range(1, m + 1):
-            gap, ctx = first_extremum(
-                ((spectral_summary(gibbs_kernel(target, c, l)).gap, c) for c in contexts), lt
-            )
+            gap, ctx = first_extremum(((context_gap(target, c, l), c) for c in contexts), lt)
             entry = report.profile.entries[(m, l)]
             assert (entry.gap, list(entry.lam), list(entry.y)) == (gap, ctx["lambda"], ctx["y"])
         if m < 2:
@@ -134,6 +150,18 @@ def test_stacked_engine_equals_context_scan(data):
         for name, (profile, better, route) in routes.items():
             value, ctx = first_extremum(((route(c), c) for c in contexts), better)
             assert (profile[m], report.extremal_contexts[name][m]) == (value, ctx), (name, m)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_stacked_engine_equals_context_scan(data):
+    assert_stacked_engine_equals_context_scan(data.draw(targets()))
+
+
+@SETTINGS
+@given(data=st.data())
+def test_stacked_engine_equals_context_scan_on_full_support(data):
+    assert_stacked_engine_equals_context_scan(data.draw(targets(low=1)))
 
 
 @SETTINGS

@@ -21,6 +21,7 @@ from spectel import (
     spectral_summary,
     supported_contexts,
 )
+from spectel.kernels import _gibbs_spectra, _gibbs_stack, _gram_stack, _spectral_stack
 
 from conftest import (
     altered_random_walk_kernel,
@@ -284,6 +285,45 @@ class TestPsdCheck:
     def test_antidiagonal_swap_is_minus_one(self):
         k = WeightedKernel(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.5, 0.5]))
         assert spectral_summary(k).min_eigenvalue == pytest.approx(-1.0, abs=1e-14)
+
+
+def dirichlet_stack(rng, shape, size=3):
+    return rng.dirichlet(np.ones(int(np.prod(shape))), size=size).reshape((size,) + shape)
+
+
+class TestGramStack:
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3, 4), (3, 3, 3), (2, 2, 2, 2)])
+    def test_matches_dense_route(self, shape, rng):
+        weights = dirichlet_stack(rng, shape)
+        for l in range(1, len(shape)):
+            norm, gap, bottom = _gram_stack(weights, l)
+            dense_norm, dense_gap, _ = _spectral_stack(
+                _gibbs_stack(weights, l), weights.reshape(len(weights), -1)
+            )
+            assert np.abs(norm - dense_norm).max() <= 1e-12, l
+            assert np.abs(gap - dense_gap).max() <= 1e-12, l
+            assert ((bottom <= 0.0) & (bottom >= -1e-12)).all(), l
+
+    def test_stack_is_bit_for_bit_its_contexts(self, rng):
+        weights = dirichlet_stack(rng, (2, 3, 4), size=4)
+        stacked = _gram_stack(weights, 1)
+        for b in range(len(weights)):
+            single = _gram_stack(weights[b : b + 1], 1)
+            assert [part[0] for part in single] == [part[b] for part in stacked]
+
+    def test_route_follows_each_context_not_its_stack(self, rng):
+        # A zero weight sends its own context to the dense route and no other.
+        weights = dirichlet_stack(rng, (3, 3), size=4)
+        weights[1, 0, 0] = 0.0
+        weights[1] /= weights[1].sum()
+        stacked = _gibbs_spectra(weights, 1)
+        for b in range(len(weights)):
+            single = _gibbs_spectra(weights[b : b + 1], 1)
+            assert [part[0] for part in single] == [part[b] for part in stacked]
+
+    def test_full_block_rejected(self, rng):
+        with pytest.raises(DomainError):
+            _gram_stack(dirichlet_stack(rng, (2, 3)), 2)
 
 
 class TestWeightedKernelValidation:
