@@ -278,13 +278,18 @@ def _gram_stack(
     So its nonzero spectrum is that of the Gram matrix ``(1/k) J* J``, whose
     (R, R') block is ``pi(x_R = a, x_R' = b) / sqrt(pi_R(a) pi_R'(b))``:
     order ``D = sum_R prod_{i in R} q_i`` instead of ``N = prod q_i``.  Each
-    pair table is summed by ``np.bincount`` over the flat state codes of
-    ``(x_R, x_R')`` and fills block (R, R') and, as its transpose, block
-    (R', R), so detailed balance holds by construction.  Every conditional
-    table ``pi(x_R' | x_R)`` must be row-stochastic within ``_ROW_TOL``.  The
-    constant direction ``u = sqrt(pi_R(a) / k)`` is deflated, and one
-    eigensolve gives the norm and ``min(lambda_min, 0)``.  Every weight must
-    be positive, so no marginal is zero; ``l`` must be below ``m``.
+    pair table sums the weights over the flat state codes of ``(x_R, x_R')``
+    with ``np.bincount`` and fills block (R, R') and, as its transpose, block
+    (R', R), so detailed balance holds by construction.  One bincount per
+    kept set ``R`` fills its row block against every ``R'`` from ``R`` on,
+    and every conditional table ``pi(x_R' | x_R)`` is checked row-stochastic
+    within ``_ROW_TOL`` one row block at a time.  There are ``C(k, 2)``
+    pairs, which can exceed ``N``, so the build holds the (B, D, D) matrix
+    beside (B, k, N) codes and one (B, |R|, D) row block, never codes for
+    every pair at once.  The constant direction ``u = sqrt(pi_R(a) / k)`` is
+    deflated, and one eigensolve gives the norm and ``min(lambda_min, 0)``.
+    Every weight must be positive, so no marginal is zero; ``l`` must be
+    below ``m``.
     """
     n_ctx, shape = weights.shape[0], weights.shape[1:]
     m = len(shape)
@@ -292,33 +297,36 @@ def _gram_stack(
         raise DomainError(f"Gram block size {l} out of range 1..{m - 1}")
     kept = list(itertools.combinations(range(m), m - l))
     k = len(kept)
-    # rows[r, x]: the Gram row of the values state x takes on kept set r.
-    strides = np.zeros((k, m), dtype=np.int64)
-    offsets = [0]
+    # codes[r, x]: the value state x takes on kept set r, row-major.
+    values = np.indices(shape).reshape(m, -1)
+    codes = np.zeros((k, values.shape[1]), dtype=np.int64)
+    sizes = np.ones(k, dtype=np.int64)
     for r, keep in enumerate(kept):
-        step = 1
-        for p in reversed(keep):
-            strides[r, p] = step
-            step *= shape[p]
-        offsets.append(offsets[-1] + step)
-    order = offsets[-1]
-    rows = strides @ np.indices(shape).reshape(m, -1) + np.array(offsets[:-1])[:, None]
+        for p in keep:
+            codes[r] = codes[r] * shape[p] + values[p]
+            sizes[r] *= shape[p]
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    order = int(offsets[-1])
 
+    # Row block r holds the tables of (R, R') for every R' from R on, its
+    # own diagonal block (the marginal) included: one bincount over codes
+    # (B, k - r, N).
     flat = weights.reshape(n_ctx, 1, -1)
-    base = np.arange(n_ctx)[:, None, None] * order
-
-    def tables(codes: np.ndarray, size: int) -> np.ndarray:
-        """Weight sums per code of each context: one bincount over the stack."""
-        mass = np.broadcast_to(flat, (n_ctx,) + codes.shape)
-        return np.bincount((base * size + codes).ravel(), mass.ravel(), n_ctx * order * size)
-
-    marg = tables(rows, 1).reshape(n_ctx, order)
-    first, second = np.triu_indices(k, 1)
-    gram = tables(rows[first] * order + rows[second], order).reshape(n_ctx, order, order)
-    gram += gram.transpose(0, 2, 1)
+    gram = np.empty((n_ctx, order, order))
+    for r in range(k):
+        lo, hi = offsets[r], offsets[r + 1]
+        width = order - lo
+        index = codes[r] * width + codes[r:] + (offsets[r:-1] - lo)[:, None]
+        index = index + np.arange(n_ctx)[:, None, None] * (sizes[r] * width)
+        mass = np.broadcast_to(flat, index.shape)
+        block = np.bincount(index.ravel(), mass.ravel(), n_ctx * sizes[r] * width)
+        block = block.reshape(n_ctx, sizes[r], width)
+        gram[:, lo:hi, lo:] = block
+        gram[:, hi:, lo:hi] = block[:, :, hi - lo :].transpose(0, 2, 1)
     diag = np.arange(order)
-    gram[:, diag, diag] = marg
-    _check_stochastic(gram / marg[:, :, None], marg / k, offsets[:-1])
+    marg = gram[:, diag, diag]
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        _check_stochastic(gram[:, lo:hi] / marg[:, lo:hi, None], marg / k, offsets[:-1])
 
     d = np.sqrt(marg)
     gram /= d[:, :, None] * d[:, None, :]

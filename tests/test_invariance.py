@@ -24,7 +24,6 @@ from spectel import (
     assemble_bounds,
     correlation_coefficient,
     gap_profile,
-    gibbs_kernel,
     influence_matrix_tv,
     product_target,
     random_walk_kernel,
@@ -33,7 +32,7 @@ from spectel import (
     supported_contexts,
     telescope_verify,
 )
-from spectel.kernels import _gram_order, _gram_stack
+from spectel.kernels import _gibbs_spectra
 from spectel.target import supported_conditional
 
 SETTINGS = settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -122,9 +121,7 @@ def first_extremum(values, better):
 def context_gap(target: FiniteTarget, ctx, l: int) -> float:
     """One context's block-``l`` gap, by the route the engine takes for it, as a stack of one."""
     weights = supported_conditional(target, ctx)[1]
-    if l < weights.ndim and _gram_order(weights.shape, l) < weights.size and (weights > 0).all():
-        return float(_gram_stack(weights[None], l)[1][0])
-    return spectral_summary(gibbs_kernel(target, ctx, l)).gap
+    return float(_gibbs_spectra(weights[None], l)[1][0])
 
 
 def assert_stacked_engine_equals_context_scan(tensor: np.ndarray) -> None:

@@ -1,5 +1,7 @@
 """Kernel assembly against enumeration oracles, spectral summaries, invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -21,7 +23,13 @@ from spectel import (
     spectral_summary,
     supported_contexts,
 )
-from spectel.kernels import _gibbs_spectra, _gibbs_stack, _gram_stack, _spectral_stack
+from spectel.kernels import (
+    _gibbs_spectra,
+    _gibbs_stack,
+    _gram_order,
+    _gram_stack,
+    _spectral_stack,
+)
 
 from conftest import (
     altered_random_walk_kernel,
@@ -304,22 +312,43 @@ class TestGramStack:
             assert np.abs(gap - dense_gap).max() <= 1e-12, l
             assert ((bottom <= 0.0) & (bottom >= -1e-12)).all(), l
 
-    def test_stack_is_bit_for_bit_its_contexts(self, rng):
-        weights = dirichlet_stack(rng, (2, 3, 4), size=4)
-        stacked = _gram_stack(weights, 1)
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3, 4)])
+    def test_route_follows_each_context_not_its_stack(self, shape, rng):
+        # A zero weight sends its own context to the dense route and no other;
+        # the rest take the Gram route, and every context's bits are its own.
+        l = len(shape) - 1
+        assert _gram_order(shape, l) < np.prod(shape)
+        weights = dirichlet_stack(rng, shape, size=4)
+        weights[(1,) + (0,) * len(shape)] = 0.0
+        weights[1] /= weights[1].sum()
+        stacked = _gibbs_spectra(weights, l)
         for b in range(len(weights)):
-            single = _gram_stack(weights[b : b + 1], 1)
+            single = _gibbs_spectra(weights[b : b + 1], l)
             assert [part[0] for part in single] == [part[b] for part in stacked]
 
-    def test_route_follows_each_context_not_its_stack(self, rng):
-        # A zero weight sends its own context to the dense route and no other.
-        weights = dirichlet_stack(rng, (3, 3), size=4)
-        weights[1, 0, 0] = 0.0
-        weights[1] /= weights[1].sum()
-        stacked = _gibbs_spectra(weights, 1)
-        for b in range(len(weights)):
-            single = _gibbs_spectra(weights[b : b + 1], 1)
-            assert [part[0] for part in single] == [part[b] for part in stacked]
+    def test_many_kept_sets_stay_within_the_dense_footprint(self, rng):
+        # (2,)^10 at l = 7 has C(120, 2) = 7,140 pairs of kept sets against
+        # N = 1,024 states; building every pair's codes at once would take
+        # about 58 MB per array against an 8 MB dense kernel.
+        shape, l = (2,) * 10, 7
+        assert _gram_order(shape, l) < np.prod(shape)
+        weights = dirichlet_stack(rng, shape, size=1)
+        flat = weights.reshape(1, -1)
+
+        def peak(solve):
+            tracemalloc.start()
+            try:
+                result = solve()
+                return tracemalloc.get_traced_memory()[1], result
+            finally:
+                tracemalloc.stop()
+
+        gram_peak, (norm, _, _) = peak(lambda: _gibbs_spectra(weights, l))
+        dense_peak, (dense_norm, _, _) = peak(
+            lambda: _spectral_stack(_gibbs_stack(weights, l), flat)
+        )
+        assert abs(norm[0] - dense_norm[0]) <= 1e-12
+        assert gram_peak <= dense_peak, (gram_peak, dense_peak)
 
     def test_full_block_rejected(self, rng):
         with pytest.raises(DomainError):
