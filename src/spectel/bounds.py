@@ -82,16 +82,6 @@ class GapProfile:
         except KeyError:
             raise DomainError(f"profile has no entry for (m={m}, l={l})") from None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "min_psd_eigenvalue": self.min_psd_eigenvalue,
-            "entries": {
-                f"{m},{l}": {"gap": e.gap, "lambda": list(e.lam), "y": list(e.y)}
-                for (m, l), e in sorted(self.entries.items())
-            },
-        }
-
 
 @dataclass(frozen=True)
 class InfluenceMatrix:
@@ -306,18 +296,15 @@ class BoundReport:
         return all(self.checks.values())
 
     def to_json_dict(self) -> dict:
-        profile_json = self.profile.to_json_dict()
+        entries = sorted(self.profile.entries.items())
         argmin = {
-            "gap": {
-                key: {"lambda": val["lambda"], "y": val["y"]}
-                for key, val in profile_json["entries"].items()
-            }
+            "gap": {f"{m},{l}": {"lambda": list(e.lam), "y": list(e.y)} for (m, l), e in entries}
         }
         argmin.update(self.extremal_contexts)
         return {
             "n": self.n,
             "l": self.l,
-            "gap": {key: val["gap"] for key, val in profile_json["entries"].items()},
+            "gap": {f"{m},{l}": e.gap for (m, l), e in entries},
             "S": {str(m): v for m, v in sorted(self.s_profile.items())},
             "G": {str(m): v for m, v in sorted(self.g_profile.items())},
             "eta": {str(m): v for m, v in sorted(self.eta_profile.items())},
@@ -412,6 +399,10 @@ def assemble_bounds(
     per-level factors down to ``l``; every bound is checked against the exact
     gap and the l/n ceiling with ``slack``.  The telescope residuals are
     checked with ``telescope_tol``.
+
+    A point mass has no non-constant function, so its gap and ceiling are 1;
+    any other target has ``f(x) = g(x_i)`` for a non-constant coordinate
+    ``i``, which moves only in the ``l/n`` share of blocks, so Gap <= l/n.
     """
     n = target.n
     if not 1 <= l <= n:
@@ -437,7 +428,7 @@ def assemble_bounds(
         specind_bound = None
 
     exact_gap = profile.gap(n, l)
-    upper_bound = l / n
+    upper_bound = 1.0 if np.count_nonzero(target.probs) == 1 else l / n
 
     checks = {
         "telescope": telescope.passed,

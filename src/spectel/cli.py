@@ -9,7 +9,7 @@ verify-cube     closed forms, eigenrelation, TV/coupling contraction, and the
 sample          stream Gibbs-chain states as newline-delimited JSON
 report-merge    combine several report files into one
 
-``--seed`` is taken by every subcommand except report-merge; ``--tol`` only
+``--seed`` (>= 0) is taken by every subcommand but report-merge; ``--tol`` only
 by verify-finite and verify-cube, each with its own keys (see its --help).
 ``sample`` takes ``--n`` only for the cube and ``--l`` only for a target file;
 ``verify-finite`` takes ``--axes`` only with ``--random``, ``--n`` only with one SIZE.
@@ -23,7 +23,8 @@ the message, in that target's entry, and still writes the report.  Exit
 codes: 0 all checks pass, 1 some check failed (or, in verify-cube, a
 polynomial basis degenerated: one line on stderr, no report), 2 malformed
 input or bad arguments, one line on stderr (including an argument the parser
-rejects, an input path that cannot be opened, such as a directory, an
+rejects, such as a negative ``--seed``, a ``true`` or ``false`` in a target's
+``probs``, an input path that cannot be opened, such as a directory, an
 ``--out`` path that is a directory or whose directory does not exist,
 checked before any work starts, a ``--random`` COUNT below 1, a negative
 ``--steps``, a ``--tol`` key or flag the command does not read and a
@@ -373,6 +374,13 @@ def cmd_report_merge(args: argparse.Namespace) -> int:
     return EXIT_OK if all_passed else EXIT_CHECKS_FAILED
 
 
+def _seed(raw: str) -> int:
+    """The ``--seed`` type: numpy seeds a generator only from an integer >= 0."""
+    if not raw.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {raw!r}")
+    return int(raw)
+
+
 class _Parser(argparse.ArgumentParser):
     """Rejects a malformed argument with a DomainError that names the subcommand."""
 
@@ -392,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, *, seed: bool = True, tol: dict | None = None) -> None:
         if seed:
-            p.add_argument("--seed", type=int, default=0, help="RNG seed")
+            p.add_argument("--seed", type=_seed, default=0, help="RNG seed, >= 0")
         p.add_argument("--out", type=str, default=None, help="write output to this path")
         if tol:
             p.add_argument(

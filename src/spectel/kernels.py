@@ -26,7 +26,8 @@ that of their Gram matrix (:func:`_gram_stack`), of order
 the Gram route when ``l < m``, ``D < N`` and all its weights are positive;
 the full-block kernels (``l = m``, gap 1 for every context) and contexts
 with zero weights stay dense, because their gaps tie and the context a
-report names is chosen by last-bit rounding.
+report names is chosen by last-bit rounding.  Both routes end in one
+eigensolve (:func:`_solve`) with one bottom rule, ``min(lambda_min, 0)``.
 
 The exact pipeline in :mod:`spectel.bounds` builds kernels in stacks: the
 contexts of a level that share a free shape, whatever index set they fix,
@@ -106,9 +107,9 @@ class WeightedKernel:
 class SpectralSummary:
     """Operator norm on mean-zero functions, the gap, and the bottom eigenvalue.
 
-    ``min_eigenvalue`` is the smallest eigenvalue of the deflated operator,
-    that is ``min(lambda_min, 0)`` of the symmetrized kernel: exact whenever
-    it is <= 0, which is the only case in which a PSD check can fail.
+    ``min_eigenvalue`` is ``min(lambda_min, 0)`` of the symmetrized kernel on
+    the dense and the Gram route alike: the deflated bottom, 0.0 where that
+    rounds above 0, exact when < 0, the only case in which a PSD check fails.
     """
 
     norm: float
@@ -199,8 +200,7 @@ def _coordinate_tables(weights: np.ndarray) -> tuple[list[np.ndarray], dict, dic
     ]
     pairs = {}
     for a, b in itertools.combinations(range(m), 2):
-        drop = tuple(p + 1 for p in range(m) if p not in (a, b))
-        pairs[(a, b)] = weights.sum(axis=drop) if drop else weights
+        pairs[(a, b)] = weights.sum(axis=tuple(p + 1 for p in range(m) if p not in (a, b)))
         pairs[(b, a)] = pairs[(a, b)].transpose(0, 2, 1)
     rows = {key: _block_rows(pair, (1,))[1] for key, pair in pairs.items()}
     return marginals, pairs, rows
@@ -267,10 +267,8 @@ def _gram_order(shape: tuple[int, ...], l: int) -> int:
     return sum(math.prod(shape[p] for p in kept) for kept in itertools.combinations(range(m), m - l))
 
 
-def _gram_stack(
-    weights: np.ndarray, l: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Norms, gaps and bottom eigenvalues of the block-``l`` Gibbs kernels of a stack (B, *shape).
+def _gram_stack(weights: np.ndarray, l: int) -> np.ndarray:
+    """Norms, gaps and bottoms (3, B) of the block-``l`` Gibbs kernels of a stack (B, *shape).
 
     The kernel is an average of projections, ``(1/k) sum_R J_R J_R*``, where
     ``R`` runs over the ``k`` kept sets of size ``m - l`` in the order of
@@ -333,14 +331,11 @@ def _gram_stack(
     gram /= k
     u = np.sqrt(marg / k)
     gram -= u[:, :, None] * u[:, None, :]
-    norm, bottom = _extremes(np.linalg.eigvalsh(gram))
-    return norm, _gaps(norm), np.minimum(bottom, 0.0)
+    return _solve(gram)
 
 
-def _gibbs_spectra(
-    weights: np.ndarray, l: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Norms, gaps and bottom eigenvalues of the block-``l`` Gibbs kernels of a stack (B, *shape).
+def _gibbs_spectra(weights: np.ndarray, l: int) -> np.ndarray:
+    """Norms, gaps and bottoms (3, B) of the block-``l`` Gibbs kernels of a stack (B, *shape).
 
     A context takes the Gram route (:func:`_gram_stack`) when ``l < m``, the
     Gram order is below ``N`` and every one of its weights is positive; the
@@ -352,17 +347,14 @@ def _gibbs_spectra(
     """
     shape = weights.shape[1:]
     flat = weights.reshape(len(weights), -1)
-    on_gram = np.zeros(len(flat), dtype=bool)
-    if l < len(shape) and _gram_order(shape, l) < flat.shape[1]:
-        on_gram = (flat > 0).all(axis=1)
-    if not on_gram.any():
-        return _spectral_stack(_gibbs_stack(weights, l), flat)
-    if on_gram.all():
-        return _gram_stack(weights, l)
+    gram_smaller = l < len(shape) and _gram_order(shape, l) < flat.shape[1]
+    on_gram = (flat > 0).all(axis=1) & gram_smaller
     out = np.empty((3, len(flat)))
-    out[:, on_gram] = _gram_stack(weights[on_gram], l)
-    out[:, ~on_gram] = _spectral_stack(_gibbs_stack(weights[~on_gram], l), flat[~on_gram])
-    return out[0], out[1], out[2]
+    if on_gram.any():
+        out[:, on_gram] = _gram_stack(weights[on_gram], l)
+    if not on_gram.all():
+        out[:, ~on_gram] = _spectral_stack(_gibbs_stack(weights[~on_gram], l), flat[~on_gram])
+    return out
 
 
 def _walk_stack(
@@ -409,18 +401,18 @@ def random_walk_kernel(target: FiniteTarget, ctx: CondContext) -> WeightedKernel
     return WeightedKernel(matrices[0], phi[0])
 
 
-def _extremes(spectrum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Largest absolute and smallest eigenvalue of each ascending spectrum of a stack."""
-    return np.maximum(np.abs(spectrum[:, 0]), np.abs(spectrum[:, -1])), spectrum[:, 0]
+def _solve(mat: np.ndarray) -> np.ndarray:
+    """Norms ``max|lambda|``, gaps ``1 - norm`` and bottoms ``min(lambda_min, 0)`` (3, B).
 
-
-def _gaps(norm: np.ndarray) -> np.ndarray:
-    """Gaps ``1 - norm``; one below -1e-10 raises :class:`NumericalContractError`."""
+    A gap below -1e-10 raises :class:`NumericalContractError`.
+    """
+    spectrum = np.linalg.eigvalsh(mat)
+    norm = np.maximum(np.abs(spectrum[:, 0]), np.abs(spectrum[:, -1]))
     # norm >= 0, so the gap can leave [0, 1] only from below.
     gap = 1.0 - norm
     if not (gap >= -1e-10).all():
         raise NumericalContractError(f"gap {float(gap.min())!r} fell below 0")
-    return np.maximum(gap, 0.0)
+    return np.stack((norm, np.maximum(gap, 0.0), np.minimum(spectrum[:, 0], 0.0)))
 
 
 def _balance_error(matrices: np.ndarray, weights: np.ndarray) -> float:
@@ -436,17 +428,14 @@ def _balance_error(matrices: np.ndarray, weights: np.ndarray) -> float:
     return err
 
 
-def _spectral_stack(
-    matrices: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Norms, gaps and bottom eigenvalues of a stack (B, N, N) with weights (B, N).
+def _spectral_stack(matrices: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Norms, gaps and bottoms (3, B) of a stack (B, N, N) with weights (B, N).
 
     The stack is symmetrized in its own buffer, so it must be a temporary.
     Kernels whose zero-weight states differ are solved in separate
     sub-stacks, one per support mask; see :func:`spectral_summary`.
     """
-    norm = np.empty(len(matrices))
-    bottom = np.empty(len(matrices))
+    out = np.empty((3, len(matrices)))
     for sel, keep in _support_groups(weights > 0.0):
         if len(sel) == len(matrices) and len(keep) == weights.shape[1]:
             mat, w = matrices, weights
@@ -463,9 +452,9 @@ def _spectral_stack(
         np.add(mat, mat.transpose(0, 2, 1), out=mat)
         mat *= 0.5
         mat -= d[:, :, None] * d[:, None, :]
-        norm[sel], bottom[sel] = _extremes(np.linalg.eigvalsh(mat))
+        out[:, sel] = _solve(mat)
         del mat
-    return norm, _gaps(norm), bottom
+    return out
 
 
 def spectral_summary(kernel: WeightedKernel) -> SpectralSummary:
@@ -475,8 +464,8 @@ def spectral_summary(kernel: WeightedKernel) -> SpectralSummary:
     is singular there), the kernel is symmetrized as D^{1/2} K D^{-1/2}, and
     the constant-function direction is deflated.  One eigensolve of the
     deflated matrix gives both the largest absolute eigenvalue (the norm)
-    and the bottom eigenvalue, which is ``min(lambda_min, 0)`` of the
-    symmetrized kernel because deflation moves the top eigenvalue 1 to 0.
+    and the bottom eigenvalue, ``min(lambda_min, 0)`` of the symmetrized
+    kernel on this and the Gram route, since deflation moves 1 to 0.
     Detailed balance violated beyond 1e-10 raises
     :class:`NumericalContractError`.
     """

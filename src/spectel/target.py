@@ -181,10 +181,7 @@ def marginal(target: FiniteTarget, gamma: Iterable[int]) -> np.ndarray:
     g = _check_indices(target, gamma, "gamma")
     if not g:
         raise DomainError("gamma must be nonempty")
-    drop = tuple(i for i in range(target.n) if (i + 1) not in g)
-    if not drop:
-        return target.probs.copy()
-    return target.probs.sum(axis=drop)
+    return target.probs.sum(axis=tuple(i for i in range(target.n) if (i + 1) not in g))
 
 
 def conditional(target: FiniteTarget, gamma: Iterable[int], ctx: CondContext) -> np.ndarray:
@@ -201,8 +198,7 @@ def conditional(target: FiniteTarget, gamma: Iterable[int], ctx: CondContext) ->
     if set(g) & set(ctx.lam):
         raise DomainError(f"gamma {g} overlaps lambda {ctx.lam}")
     block = _context_slice(target, ctx.lam, ctx.y)
-    drop = tuple(pos for pos, i in enumerate(_free(target, ctx.lam)) if i not in g)
-    joint = block.sum(axis=drop) if drop else block
+    joint = block.sum(axis=tuple(pos for pos, i in enumerate(_free(target, ctx.lam)) if i not in g))
     mass = float(block.sum())
     if mass > 0.0:
         return joint / mass
@@ -308,11 +304,26 @@ def product_target(marginals: Sequence[np.ndarray]) -> FiniteTarget:
 def target_from_dict(data: dict) -> FiniteTarget:
     """Build a target from the JSON wire format ``{"axes": [...], "probs": [...]}``.
 
-    ``probs`` is the flat row-major tensor, last axis fastest.
+    ``probs`` is the flat row-major tensor, last axis fastest; a boolean in
+    it, which numpy would read as 1 or 0, is rejected.
     """
     if not isinstance(data, dict) or "axes" not in data or "probs" not in data:
         raise DomainError('target JSON must be {"axes": [...], "probs": [...]}')
+    if _has_bool(data["probs"]):
+        raise DomainError("probabilities must be numbers, got a boolean")
     return FiniteTarget(data["axes"], data["probs"])
+
+
+def _has_bool(value) -> bool:
+    """Whether a JSON value is, or nests in lists, a boolean; a loop, so no depth recurses."""
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, bool):
+            return True
+        if isinstance(item, list):
+            pending.extend(item)
+    return False
 
 
 def load_target(path: str) -> FiniteTarget:

@@ -361,10 +361,6 @@ def oracle_gap(matrix: np.ndarray, weights: np.ndarray) -> float:
     return 1.0 - max(abs(spectrum[0]), abs(spectrum[-1]))
 
 
-def context_of(lam, y) -> CondContext:
-    return CondContext(tuple(lam), tuple(y))
-
-
 def coupled_pair_target() -> FiniteTarget:
     """Two binary coordinates forced equal, uniform: the fully coupled pair."""
     return FiniteTarget([2, 2], [0.5, 0.0, 0.0, 0.5])

@@ -203,6 +203,22 @@ class TestAssembleBounds:
         # Independence: every influence matrix vanishes, eta = 0.
         assert report.specind_bound == pytest.approx(1 / 3, abs=1e-9)
 
+    @pytest.mark.parametrize("axes", [(2, 2), (2, 2, 2)])
+    def test_point_mass_ceiling_is_one(self, axes):
+        # One supported state: no non-constant function, so l/n is no ceiling.
+        probs = np.zeros(int(np.prod(axes)))
+        probs[0] = 1.0
+        t = FiniteTarget(axes, probs)
+        for l in range(1, len(axes) + 1):
+            report = assemble_bounds(t, l)
+            assert report.upper_bound == 1.0
+            assert report.checks["gap_le_upper"] and report.passed, l
+
+    def test_two_state_support_keeps_ceiling(self):
+        t = FiniteTarget((2, 2), [0.5, 0.5, 0.0, 0.0])
+        for l in (1, 2):
+            assert assemble_bounds(t, l).upper_bound == l / 2
+
     def test_walk_gap_equals_one_minus_s(self, rng):
         for _ in range(5):
             t = random_small_target(rng)

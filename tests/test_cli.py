@@ -63,6 +63,16 @@ class TestVerifyFinite:
             assert residual >= -1e-9
         assert target_entry["bounds"]["upper"] == pytest.approx(1 / 3)
 
+    @pytest.mark.parametrize("axes", [[2, 2], [2, 2, 2]])
+    def test_point_mass_passes(self, tmp_path, axes):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"axes": axes, "probs": [1] + [0] * (2 ** len(axes) - 1)}))
+        for l in range(1, len(axes) + 1):
+            out = tmp_path / f"report{l}.json"
+            code = main(["verify-finite", "--target", str(path), "--l", str(l), "--out", str(out)])
+            assert code == EXIT_OK, l
+            assert json.loads(out.read_text())["targets"][0]["bounds"]["upper"] == 1.0
+
     def test_random_sweep_passes(self, tmp_path):
         out = tmp_path / "report.json"
         code = main(
@@ -141,8 +151,20 @@ class TestVerifyFinite:
             '{"axes": [1e400, 2], "probs": [0.25, 0.25, 0.25, 0.25]}',
             '{"axes": [4294967296, 4294967296], "probs": []}',
             '{"axes": [2, 2], "probs": ["0.25", 0.25, 0.25, 0.25]}',
+            '{"axes": [2, 2], "probs": [0.5, 0.5, false, false]}',
+            '{"axes": [2, 2], "probs": [[true, 0], [0, 0]]}',
+            '{"axes": [2, 2], "probs": ' + "[" * 600 + "1" + "]" * 600 + "}",
         ],
-        ids=["float-size", "string-size", "inf-size", "int64-overflow", "string-prob"],
+        ids=[
+            "float-size",
+            "string-size",
+            "inf-size",
+            "int64-overflow",
+            "string-prob",
+            "bool-prob",
+            "bool-nested",
+            "deep-nested",
+        ],
     )
     def test_coercible_target_exit_two(self, tmp_path, capsys, body):
         path = tmp_path / "t.json"
@@ -525,6 +547,9 @@ def test_flags_only_where_they_act(argv, capsys):
         (["sample", "--steps", "5"], "sample: "),
         (["bogus"], "argument command: "),
         ([], "the following arguments are required: "),
+        (["verify-finite", "--random", "1", "--axes", "2,2", "--seed", "-1"], "verify-finite: "),
+        (["sample", "--target", "cube", "--n", "3", "--steps", "2", "--seed", "-5"], "sample: "),
+        (["verify-cube", "--seed", "-2"], "verify-cube: "),
     ],
 )
 def test_parser_rejection_one_line(argv, start, capsys):

@@ -277,7 +277,12 @@ class TestPsdCheck:
             t = random_small_target(rng)
             for l in range(1, t.n + 1):
                 bottom = spectral_summary(gibbs_kernel(t, EMPTY_CONTEXT, l)).min_eigenvalue
-                assert bottom >= -1e-10
+                assert -1e-10 <= bottom <= 0.0
+        # A rank-one kernel whose deflated bottom rounds to 2.1e-17: it reads 0.0.
+        t = random_target((2,) * 6, np.random.default_rng(0))
+        ctx = CondContext((1, 2, 3, 4, 5), (0, 0, 1, 1, 1))
+        bottom = spectral_summary(gibbs_kernel(t, ctx, 1)).min_eigenvalue
+        assert -1e-10 <= bottom <= 0.0
 
     def test_rank_one_projector_min_zero(self):
         w = np.array([0.5, 0.5])
