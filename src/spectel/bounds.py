@@ -20,12 +20,17 @@ Everything here is exact enumeration over supported contexts, never sampling.
 :func:`gap_profile` and :func:`assemble_bounds` share one pass over the levels
 that enumerates each level's contexts once, in stacks that gather the
 contexts of one free shape, whatever index set they fix, cut so that a stack
-of Gibbs kernels is never larger than the top-level kernel.  A stack gets one
-stacked eigensolve per block size and route and, on the levels the bounds
-need, the S, G and eta routes, which share one set of marginals and pair
-tables.  For a block size ``l < m``, a context with no zero weight is solved
-through the Gram matrix of its kept sets when that matrix is the smaller;
-every other context through its dense kernel (see
+of Gibbs kernels is never larger than one kernel on the full state space.  A
+stack gets one stacked eigensolve per block size and route and, on the
+levels the bounds need, the S, G and eta routes, which share one set of
+marginals and pair tables.  The top level has one context, so its
+full-block gap takes its exact value: that kernel is ``1 pi^T``, the
+projection onto constants, so ``Gap(n, n) = 1`` with bottom eigenvalue 0,
+and it is never built.  Every ``Gap(m, m)`` with ``m < n`` is still solved
+densely, because which of the level's tied contexts a report names is
+decided by last-bit rounding.  For a block size ``l < m``, a context with no
+zero weight is solved through the Gram matrix of its kept sets when that
+matrix is the smaller; every other context through its dense kernel (see
 :func:`spectel.kernels._gibbs_spectra`).  Dense contexts whose zero-weight
 states differ are solved in sub-stacks, one per support mask.  Each value
 lands in one array per level and quantity, in canonical order, and one
@@ -68,8 +73,9 @@ class GapProfile:
 
     ``min_psd_eigenvalue`` is the smallest ``SpectralSummary.min_eigenvalue``
     (``min(lambda_min, 0)`` of the symmetrized operator) seen across every
-    Gibbs kernel built during profiling; Gibbs operators are positive
-    semi-definite, so it must not fall below -1e-10.
+    Gibbs kernel built during profiling, and the exact bottom 0 of the top
+    level's full-block kernel, which is not built; Gibbs operators are
+    positive semi-definite, so it must not fall below -1e-10.
     """
 
     n: int
@@ -355,7 +361,8 @@ def _scan(
 
     Each level's supported contexts are enumerated once; every stack is
     solved for each block size ``1..m`` and, when ``m > l``, run through the
-    three routes.
+    three routes.  The top level has one context, so its full-block gap takes
+    its exact value, 1 with bottom 0, and is not solved.
     """
     _check_cap(target.probs.size)
     entries: dict[tuple[int, int], GapEntry] = {}
@@ -368,8 +375,14 @@ def _scan(
         routes = np.empty((len(_ROUTES), len(contexts)))
         for pos, weights in stacks:
             for size in range(1, m + 1):
-                _, gaps[size - 1, pos], bottoms = _gibbs_spectra(weights, size)
-                min_psd = min(min_psd, float(bottoms.min()))
+                if size == target.n:
+                    # The top level has one context, so its full-block gap
+                    # takes its exact value: 1 pi^T is 0 on mean-zero functions.
+                    gaps[size - 1, pos], bottom = 1.0, 0.0
+                else:
+                    _, gaps[size - 1, pos], bottoms = _gibbs_spectra(weights, size)
+                    bottom = float(bottoms.min())
+                min_psd = min(min_psd, bottom)
             if m > l:
                 routes[:, pos] = _route_values(weights)
         for size, row in enumerate(gaps, start=1):

@@ -57,7 +57,7 @@ from .errors import (
     StatisticalContractError,
 )
 from .kernels import _check_cap, sample_gibbs_chain
-from .target import FiniteTarget, _check_axes, load_target, random_target
+from .target import FiniteTarget, _check_axes, _read_json, load_target, random_target
 
 EXIT_OK = 0
 EXIT_CHECKS_FAILED = 1
@@ -356,8 +356,7 @@ def cmd_report_merge(args: argparse.Namespace) -> int:
     merged = _base_report("report-merge")
     reports = []
     for path in args.reports:
-        with open(path, "r", encoding="utf-8") as fh:
-            report = json.load(fh)
+        report = _read_json(path)
         if not isinstance(report, dict):
             raise DomainError(f"{path}: a report must be a JSON object")
         for key in ("all_passed", "passed"):

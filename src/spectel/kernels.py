@@ -28,6 +28,9 @@ the full-block kernels (``l = m``, gap 1 for every context) and contexts
 with zero weights stay dense, because their gaps tie and the context a
 report names is chosen by last-bit rounding.  Both routes end in one
 eigensolve (:func:`_solve`) with one bottom rule, ``min(lambda_min, 0)``.
+The one full-block kernel the pipeline never builds is the top level's: the
+top level has one context, so :mod:`spectel.bounds` gives its gap its exact
+value, 1.
 
 The exact pipeline in :mod:`spectel.bounds` builds kernels in stacks: the
 contexts of a level that share a free shape, whatever index set they fix,
@@ -35,9 +38,9 @@ are stacked together, so the private ``_*_stack`` builders take a stack of
 conditionals (B, *shape) and return a (B, N, N) stack of matrices, checked
 and eigensolved as one; the Gram builder returns the spectral values of its
 stack.  Stacks are cut to B * N^2 <= (full state count)^2 floats, so none is
-larger than the top-level kernel.  The public single-context functions are
-stacks of one over the same code, and a stacked build is bit for bit the
-single-context one.
+larger than one kernel on the full state space.  The public single-context
+functions are stacks of one over the same code, and a stacked build is bit
+for bit the single-context one.
 
 Canonical enumerations (normative, so matrices are comparable across runs):
 free-coordinate product states are row-major in increasing coordinate order;
@@ -343,6 +346,8 @@ def _gibbs_spectra(weights: np.ndarray, l: int) -> np.ndarray:
     ``(m, m)`` kernels and contexts with zero weights stay dense because
     their gaps tie (every ``Gap(m, m)`` is 1, reducible chains have gap 0),
     and which tied context a report names is decided by last-bit rounding.
+    The exact pipeline does not call this for the top level's ``(n, n)``
+    kernel: that level has one context, so its gap takes its exact value.
     A context's route depends on its own weights only, never on its stack.
     """
     shape = weights.shape[1:]

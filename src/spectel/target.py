@@ -256,8 +256,8 @@ def _supported_level(target: FiniteTarget, m: int):
     conditional tensor given ``contexts[positions[k]]``, computed on the
     same slice and with the same division as :func:`supported_conditional`,
     so its bits match.  Stacks are cut so that B kernels of order
-    N = prod(shape) hold no more floats than the top-level kernel:
-    B * N^2 <= (full state count)^2.
+    N = prod(shape) hold no more floats than one kernel on the full state
+    space: B * N^2 <= (full state count)^2.
     """
     contexts: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     blocks: dict[tuple[int, ...], list] = {}
@@ -326,8 +326,15 @@ def _has_bool(value) -> bool:
     return False
 
 
+def _read_json(path: str):
+    """Parse a JSON file; nesting too deep for the decoder is bad input, not a crash."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise DomainError(f"{path}: JSON nests too deeply to decode") from None
+
+
 def load_target(path: str) -> FiniteTarget:
     """Read a target from a JSON file in the wire format above."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return target_from_dict(data)
+    return target_from_dict(_read_json(path))

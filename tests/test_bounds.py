@@ -43,6 +43,43 @@ class TestGapProfile:
         for m in range(1, t.n + 1):
             assert profile.gap(m, m) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("kind", ["dirichlet", "zeroed", "product", "point-mass"])
+    def test_top_full_block_gap_is_exact(self, rng, kind):
+        # The top level has one context, the empty one, and its full-block
+        # kernel 1 pi^T is 0 on mean-zero functions: Gap(n, n) is exactly 1.
+        if kind == "dirichlet":
+            t = random_target([2, 3, 2], rng)
+        elif kind == "zeroed":
+            probs = rng.dirichlet(np.ones(18))
+            probs[[0, 4, 5, 11]] = 0.0
+            t = FiniteTarget((3, 2, 3), probs / probs.sum())
+        elif kind == "product":
+            t = product_target([[0.2, 0.8], [0.1, 0.3, 0.6], [0.5, 0.5]])
+        else:
+            probs = np.zeros(8)
+            probs[5] = 1.0
+            t = FiniteTarget((2, 2, 2), probs)
+        entry = assemble_bounds(t, 1).profile.entries[(t.n, t.n)]
+        assert entry == bounds.GapEntry(1.0, (), ())
+
+    def test_only_the_top_full_block_is_not_solved(self, rng, monkeypatch):
+        calls = []
+        solve = bounds._gibbs_spectra
+
+        def spy(weights, l):
+            calls.append((weights.ndim - 1, l))
+            return solve(weights, l)
+
+        monkeypatch.setattr(bounds, "_gibbs_spectra", spy)
+        t = random_target([2, 3, 2, 2], rng)
+        n = t.n
+        solved = {(m, l) for m in range(1, n + 1) for l in range(1, m + 1)} - {(n, n)}
+        for run in (lambda: assemble_bounds(t, 1), lambda: gap_profile(t)):
+            calls.clear()
+            run()
+            # Every (m, m) with m < n is still solved, densely.
+            assert set(calls) == solved
+
     def test_fully_coupled_pair_gap_zero(self):
         profile = gap_profile(coupled_pair_target())
         assert profile.gap(2, 1) == pytest.approx(0.0, abs=1e-12)

@@ -604,6 +604,32 @@ def test_directory_input_exit_two(tmp_path, argv):
     assert "Traceback" not in result.stderr
 
 
+DEEP_TARGET = '{"axes": [2, 2], "probs": ' + "[" * 990 + "]" * 990 + "}"
+
+
+@pytest.mark.parametrize(
+    "argv, body",
+    [
+        (["verify-finite", "--target", "{path}"], DEEP_TARGET),
+        (["sample", "--target", "{path}"], DEEP_TARGET),
+        (["report-merge", "{path}"], '{"all_passed": true, "x": ' + "[" * 5000 + "]" * 5000 + "}"),
+    ],
+    ids=["verify-finite", "sample", "report-merge"],
+)
+def test_deeply_nested_json_exit_two(tmp_path, argv, body):
+    # Run as a process, at the CLI's own stack depth, so that a RecursionError
+    # from the JSON decoder would show its traceback.
+    path = tmp_path / "deep.json"
+    path.write_text(body)
+    src = str(Path(spectel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    command = [sys.executable, "-m", "spectel.cli"] + [a.format(path=path) for a in argv]
+    result = subprocess.run(command, env=env, capture_output=True, text=True)
+    assert result.returncode == EXIT_BAD_INPUT
+    assert result.stderr.startswith("spectel: ") and result.stderr.count("\n") == 1
+    assert "nests too deeply" in result.stderr
+
+
 def test_import_loads_numpy_only():
     # scipy serves the tests only; importing the CLI must not load it.
     src = str(Path(spectel.__file__).resolve().parents[1])
