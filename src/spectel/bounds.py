@@ -18,20 +18,22 @@ Three routes produce lower bounds on ``Gap(m, m-1)``:
 
 Everything here is exact enumeration over supported contexts, never sampling.
 :func:`gap_profile` and :func:`assemble_bounds` share one pass over the levels
-that enumerates each level's contexts once, in stacks that gather the
-contexts of one free shape, whatever index set they fix, cut so that a stack
-of Gibbs kernels is never larger than one kernel on the full state space.  A
-stack gets one stacked eigensolve per block size and route and, on the
-levels the bounds need, the S, G and eta routes, which share one set of
-marginals and pair tables.  The top level has one context, so its
-full-block gap takes its exact value: that kernel is ``1 pi^T``, the
-projection onto constants, so ``Gap(n, n) = 1`` with bottom eigenvalue 0,
-and it is never built.  Every ``Gap(m, m)`` with ``m < n`` is still solved
-densely, because which of the level's tied contexts a report names is
-decided by last-bit rounding.  For a block size ``l < m``, a context with no
-zero weight is solved through the Gram matrix of its kept sets when that
-matrix is the smaller; every other context through its dense kernel (see
-:func:`spectel.kernels._gibbs_spectra`).  Dense contexts whose zero-weight
+that enumerates each level's contexts once, from the top level down, in
+stacks that gather the contexts of one free shape, whatever index set they
+fix.  Stacks are cut so that a stack of Gibbs kernels holds no more floats
+than the largest matrix the scan solves for a full-support context (the
+order-864 Gram matrix at ``(4, 1)`` on (6,6,6,6)), one context at least, so
+that solve sets the scan's memory ceiling.  A stack is solved per block size
+and route and, on the levels the bounds need, run through the S, G and eta
+routes, which share one set of marginals and pair tables.  The top level has
+one context, so its full-block gap takes its exact value: that kernel is
+``1 pi^T``, the projection onto constants, so ``Gap(n, n) = 1`` with bottom
+eigenvalue 0, and it is never built.  Every ``Gap(m, m)`` with ``m < n`` is
+still solved densely, because which of the level's tied contexts a report
+names is decided by last-bit rounding.  For a block size ``l < m``, a context
+with no zero weight is solved through the Gram matrix of its kept sets when
+that matrix is the smaller; every other context through its dense kernel
+(see :func:`spectel.kernels._gibbs_spectra`).  Dense contexts whose zero-weight
 states differ are solved in sub-stacks, one per support mask.  Each value
 lands in one array per level and quantity, in canonical order, and one
 picker takes the first extremum, as a context-by-context scan would.
@@ -41,6 +43,8 @@ The single-context functions (:func:`correlation_coefficient`,
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +55,7 @@ from .kernels import (
     _context_tables,
     _coordinate_tables,
     _gibbs_spectra,
+    _gram_order,
     _spectral_stack,
     _support_groups,
     _walk_stack,
@@ -354,6 +359,27 @@ def _extremum(pick, values: np.ndarray, contexts: list) -> tuple:
     return float(values[k]), *contexts[k]
 
 
+def _largest_solve(axes: tuple[int, ...]) -> int:
+    """Order of the largest matrix a scan of ``axes`` solves for a full-support context.
+
+    Per free shape of ``N`` states at level ``m``: the dense kernel, order
+    ``N``, for ``l = m < n``, and the smaller of ``N`` and the Gram order for
+    ``l < m``.  The top level's full-block gap is not solved.
+    """
+    n = len(axes)
+    shapes = {
+        tuple(sorted(free)) for m in range(1, n + 1) for free in itertools.combinations(axes, m)
+    }
+    order = 0
+    for shape in shapes:
+        size = math.prod(shape)
+        if len(shape) < n:
+            order = max(order, size)
+        for l in range(1, len(shape)):
+            order = max(order, min(size, _gram_order(shape, l)))
+    return order
+
+
 def _scan(
     target: FiniteTarget, l: int
 ) -> tuple[GapProfile, dict[str, dict[int, float]], dict[str, dict[int, dict]]]:
@@ -362,17 +388,23 @@ def _scan(
     Each level's supported contexts are enumerated once; every stack is
     solved for each block size ``1..m`` and, when ``m > l``, run through the
     three routes.  The top level has one context, so its full-block gap takes
-    its exact value, 1 with bottom 0, and is not solved.
+    its exact value, 1 with bottom 0, and is not solved.  Stacks are cut to
+    the largest matrix a full-support context solves (:func:`_largest_solve`),
+    so that solve sets the scan's memory ceiling, and levels run from the top
+    down, so the largest solves meet a heap the lower levels have not yet
+    fragmented.  Results are returned in ascending order of level.
     """
     _check_cap(target.probs.size)
+    order = _largest_solve(target.axes)
     entries: dict[tuple[int, int], GapEntry] = {}
-    min_psd = np.inf
+    level_psd: dict[int, float] = {}
     values: dict[str, dict[int, float]] = {name: {} for name, _ in _ROUTES}
     extremal: dict[str, dict[int, dict]] = {name: {} for name, _ in _ROUTES}
-    for m in range(1, target.n + 1):
-        contexts, stacks = _supported_level(target, m)
+    for m in range(target.n, 0, -1):
+        contexts, stacks = _supported_level(target, m, order)
         gaps = np.empty((m, len(contexts)))
         routes = np.empty((len(_ROUTES), len(contexts)))
+        low = np.inf
         for pos, weights in stacks:
             for size in range(1, m + 1):
                 if size == target.n:
@@ -382,15 +414,24 @@ def _scan(
                 else:
                     _, gaps[size - 1, pos], bottoms = _gibbs_spectra(weights, size)
                     bottom = float(bottoms.min())
-                min_psd = min(min_psd, bottom)
+                low = min(low, bottom)
             if m > l:
                 routes[:, pos] = _route_values(weights)
+        level_psd[m] = low
         for size, row in enumerate(gaps, start=1):
             entries[(m, size)] = GapEntry(*_extremum(np.argmin, row, contexts))
         for (name, pick), row in zip(_ROUTES, routes if m > l else ()):
             values[name][m], lam, y = _extremum(pick, row, contexts)
             extremal[name][m] = {"lambda": list(lam), "y": list(y)}
-    profile = GapProfile(n=target.n, entries=entries, min_psd_eigenvalue=float(min_psd))
+    # min keeps the first of equal values, 0.0 or -0.0, so the levels are
+    # taken in ascending order and the reported bottom does not depend on
+    # the order in which they were solved.
+    min_psd = min(level_psd[m] for m in sorted(level_psd))
+    profile = GapProfile(
+        n=target.n, entries=dict(sorted(entries.items())), min_psd_eigenvalue=float(min_psd)
+    )
+    values = {name: dict(sorted(levels.items())) for name, levels in values.items()}
+    extremal = {name: dict(sorted(levels.items())) for name, levels in extremal.items()}
     return profile, values, extremal
 
 

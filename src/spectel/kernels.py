@@ -36,11 +36,14 @@ The exact pipeline in :mod:`spectel.bounds` builds kernels in stacks: the
 contexts of a level that share a free shape, whatever index set they fix,
 are stacked together, so the private ``_*_stack`` builders take a stack of
 conditionals (B, *shape) and return a (B, N, N) stack of matrices, checked
-and eigensolved as one; the Gram builder returns the spectral values of its
-stack.  Stacks are cut to B * N^2 <= (full state count)^2 floats, so none is
-larger than one kernel on the full state space.  The public single-context
-functions are stacks of one over the same code, and a stacked build is bit
-for bit the single-context one.
+and eigensolved; the Gram builder returns the spectral values of its stack.
+Stacks are cut to B * N^2 <= D^2 floats, one context at least, where D is the
+order of the largest matrix the scan solves for a full-support context, and
+every temporary of a check, symmetrization or normalization covers a slice
+of at most ``_SLICE_FLOATS`` floats (one matrix or row at least), so a scan
+needs little more memory than its largest eigensolve.  The public
+single-context functions are stacks of one over the same code, and a
+stacked build is bit for bit the single-context one.
 
 Canonical enumerations (normative, so matrices are comparable across runs):
 free-coordinate product states are row-major in increasing coordinate order;
@@ -66,6 +69,10 @@ STATE_CAP = 20_000
 _ROW_TOL = 1e-12
 # Largest detailed-balance violation |w_i K_ij - w_j K_ji| a summary accepts.
 _BALANCE_TOL = 1e-10
+# Floats of a stack that one check, symmetrization or Gram normalization
+# step covers (512 KiB), one dense matrix or Gram row at least, so that no
+# temporary outgrows it.
+_SLICE_FLOATS = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,17 +142,21 @@ def _check_storage(entries: int) -> None:
         )
 
 
-def _check_stochastic(matrices: np.ndarray, weights: np.ndarray, blocks=None) -> None:
+def _check_stochastic(
+    matrices: np.ndarray, weights: np.ndarray, blocks=None, mass=1.0
+) -> None:
     """The structural checks of :class:`WeightedKernel` on a stack (B, N, N), (B, N).
 
     With ``blocks``, the first column of each column block, every block of
     every row must sum to 1 (a row of side-by-side conditional tables).
+    With ``mass`` (B, rows, 1), row sums are divided by it first, so a row
+    of joint tables is checked as its conditionals without dividing it out.
     Each test passes only on a valid value, so a NaN fails it.
     """
     if not ((matrices >= 0).all() and (weights >= 0).all()):
         raise DomainError("kernel entries and weights must be nonnegative numbers")
     sums = matrices.sum(axis=2) if blocks is None else np.add.reduceat(matrices, blocks, axis=2)
-    row_err = np.abs(sums - 1.0).max()
+    row_err = np.abs(sums / mass - 1.0).max()
     if not row_err <= _ROW_TOL:
         raise DomainError(f"rows must sum to 1 within {_ROW_TOL}, max error {row_err:.3e}")
     w_err = np.abs(weights.sum(axis=1) - 1.0).max()
@@ -282,13 +293,16 @@ def _gram_stack(weights: np.ndarray, l: int) -> np.ndarray:
     pair table sums the weights over the flat state codes of ``(x_R, x_R')``
     with ``np.bincount`` and fills block (R, R') and, as its transpose, block
     (R', R), so detailed balance holds by construction.  One bincount per
-    kept set ``R`` fills its row block against every ``R'`` from ``R`` on,
-    and every conditional table ``pi(x_R' | x_R)`` is checked row-stochastic
-    within ``_ROW_TOL`` one row block at a time.  There are ``C(k, 2)``
-    pairs, which can exceed ``N``, so the build holds the (B, D, D) matrix
-    beside (B, k, N) codes and one (B, |R|, D) row block, never codes for
-    every pair at once.  The constant direction ``u = sqrt(pi_R(a) / k)`` is
-    deflated, and one eigensolve gives the norm and ``min(lambda_min, 0)``.
+    kept set ``R`` fills its row block against every ``R'`` from ``R`` on.
+    There are ``C(k, 2)`` pairs, which can exceed ``N``, so the build holds
+    the (B, D, D) matrix beside (B, k, N) codes and one (B, |R|, D) row
+    block, never codes for every pair at once.  Then, in slices of at most
+    ``_SLICE_FLOATS`` floats (one row at least), every conditional table
+    ``pi(x_R' | x_R)`` is checked row-stochastic within ``_ROW_TOL`` by
+    summing the joint tables in place, and the rows are normalized and
+    deflated of the constant direction ``u = sqrt(pi_R(a) / k)`` in place,
+    so no temporary outgrows a slice.  One eigensolve gives the norm and
+    ``min(lambda_min, 0)``.
     Every weight must be positive, so no marginal is zero; ``l`` must be
     below ``m``.
     """
@@ -326,14 +340,17 @@ def _gram_stack(weights: np.ndarray, l: int) -> np.ndarray:
         gram[:, hi:, lo:hi] = block[:, :, hi - lo :].transpose(0, 2, 1)
     diag = np.arange(order)
     marg = gram[:, diag, diag]
-    for lo, hi in zip(offsets[:-1], offsets[1:]):
-        _check_stochastic(gram[:, lo:hi] / marg[:, lo:hi, None], marg / k, offsets[:-1])
-
     d = np.sqrt(marg)
-    gram /= d[:, :, None] * d[:, None, :]
-    gram /= k
-    u = np.sqrt(marg / k)
-    gram -= u[:, :, None] * u[:, None, :]
+    share = marg / k
+    u = np.sqrt(share)
+    step = max(1, _SLICE_FLOATS // (n_ctx * order))
+    for lo in range(0, order, step):
+        part = slice(lo, lo + step)
+        rows = gram[:, part]
+        _check_stochastic(rows, share, offsets[:-1], marg[:, part, None])
+        rows /= d[:, part, None] * d[:, None, :]
+        rows /= k
+        rows -= u[:, part, None] * u[:, None, :]
     return _solve(gram)
 
 
@@ -436,29 +453,35 @@ def _balance_error(matrices: np.ndarray, weights: np.ndarray) -> float:
 def _spectral_stack(matrices: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Norms, gaps and bottoms (3, B) of a stack (B, N, N) with weights (B, N).
 
-    The stack is symmetrized in its own buffer, so it must be a temporary.
     Kernels whose zero-weight states differ are solved in separate
-    sub-stacks, one per support mask; see :func:`spectral_summary`.
+    sub-stacks, one per support mask; see :func:`spectral_summary`.  Each
+    sub-stack goes in slices of at most ``_SLICE_FLOATS`` floats, one matrix
+    at least: a slice is checked for detailed balance, symmetrized in place
+    and solved, so no temporary outgrows a slice.  A full-support stack is
+    symmetrized in its own buffer, so it must be a temporary.
     """
     out = np.empty((3, len(matrices)))
     for sel, keep in _support_groups(weights > 0.0):
-        if len(sel) == len(matrices) and len(keep) == weights.shape[1]:
-            mat, w = matrices, weights
-        else:
-            mat, w = matrices[np.ix_(sel, keep, keep)], weights[np.ix_(sel, keep)]
-        balance_err = _balance_error(mat, w)
-        if not balance_err <= _BALANCE_TOL:
-            raise NumericalContractError(
-                f"detailed balance violated by {balance_err:.3e} (tol {_BALANCE_TOL:.1e})"
-            )
-        d = np.sqrt(w)
-        mat *= d[:, :, None]
-        mat /= d[:, None, :]
-        np.add(mat, mat.transpose(0, 2, 1), out=mat)
-        mat *= 0.5
-        mat -= d[:, :, None] * d[:, None, :]
-        out[:, sel] = _solve(mat)
-        del mat
+        whole = len(sel) == len(matrices) and len(keep) == weights.shape[1]
+        step = max(1, _SLICE_FLOATS // len(keep) ** 2)
+        for lo in range(0, len(sel), step):
+            part = sel[lo : lo + step]
+            if whole:
+                mat, w = matrices[lo : lo + step], weights[lo : lo + step]
+            else:
+                mat, w = matrices[np.ix_(part, keep, keep)], weights[np.ix_(part, keep)]
+            balance_err = _balance_error(mat, w)
+            if not balance_err <= _BALANCE_TOL:
+                raise NumericalContractError(
+                    f"detailed balance violated by {balance_err:.3e} (tol {_BALANCE_TOL:.1e})"
+                )
+            d = np.sqrt(w)
+            mat *= d[:, :, None]
+            mat /= d[:, None, :]
+            np.add(mat, mat.transpose(0, 2, 1), out=mat)
+            mat *= 0.5
+            mat -= d[:, :, None] * d[:, None, :]
+            out[:, part] = _solve(mat)
     return out
 
 

@@ -34,9 +34,13 @@ INGEST_TOL = 1e-9
 
 def _check_axes(axes: Sequence[int]) -> tuple[int, ...]:
     try:
-        axes_t = tuple(operator.index(a) for a in axes)
+        sizes = list(axes)
+        axes_t = tuple(operator.index(a) for a in sizes)
     except TypeError as exc:
         raise DomainError(f"alphabet sizes must be integers: {exc}") from None
+    # operator.index reads a boolean as 1 or 0.
+    if any(isinstance(a, bool) for a in sizes):
+        raise DomainError("alphabet sizes must be integers, got a boolean")
     if len(axes_t) < 2:
         raise DomainError(f"need at least 2 coordinates, got {len(axes_t)}")
     if any(a < 2 for a in axes_t):
@@ -246,7 +250,7 @@ def _supported_assignments(target: FiniteTarget, lam: tuple[int, ...]) -> list[t
     return [tuple(int(v) for v in y) for y in np.ndindex(marg.shape) if marg[y] > 0.0]
 
 
-def _supported_level(target: FiniteTarget, m: int):
+def _supported_level(target: FiniteTarget, m: int, order: int):
     """Supported contexts leaving ``m`` coordinates free, and their stacked conditionals.
 
     Returns ``(contexts, stacks)``.  ``contexts`` lists every supported
@@ -256,8 +260,8 @@ def _supported_level(target: FiniteTarget, m: int):
     conditional tensor given ``contexts[positions[k]]``, computed on the
     same slice and with the same division as :func:`supported_conditional`,
     so its bits match.  Stacks are cut so that B kernels of order
-    N = prod(shape) hold no more floats than one kernel on the full state
-    space: B * N^2 <= (full state count)^2.
+    N = prod(shape) hold no more floats than one matrix of order ``order``,
+    the largest a scan solves: B * N^2 <= order^2, with B >= 1.
     """
     contexts: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     blocks: dict[tuple[int, ...], list] = {}
@@ -268,7 +272,7 @@ def _supported_level(target: FiniteTarget, m: int):
             contexts.append((lam, y))
     stacks = []
     for shape, shape_blocks in blocks.items():
-        cut = target.probs.size**2 // math.prod(shape) ** 2
+        cut = max(1, order**2 // math.prod(shape) ** 2)
         for start in range(0, len(shape_blocks), cut):
             chunk = shape_blocks[start : start + cut]
             weights = np.empty((len(chunk),) + shape)

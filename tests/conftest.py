@@ -16,6 +16,7 @@ second route.
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,16 @@ from spectel import (
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def peak(run):
+    """(tracemalloc peak in bytes, result) of calling ``run()``."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 
 
 def random_small_target(rng, n_choices=(3, 4), axes_choices=(2, 3, 4)) -> FiniteTarget:

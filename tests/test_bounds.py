@@ -19,11 +19,12 @@ from spectel import (
     supported_contexts,
     telescope_verify,
 )
-from spectel import bounds
+from spectel import bounds, kernels
 
 from conftest import (
     correlation_via_walk,
     coupled_pair_target,
+    peak,
     product_of_marginals,
     random_small_target,
 )
@@ -297,14 +298,43 @@ class TestAssembleBounds:
         calls = []
         enumerate_level = bounds._supported_level
 
-        def counted(target, m):
+        def counted(target, m, *args):
             calls.append(m)
-            return enumerate_level(target, m)
+            return enumerate_level(target, m, *args)
 
         monkeypatch.setattr(bounds, "_supported_level", counted)
         t = random_target([2, 3, 2, 2], rng)
         assemble_bounds(t, l)
-        assert calls == [1, 2, 3, 4]
+        # From the top down, so the largest solves come first.
+        assert calls == [4, 3, 2, 1]
+
+    @pytest.mark.parametrize("axes", [(2, 3, 4), (3, 3, 3, 3), (2,) * 5, (2, 3, 2, 3)])
+    def test_largest_solve_is_the_largest_matrix_solved(self, axes, rng, monkeypatch):
+        orders = []
+        solve = kernels._solve
+
+        def spy(mat):
+            orders.append(mat.shape[-1])
+            return solve(mat)
+
+        monkeypatch.setattr(kernels, "_solve", spy)
+        assemble_bounds(random_target(axes, rng), 1)
+        assert max(orders) == bounds._largest_solve(axes)
+
+    def test_largest_solve_of_the_benchmark_shapes(self):
+        # The (4, 1) Gram matrix on (6,6,6,6); the top kernel on (2,)^8, whose
+        # Gram matrix at (8, 1) is larger, of order 1,024.
+        assert bounds._largest_solve((6, 6, 6, 6)) == 864
+        assert bounds._largest_solve((2,) * 8) == 256
+
+    def test_peak_memory_within_the_largest_solve(self):
+        # The largest solve on (6,6,6,6) is the 5.7 MiB Gram matrix at (4, 1).
+        # Stacks cut to the full state space, with stack-sized temporaries,
+        # peaked at 17.5 MiB.
+        t = random_target((6, 6, 6, 6), np.random.default_rng(0))
+        used, report = peak(lambda: assemble_bounds(t, 1))
+        assert report.passed
+        assert used <= 10 * 2**20, used / 2**20
 
     def test_block_size_two(self, rng):
         t = random_small_target(rng, n_choices=(4,), axes_choices=(2, 3))

@@ -1,7 +1,5 @@
 """Kernel assembly against enumeration oracles, spectral summaries, invariants."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.stats
@@ -39,6 +37,7 @@ from conftest import (
     oracle_gibbs_chain,
     oracle_gibbs_matrix,
     oracle_rw_matrix,
+    peak,
     random_small_target,
     recursive_gibbs_kernel,
 )
@@ -339,15 +338,6 @@ class TestGramStack:
         assert _gram_order(shape, l) < np.prod(shape)
         weights = dirichlet_stack(rng, shape, size=1)
         flat = weights.reshape(1, -1)
-
-        def peak(solve):
-            tracemalloc.start()
-            try:
-                result = solve()
-                return tracemalloc.get_traced_memory()[1], result
-            finally:
-                tracemalloc.stop()
-
         gram_peak, (norm, _, _) = peak(lambda: _gibbs_spectra(weights, l))
         dense_peak, (dense_norm, _, _) = peak(
             lambda: _spectral_stack(_gibbs_stack(weights, l), flat)

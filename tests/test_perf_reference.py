@@ -4,10 +4,10 @@
 the benchmark compares its numbers to 1e-12 and its argmin contexts
 exactly.  Where gaps tie (``Gap(m, m)`` is 1 for every context), last-bit
 rounding picks the argmin, so an arithmetic change can move it with every
-value still correct.  This runs ``verify-finite`` on the first seed-0
-target of each benchmark workload and compares it with the stored
-reference, so such a move fails here first.  It reads ``perf/`` and writes
-only into a temporary directory.
+value still correct.  This runs ``verify-finite`` on every seed-0 target
+of finite-large and on the first of finite-many, and compares each with
+the stored reference, so such a move fails here first.  It reads ``perf/``
+and writes only into a temporary directory.
 """
 
 import importlib.util
@@ -33,11 +33,20 @@ def _load_harness():
 harness = _load_harness()
 
 
-@pytest.mark.parametrize("workload", ["finite-many", "finite-large"])
-def test_first_seed0_target_matches_reference(tmp_path, workload):
+def check_seed0_target(tmp_path, workload, index):
     tasks, _ = harness.build_tasks(harness.WORKLOADS[workload], harness.REFERENCE_SEED, tmp_path)
-    op = tasks[0][0]
+    op = tasks[index][0]
     assert op.command == "verify-finite"
     assert main(op.argv) == EXIT_OK
     expected = harness.load_reference(workload)[op.key]
     assert harness.compare(expected, harness.deterministic_part(op.command, op.out)) == []
+
+
+@pytest.mark.parametrize("workload", ["finite-many", "finite-large"])
+def test_first_seed0_target_matches_reference(tmp_path, workload):
+    check_seed0_target(tmp_path, workload, 0)
+
+
+@pytest.mark.parametrize("index", range(1, harness.POOL_SIZE))
+def test_later_seed0_finite_large_target_matches_reference(tmp_path, index):
+    check_seed0_target(tmp_path, "finite-large", index)

@@ -21,6 +21,7 @@ from spectel import (
     target_from_dict,
 )
 
+from spectel.bounds import _largest_solve
 from spectel.kernels import _gibbs_stack
 from spectel.target import _supported_level
 
@@ -192,28 +193,33 @@ def _sparse_mixed_target() -> FiniteTarget:
     ids=["2^6", "2,3,2,3-sparse"],
 )
 def test_supported_level_stacks(target):
-    size = target.probs.size
     spanning = 0
-    for m in range(1, target.n + 1):
-        contexts, stacks = _supported_level(target, m)
-        assert contexts == [(c.lam, c.y) for c in supported_contexts(target, target.n - m)]
-        positions = np.concatenate([pos for pos, _ in stacks])
-        # Every supported context exactly once, each stack in canonical order.
-        assert sorted(positions.tolist()) == list(range(len(contexts)))
-        assert all((np.diff(pos) > 0).all() for pos, _ in stacks)
-        by_shape = {}
-        for pos, weights in stacks:
-            for k, p in enumerate(pos):
-                expected = supported_conditional(target, CondContext(*contexts[p]))[1]
-                assert np.array_equal(weights[k], expected)
-            # No Gibbs stack outgrows the top-level kernel, and only the last
-            # stack of a free shape is cut short.
-            n_states = math.prod(weights.shape[1:])
-            assert _gibbs_stack(weights, 1).size == len(pos) * n_states**2 <= size**2
-            by_shape.setdefault(weights.shape[1:], []).append(len(pos))
-            spanning += len({contexts[p][0] for p in pos}) > 1
-        for shape, counts in by_shape.items():
-            assert all(b == size**2 // math.prod(shape) ** 2 for b in counts[:-1])
+    # The scan's ceiling, and one below most kernels' orders, under which
+    # their stacks hold one context each.
+    for order in (_largest_solve(target.axes), 6):
+        for m in range(1, target.n + 1):
+            contexts, stacks = _supported_level(target, m, order)
+            assert contexts == [(c.lam, c.y) for c in supported_contexts(target, target.n - m)]
+            positions = np.concatenate([pos for pos, _ in stacks])
+            # Every supported context exactly once, each stack in canonical order.
+            assert sorted(positions.tolist()) == list(range(len(contexts)))
+            assert all((np.diff(pos) > 0).all() for pos, _ in stacks)
+            by_shape = {}
+            for pos, weights in stacks:
+                for k, p in enumerate(pos):
+                    expected = supported_conditional(target, CondContext(*contexts[p]))[1]
+                    assert np.array_equal(weights[k], expected)
+                # No Gibbs stack outgrows a matrix of the ceiling's order unless
+                # it holds one context, and only the last stack of a free shape
+                # is cut short.
+                n_states = math.prod(weights.shape[1:])
+                assert len(pos) >= 1
+                assert _gibbs_stack(weights, 1).size == len(pos) * n_states**2
+                assert len(pos) * n_states**2 <= order**2 or len(pos) == 1
+                by_shape.setdefault(weights.shape[1:], []).append(len(pos))
+                spanning += len({contexts[p][0] for p in pos}) > 1
+            for shape, counts in by_shape.items():
+                assert all(b == max(1, order**2 // math.prod(shape) ** 2) for b in counts[:-1])
     # Contexts of different index sets with one free shape share stacks.
     assert spanning > 0
 
@@ -248,6 +254,13 @@ class TestIngestion:
         # 2**32 * 2**32 wraps to 0 in int64; the exact size is checked instead.
         with pytest.raises(DomainError, match="entries"):
             FiniteTarget([2**32, 2**32], [])
+
+    def test_boolean_alphabet_size_rejected(self):
+        # operator.index reads true as 1, which the size check would report as (2, 1).
+        with pytest.raises(DomainError, match="alphabet sizes must be integers, got a boolean"):
+            target_from_dict({"axes": [2, True], "probs": [0.25, 0.25, 0.25, 0.25]})
+        with pytest.raises(DomainError, match="got a boolean"):
+            FiniteTarget([True, 2, 2], [0.25, 0.25, 0.25, 0.25])
 
     def test_shape_validation(self):
         with pytest.raises(DomainError):
