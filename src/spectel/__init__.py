@@ -24,17 +24,12 @@ from .target import (
     product_target,
     random_target,
     supported_conditional,
-    supported_contexts,
     target_from_dict,
 )
 from .kernels import (
     STATE_CAP,
-    SpectralSummary,
     WeightedKernel,
-    gibbs_kernel,
-    random_walk_kernel,
     sample_gibbs_chain,
-    spectral_summary,
 )
 from .bounds import (
     BoundReport,
@@ -43,9 +38,7 @@ from .bounds import (
     InfluenceMatrix,
     TelescopeReport,
     assemble_bounds,
-    correlation_coefficient,
     gap_profile,
-    influence_matrix_tv,
     spectral_radius,
     telescope_verify,
 )

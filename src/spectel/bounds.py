@@ -36,15 +36,13 @@ that matrix is the smaller; every other context through its dense kernel
 (see :func:`spectel.kernels._gibbs_spectra`).  Dense contexts whose zero-weight
 states differ are solved in sub-stacks, one per support mask.  Each value
 lands in one array per level and quantity, in canonical order, and one
-picker takes the first extremum, as a context-by-context scan would.
-The single-context functions (:func:`correlation_coefficient`,
-:func:`influence_matrix_tv`) are stacks of one over the same code.
+picker takes the first extremum, as a context-by-context scan would: every
+context of a stack is computed bit for bit as in a stack of one.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,15 +50,14 @@ import numpy as np
 from .errors import DomainError
 from .kernels import (
     _check_cap,
-    _context_tables,
     _coordinate_tables,
     _gibbs_spectra,
-    _gram_order,
+    _solve_order,
     _spectral_stack,
     _support_groups,
     _walk_stack,
 )
-from .target import CondContext, FiniteTarget, _supported_level
+from .target import FiniteTarget, _supported_level
 
 
 @dataclass(frozen=True)
@@ -76,7 +73,7 @@ class GapEntry:
 class GapProfile:
     """Exact gaps for all 1 <= l <= m <= n, plus the worst PSD bottom eigenvalue.
 
-    ``min_psd_eigenvalue`` is the smallest ``SpectralSummary.min_eigenvalue``
+    ``min_psd_eigenvalue`` is the smallest bottom eigenvalue
     (``min(lambda_min, 0)`` of the symmetrized operator) seen across every
     Gibbs kernel built during profiling, and the exact bottom 0 of the top
     level's full-block kernel, which is not built; Gibbs operators are
@@ -180,9 +177,16 @@ def telescope_verify(profile: GapProfile, tol: float = 1e-9) -> TelescopeReport:
 def _correlation_stack(
     marginals: list[np.ndarray], pairs: dict[tuple[int, int], np.ndarray]
 ) -> np.ndarray:
-    """Summation correlation coefficients of a stack; see :func:`correlation_coefficient`.
+    """Summation correlation coefficients (B,) of a stack, by brute-force Rayleigh maximization.
 
-    Contexts whose zero-mass values differ are solved in separate sub-stacks.
+    Maximizes E[(sum_i f_i(Y_i))^2] / (m sum_i E[f_i(Y_i)^2]) over per-
+    coordinate functions with zero conditional mean, where Y follows the
+    conditional of the free coordinates given the context.  The constrained
+    subspace is built explicitly (an orthonormal basis per coordinate in the
+    weighted inner product, zero-mass values dropped), turning the problem
+    into an ordinary symmetric eigenproblem; the coefficient is 0 when the
+    subspace is trivial.  Contexts whose zero-mass values differ are solved
+    in separate sub-stacks.
     """
     m = len(marginals)
     sizes = [marg.shape[1] for marg in marginals]
@@ -220,25 +224,17 @@ def _correlation_stack(
     return out
 
 
-def correlation_coefficient(target: FiniteTarget, ctx: CondContext) -> float:
-    """Summation correlation coefficient by brute-force Rayleigh maximization.
-
-    Maximizes E[(sum_i f_i(Y_i))^2] / (m sum_i E[f_i(Y_i)^2]) over per-
-    coordinate functions with zero conditional mean, where Y follows the
-    conditional of the free coordinates given the context.  The constrained
-    subspace is built explicitly (an orthonormal basis per coordinate in the
-    weighted inner product, zero-mass values dropped), turning the problem
-    into an ordinary symmetric eigenproblem.  Returns 0 when the subspace is
-    trivial.
-    """
-    marginals, pairs, _ = _context_tables(target, ctx)
-    return float(_correlation_stack(marginals, pairs)[0])
-
-
 def _influence_stack(
     marginals: list[np.ndarray], rows: dict[tuple[int, int], np.ndarray]
 ) -> np.ndarray:
-    """Discrete-metric influence matrices (B, m, m) of a stack; see :func:`influence_matrix_tv`."""
+    """Tightest discrete-metric influence matrices (B, m, m) of a stack.
+
+    Coefficient (i, j) is the largest total variation distance between the
+    conditional laws of free coordinate j induced by two supported values of
+    free coordinate i.  Total variation is exactly the optimal-coupling cost
+    under the discrete metric, so no smaller constant satisfies the
+    contraction condition.
+    """
     m = len(marginals)
     phi = np.zeros((marginals[0].shape[0], m, m))
     for a in range(m):
@@ -250,19 +246,6 @@ def _influence_stack(
                 pair_tv = 0.5 * np.abs(r[:, :, None, :] - r[:, None, :, :]).sum(axis=-1)
                 phi[:, a, b] = np.where(both, pair_tv, 0.0).max(axis=(1, 2))
     return phi
-
-
-def influence_matrix_tv(target: FiniteTarget, ctx: CondContext) -> InfluenceMatrix:
-    """Tightest discrete-metric influence matrix of the conditional target.
-
-    Coefficient (i, j) is the largest total variation distance between the
-    conditional laws of free coordinate j induced by two supported values of
-    free coordinate i.  Total variation is exactly the optimal-coupling cost
-    under the discrete metric, so no smaller constant satisfies the
-    contraction condition.
-    """
-    marginals, _, rows = _context_tables(target, ctx)
-    return InfluenceMatrix(len(marginals), _influence_stack(marginals, rows)[0], "tv-discrete")
 
 
 def spectral_radius(matrix) -> float:
@@ -362,22 +345,16 @@ def _extremum(pick, values: np.ndarray, contexts: list) -> tuple:
 def _largest_solve(axes: tuple[int, ...]) -> int:
     """Order of the largest matrix a scan of ``axes`` solves for a full-support context.
 
-    Per free shape of ``N`` states at level ``m``: the dense kernel, order
-    ``N``, for ``l = m < n``, and the smaller of ``N`` and the Gram order for
-    ``l < m``.  The top level's full-block gap is not solved.
+    The largest :func:`spectel.kernels._solve_order` over every free shape
+    and block size, but the top level's full block, whose gap is not solved.
     """
     n = len(axes)
     shapes = {
         tuple(sorted(free)) for m in range(1, n + 1) for free in itertools.combinations(axes, m)
     }
-    order = 0
-    for shape in shapes:
-        size = math.prod(shape)
-        if len(shape) < n:
-            order = max(order, size)
-        for l in range(1, len(shape)):
-            order = max(order, min(size, _gram_order(shape, l)))
-    return order
+    return max(
+        _solve_order(shape, l) for shape in shapes for l in range(1, len(shape) + 1) if l < n
+    )
 
 
 def _scan(

@@ -1,30 +1,33 @@
 """Exact transition operators for random-scan Gibbs samplers on finite targets.
 
-Two kernel families are assembled as dense row-stochastic matrices:
+Two kernel families are assembled as dense row-stochastic matrices, in
+stacks: the private ``_*_stack`` builders take a stack of conditionals
+(B, *shape), the conditional targets of B contexts with one free shape.
 
-* :func:`gibbs_kernel` -- one step of the block Gibbs sampler targeting the
+* :func:`_gibbs_stack` -- one step of the block Gibbs sampler targeting the
   conditional distribution of the free coordinates given a context, with
   block size ``l`` (the uniform mixture over all size-``l`` blocks of the
   conditional-resample transition; the test suite rebuilds it by the
   paper's recursive form as an oracle);
-* :func:`random_walk_kernel` -- the index/value walk on the disjoint union of
-  the free alphabets: move to a uniformly chosen coordinate and redraw its
+* :func:`_walk_stack` -- the index/value walk on the disjoint union of the
+  free alphabets: move to a uniformly chosen coordinate and redraw its
   value from the one-coordinate conditional given the current (index, value).
 
 Both are reversible with respect to their stationary weights, so the
 spectral analysis symmetrizes with D^{1/2} K D^{-1/2} and uses a dense
 symmetric eigensolver: one eigensolve per kernel, of the matrix with the
-constant direction deflated.  State spaces are hard-capped at
-:data:`STATE_CAP` dense states: this module is a verifier, exactness beats
-scale.
+constant direction deflated (:func:`_spectral_stack`).  State spaces are
+hard-capped at :data:`STATE_CAP` dense states: this module is a verifier,
+exactness beats scale.
 
 The exact pipeline solves a block Gibbs kernel by the smaller of two
 eigenproblems (:func:`_gibbs_spectra`).  The kernel is an average of
 projections onto the functions of its kept sets, so its nonzero spectrum is
 that of their Gram matrix (:func:`_gram_stack`), of order
 ``D = sum_R prod_{i in R} q_i`` against ``N = prod q_i``.  A context takes
-the Gram route when ``l < m``, ``D < N`` and all its weights are positive;
-the full-block kernels (``l = m``, gap 1 for every context) and contexts
+the Gram route when ``l < m``, ``D < N`` and all its weights are positive
+(:func:`_solve_order` gives the order a full-support context solves); the
+full-block kernels (``l = m``, gap 1 for every context) and contexts
 with zero weights stay dense, because their gaps tie and the context a
 report names is chosen by last-bit rounding.  Both routes end in one
 eigensolve (:func:`_solve`) with one bottom rule, ``min(lambda_min, 0)``.
@@ -32,18 +35,16 @@ The one full-block kernel the pipeline never builds is the top level's: the
 top level has one context, so :mod:`spectel.bounds` gives its gap its exact
 value, 1.
 
-The exact pipeline in :mod:`spectel.bounds` builds kernels in stacks: the
-contexts of a level that share a free shape, whatever index set they fix,
-are stacked together, so the private ``_*_stack`` builders take a stack of
-conditionals (B, *shape) and return a (B, N, N) stack of matrices, checked
-and eigensolved; the Gram builder returns the spectral values of its stack.
-Stacks are cut to B * N^2 <= D^2 floats, one context at least, where D is the
-order of the largest matrix the scan solves for a full-support context, and
-every temporary of a check, symmetrization or normalization covers a slice
-of at most ``_SLICE_FLOATS`` floats (one matrix or row at least), so a scan
-needs little more memory than its largest eigensolve.  The public
-single-context functions are stacks of one over the same code, and a
-stacked build is bit for bit the single-context one.
+:mod:`spectel.bounds` stacks the contexts of a level that share a free
+shape, whatever index set they fix; dense builders return a (B, N, N) stack
+of matrices, checked and eigensolved, and the Gram builder returns the
+spectral values of its stack.  Stacks are cut to B * N^2 <= D^2 floats, one
+context at least, where D is the order of the largest matrix the scan solves
+for a full-support context, and every temporary of a check, symmetrization
+or normalization covers a slice of at most ``_SLICE_FLOATS`` floats (one
+matrix or row at least), so a scan needs little more memory than its
+largest eigensolve.  Every context of a stack is computed bit for bit as in
+a stack of one.
 
 Canonical enumerations (normative, so matrices are comparable across runs):
 free-coordinate product states are row-major in increasing coordinate order;
@@ -61,13 +62,13 @@ from math import comb
 import numpy as np
 
 from .errors import DomainError, NumericalContractError, ResourceLimitError
-from .target import CondContext, FiniteTarget, supported_conditional
+from .target import FiniteTarget
 
 # Dense-eigensolver cap on the number of states of a single kernel.
 STATE_CAP = 20_000
 
 _ROW_TOL = 1e-12
-# Largest detailed-balance violation |w_i K_ij - w_j K_ji| a summary accepts.
+# Largest detailed-balance violation |w_i K_ij - w_j K_ji| a spectral solve accepts.
 _BALANCE_TOL = 1e-10
 # Floats of a stack that one check, symmetrization or Gram normalization
 # step covers (512 KiB), one dense matrix or Gram row at least, so that no
@@ -81,8 +82,11 @@ class WeightedKernel:
 
     ``weights`` defines the L^2 inner product in which the kernel is
     self-adjoint.  Construction checks the structural facts (square shape,
-    nonnegativity, row sums and weight mass equal to 1 within 1e-12);
-    reversibility is enforced where it matters, in :func:`spectral_summary`.
+    nonnegativity, row sums and weight mass equal to 1 within 1e-12) with
+    the stacks' own :func:`_check_stochastic`; reversibility is enforced
+    where it matters, in :func:`_spectral_stack`.  The exact pipeline works
+    on stacks and builds none; the test suite's single-context kernels are
+    held in it.
     """
 
     matrix: np.ndarray
@@ -111,20 +115,6 @@ class WeightedKernel:
 
     def __repr__(self) -> str:
         return f"WeightedKernel(order={self.order})"
-
-
-@dataclass(frozen=True)
-class SpectralSummary:
-    """Operator norm on mean-zero functions, the gap, and the bottom eigenvalue.
-
-    ``min_eigenvalue`` is ``min(lambda_min, 0)`` of the symmetrized kernel on
-    the dense and the Gram route alike: the deflated bottom, 0.0 where that
-    rounds above 0, exact when < 0, the only case in which a PSD check fails.
-    """
-
-    norm: float
-    gap: float
-    min_eigenvalue: float
 
 
 def _check_cap(n_states: int) -> None:
@@ -220,11 +210,6 @@ def _coordinate_tables(weights: np.ndarray) -> tuple[list[np.ndarray], dict, dic
     return marginals, pairs, rows
 
 
-def _context_tables(target: FiniteTarget, ctx: CondContext):
-    """:func:`_coordinate_tables` of one supported context, as a stack of one."""
-    return _coordinate_tables(supported_conditional(target, ctx)[1][None])
-
-
 def _gibbs_stack(weights: np.ndarray, l: int) -> np.ndarray:
     """Block Gibbs matrices (B, N, N) of a stack of conditionals (B, *shape).
 
@@ -262,23 +247,20 @@ def _gibbs_stack(weights: np.ndarray, l: int) -> np.ndarray:
     return kernel
 
 
-def gibbs_kernel(target: FiniteTarget, ctx: CondContext, l: int) -> WeightedKernel:
-    """Block Gibbs transition matrix on the free coordinates of a context.
-
-    A step picks a uniformly random subset of ``l`` free coordinates and
-    redraws it from its conditional given everything else (context included).
-    Stationary weights are the conditional of the free block given the
-    context.  With ``l`` equal to the number of free coordinates every row
-    equals the stationary weights (one-step exact resampling).
-    """
-    _, weights = supported_conditional(target, ctx)
-    return WeightedKernel(_gibbs_stack(weights[None], l)[0], weights.reshape(-1))
-
-
 def _gram_order(shape: tuple[int, ...], l: int) -> int:
     """Order of the block-``l`` Gram matrix on ``shape``: the summed sizes of the kept alphabets."""
     m = len(shape)
     return sum(math.prod(shape[p] for p in kept) for kept in itertools.combinations(range(m), m - l))
+
+
+def _solve_order(shape: tuple[int, ...], l: int) -> int:
+    """Order of the matrix a full-support context of free shape ``shape`` solves at block size ``l``.
+
+    The dense kernel's ``N`` for ``l = m``, else the smaller of ``N`` and the
+    Gram order: the rule by which :func:`_gibbs_spectra` routes a context.
+    """
+    n_states = math.prod(shape)
+    return n_states if l == len(shape) else min(n_states, _gram_order(shape, l))
 
 
 def _gram_stack(weights: np.ndarray, l: int) -> np.ndarray:
@@ -338,6 +320,8 @@ def _gram_stack(weights: np.ndarray, l: int) -> np.ndarray:
         block = block.reshape(n_ctx, sizes[r], width)
         gram[:, lo:hi, lo:] = block
         gram[:, hi:, lo:hi] = block[:, :, hi - lo :].transpose(0, 2, 1)
+        # Freed before the next row block is allocated, so one is live at a time.
+        del block
     diag = np.arange(order)
     marg = gram[:, diag, diag]
     d = np.sqrt(marg)
@@ -357,9 +341,10 @@ def _gram_stack(weights: np.ndarray, l: int) -> np.ndarray:
 def _gibbs_spectra(weights: np.ndarray, l: int) -> np.ndarray:
     """Norms, gaps and bottoms (3, B) of the block-``l`` Gibbs kernels of a stack (B, *shape).
 
-    A context takes the Gram route (:func:`_gram_stack`) when ``l < m``, the
-    Gram order is below ``N`` and every one of its weights is positive; the
-    others are built densely and solved by :func:`_spectral_stack`.  The
+    A context takes the Gram route (:func:`_gram_stack`) when its
+    :func:`_solve_order` is below ``N`` (so ``l < m`` and the Gram order is
+    below ``N``) and every one of its weights is positive; the others are
+    built densely and solved by :func:`_spectral_stack`.  The
     ``(m, m)`` kernels and contexts with zero weights stay dense because
     their gaps tie (every ``Gap(m, m)`` is 1, reducible chains have gap 0),
     and which tied context a report names is decided by last-bit rounding.
@@ -369,8 +354,7 @@ def _gibbs_spectra(weights: np.ndarray, l: int) -> np.ndarray:
     """
     shape = weights.shape[1:]
     flat = weights.reshape(len(weights), -1)
-    gram_smaller = l < len(shape) and _gram_order(shape, l) < flat.shape[1]
-    on_gram = (flat > 0).all(axis=1) & gram_smaller
+    on_gram = (flat > 0).all(axis=1) & (_solve_order(shape, l) < flat.shape[1])
     out = np.empty((3, len(flat)))
     if on_gram.any():
         out[:, on_gram] = _gram_stack(weights[on_gram], l)
@@ -408,21 +392,6 @@ def _walk_stack(
     return kernel, phi
 
 
-def random_walk_kernel(target: FiniteTarget, ctx: CondContext) -> WeightedKernel:
-    """Index/value walk: jump to a uniform free coordinate, redraw its value.
-
-    From state ``(j, x)`` the step picks ``j'`` uniformly among the free
-    coordinates; if ``j' == j`` the value is kept, otherwise the new value is
-    drawn from the conditional of coordinate ``j'`` given the context and
-    ``X_j = x``.  The stationary weight of ``(i, A)`` is the conditional
-    marginal of coordinate ``i`` on ``A`` divided by the number of free
-    coordinates.
-    """
-    marginals, _, rows = _context_tables(target, ctx)
-    matrices, phi = _walk_stack(marginals, rows)
-    return WeightedKernel(matrices[0], phi[0])
-
-
 def _solve(mat: np.ndarray) -> np.ndarray:
     """Norms ``max|lambda|``, gaps ``1 - norm`` and bottoms ``min(lambda_min, 0)`` (3, B).
 
@@ -453,12 +422,18 @@ def _balance_error(matrices: np.ndarray, weights: np.ndarray) -> float:
 def _spectral_stack(matrices: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Norms, gaps and bottoms (3, B) of a stack (B, N, N) with weights (B, N).
 
-    Kernels whose zero-weight states differ are solved in separate
-    sub-stacks, one per support mask; see :func:`spectral_summary`.  Each
-    sub-stack goes in slices of at most ``_SLICE_FLOATS`` floats, one matrix
-    at least: a slice is checked for detailed balance, symmetrized in place
-    and solved, so no temporary outgrows a slice.  A full-support stack is
-    symmetrized in its own buffer, so it must be a temporary.
+    Each value is taken on mean-zero functions: states with zero stationary
+    weight are dropped (the similarity transform is singular there), the
+    kernel is symmetrized as D^{1/2} K D^{-1/2} and the constant direction
+    is deflated, so one eigensolve gives both the norm and the bottom
+    ``min(lambda_min, 0)`` (:func:`_solve`).  Kernels whose zero-weight
+    states differ are solved in separate sub-stacks, one per support mask.
+    Each sub-stack goes in slices of at most ``_SLICE_FLOATS`` floats, one
+    matrix at least: a slice is checked for detailed balance (violated
+    beyond ``_BALANCE_TOL`` raises :class:`NumericalContractError`),
+    symmetrized in place and solved, so no temporary outgrows a slice.  A
+    full-support stack is symmetrized in its own buffer, so it must be a
+    temporary.
     """
     out = np.empty((3, len(matrices)))
     for sel, keep in _support_groups(weights > 0.0):
@@ -483,24 +458,6 @@ def _spectral_stack(matrices: np.ndarray, weights: np.ndarray) -> np.ndarray:
             mat -= d[:, :, None] * d[:, None, :]
             out[:, part] = _solve(mat)
     return out
-
-
-def spectral_summary(kernel: WeightedKernel) -> SpectralSummary:
-    """Operator norm and gap of a reversible kernel on mean-zero functions.
-
-    States with zero stationary weight are dropped (the similarity transform
-    is singular there), the kernel is symmetrized as D^{1/2} K D^{-1/2}, and
-    the constant-function direction is deflated.  One eigensolve of the
-    deflated matrix gives both the largest absolute eigenvalue (the norm)
-    and the bottom eigenvalue, ``min(lambda_min, 0)`` of the symmetrized
-    kernel on this and the Gram route, since deflation moves 1 to 0.
-    Detailed balance violated beyond 1e-10 raises
-    :class:`NumericalContractError`.
-    """
-    norm, gap, bottom = _spectral_stack(kernel.matrix[None].copy(), kernel.weights[None])
-    return SpectralSummary(
-        norm=float(norm[0]), gap=float(gap[0]), min_eigenvalue=float(bottom[0])
-    )
 
 
 def sample_gibbs_chain(

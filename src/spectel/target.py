@@ -21,7 +21,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -226,22 +226,6 @@ def supported_conditional(
     return _free(target, ctx.lam), block / mass
 
 
-def supported_contexts(target: FiniteTarget, lambda_size: int) -> Iterator[CondContext]:
-    """Yield every context of the given size with positive marginal mass.
-
-    Enumeration order is canonical: index sets in lexicographic order, then
-    assignments row-major (last index fastest).  ``lambda_size == 0`` yields
-    exactly the empty context.
-    """
-    if not 0 <= lambda_size <= target.n - 1:
-        raise DomainError(
-            f"lambda_size {lambda_size} out of range 0..{target.n - 1}"
-        )
-    for lam in itertools.combinations(range(1, target.n + 1), lambda_size):
-        for y in _supported_assignments(target, lam):
-            yield CondContext(lam, y)
-
-
 def _supported_assignments(target: FiniteTarget, lam: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Assignments to the index set ``lam`` with positive mass, row-major."""
     if not lam:
@@ -254,7 +238,9 @@ def _supported_level(target: FiniteTarget, m: int, order: int):
     """Supported contexts leaving ``m`` coordinates free, and their stacked conditionals.
 
     Returns ``(contexts, stacks)``.  ``contexts`` lists every supported
-    (lam, y) in the order :func:`supported_contexts` yields them.  Each
+    (lam, y) in canonical order: index sets of size ``n - m`` in
+    lexicographic order, then assignments row-major (last index fastest),
+    so the top level's one context is ``((), ())``.  Each
     stack is ``(positions, weights)``: the conditionals (B, *shape) of
     contexts with one free shape, from any index set, where row ``k`` is the
     conditional tensor given ``contexts[positions[k]]``, computed on the

@@ -1,4 +1,4 @@
-"""Shared fixtures and brute-force oracles.
+"""Shared fixtures, brute-force oracles, and the engine's stack-of-one views.
 
 The oracles re-derive marginals, conditionals, and transition matrices by
 explicit enumeration (plain Python loops over full assignments), independent
@@ -6,33 +6,45 @@ of the package's vectorized tensor assembly, so entrywise comparisons are a
 genuine dual route and expected values in tests are computed, not copied.
 
 Beside them sit single-context constructions the package does not ship: the
-paper's recursive Gibbs kernel, the altered index/value walk, the walk route
-to the correlation coefficient and a few context helpers.  They are built
-from the package's public ``conditional``, ``marginal`` and single-context
-kernels, never from its batched engine, so they check that engine by a
-second route.
+paper's recursive Gibbs kernel and the altered index/value walk.  Every
+oracle is built from the package's public ``conditional``, ``marginal`` and
+``supported_conditional``, never from its stacked engine, so it checks that
+engine by a second route.
+
+The views (``gibbs_kernel``, ``random_walk_kernel``, ``spectral_summary``,
+``correlation_coefficient``, ``influence_matrix_tv``, and
+``correlation_via_walk`` over two of them) are not oracles: each runs the
+engine's private stack builders on a stack of one context, so a test can
+hold a single context's kernel or value against an oracle, a closed form, or
+another route.  No test uses a view as the reference for the builder it
+wraps, except to check that stacking moves no bit.
+``supported_contexts`` is brute-force enumeration over ``marginal``, so the
+engine's own context enumeration is checked against it.
 """
 
 from __future__ import annotations
 
 import itertools
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from spectel import (
+    EMPTY_CONTEXT,
     CondContext,
     FiniteTarget,
+    InfluenceMatrix,
     WeightedKernel,
     conditional,
     marginal,
     product_target,
     random_target,
-    random_walk_kernel,
-    spectral_summary,
     supported_conditional,
 )
+from spectel.bounds import _correlation_stack, _influence_stack
+from spectel.kernels import _coordinate_tables, _gibbs_stack, _spectral_stack, _walk_stack
 
 
 @pytest.fixture
@@ -317,9 +329,10 @@ def recursive_gibbs_kernel(target: FiniteTarget, ctx: CondContext, l: int) -> We
 
     Below the full-block base case, the step fixes one uniformly chosen free
     coordinate at its current value and recurses on the remaining ones;
-    averaging the embedded sub-kernels must reproduce ``gibbs_kernel``
-    entrywise.  The rows come from ``spectel.conditional``, whose
-    zero-mass-to-uniform convention carries through unsupported sub-contexts.
+    averaging the embedded sub-kernels must reproduce the engine's dense
+    kernel (:func:`gibbs_kernel`) entrywise.  The rows come from
+    ``spectel.conditional``, whose zero-mass-to-uniform convention carries
+    through unsupported sub-contexts.
     """
     _, weights = supported_conditional(target, ctx)
     matrix = _recursive_matrix(target, ctx.lam, ctx.y, l, {})
@@ -353,6 +366,64 @@ def altered_random_walk_kernel(target: FiniteTarget, ctx: CondContext) -> Weight
             matrix[row, start[i] : start[i] + law.size] = law / m
     weights = np.concatenate([conditional(target, (i,), ctx) for i in free]) / m
     return WeightedKernel(matrix, weights)
+
+
+def supported_contexts(target: FiniteTarget, lambda_size: int):
+    """Every context of ``lambda_size`` fixed coordinates with positive ``marginal`` mass.
+
+    Index sets in lexicographic order, then assignments row-major (last
+    index fastest); size 0 yields exactly the empty context.
+    """
+    if lambda_size == 0:
+        yield EMPTY_CONTEXT
+        return
+    for lam in itertools.combinations(range(1, target.n + 1), lambda_size):
+        mass = marginal(target, lam)
+        for y in itertools.product(*[range(target.axes[i - 1]) for i in lam]):
+            if mass[y] > 0.0:
+                yield CondContext(lam, y)
+
+
+def _context_tables(target: FiniteTarget, ctx: CondContext):
+    """The engine's marginals, pair tables and pair rows of one supported context."""
+    return _coordinate_tables(supported_conditional(target, ctx)[1][None])
+
+
+def gibbs_kernel(target: FiniteTarget, ctx: CondContext, l: int) -> WeightedKernel:
+    """View: the engine's dense block-``l`` Gibbs kernel of one supported context."""
+    weights = supported_conditional(target, ctx)[1]
+    return WeightedKernel(_gibbs_stack(weights[None], l)[0], weights.reshape(-1))
+
+
+def random_walk_kernel(target: FiniteTarget, ctx: CondContext) -> WeightedKernel:
+    """View: the engine's index/value walk of one supported context."""
+    marginals, _, rows = _context_tables(target, ctx)
+    matrices, phi = _walk_stack(marginals, rows)
+    return WeightedKernel(matrices[0], phi[0])
+
+
+class SpectralSummary(NamedTuple):
+    norm: float
+    gap: float
+    min_eigenvalue: float
+
+
+def spectral_summary(kernel: WeightedKernel) -> SpectralSummary:
+    """View: the engine's norm, gap and bottom ``min(lambda_min, 0)`` of one kernel."""
+    values = _spectral_stack(kernel.matrix[None].copy(), kernel.weights[None])
+    return SpectralSummary(*(float(v[0]) for v in values))
+
+
+def correlation_coefficient(target: FiniteTarget, ctx: CondContext) -> float:
+    """View: the engine's Rayleigh-route summation correlation coefficient of one context."""
+    marginals, pairs, _ = _context_tables(target, ctx)
+    return float(_correlation_stack(marginals, pairs)[0])
+
+
+def influence_matrix_tv(target: FiniteTarget, ctx: CondContext) -> InfluenceMatrix:
+    """View: the engine's discrete-metric influence matrix of one context."""
+    marginals, _, rows = _context_tables(target, ctx)
+    return InfluenceMatrix(len(marginals), _influence_stack(marginals, rows)[0], "tv-discrete")
 
 
 def correlation_via_walk(target: FiniteTarget, ctx: CondContext) -> float:

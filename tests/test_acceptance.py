@@ -14,9 +14,13 @@ import spectel as sp
 
 from conftest import (
     altered_random_walk_kernel,
+    correlation_coefficient,
     correlation_via_walk,
+    gibbs_kernel,
     indexed_states,
+    random_walk_kernel,
     recursive_gibbs_kernel,
+    supported_contexts,
 )
 
 SWEEP_SEED = 20250810
@@ -61,11 +65,11 @@ def test_criterion_2_algorithm_equivalence(sweep):
         contexts = [sp.EMPTY_CONTEXT]
         if k < 20:  # exhaustive context coverage on a slice of the sweep
             for size in range(1, target.n):
-                contexts.extend(sp.supported_contexts(target, size))
+                contexts.extend(supported_contexts(target, size))
         for ctx in contexts:
             m = target.n - ctx.size
             for l in range(1, m + 1):
-                direct = sp.gibbs_kernel(target, ctx, l)
+                direct = gibbs_kernel(target, ctx, l)
                 recursive = recursive_gibbs_kernel(target, ctx, l)
                 worst = max(worst, float(np.abs(direct.matrix - recursive.matrix).max()))
     assert worst <= 1e-12
@@ -86,9 +90,9 @@ def test_criterion_3_walk_gap_equals_correlation(lemma_targets):
     checked = 0
     for target in lemma_targets:
         for size in range(target.n - 1):
-            for ctx in sp.supported_contexts(target, size):
+            for ctx in supported_contexts(target, size):
                 via_walk = correlation_via_walk(target, ctx)
-                direct = sp.correlation_coefficient(target, ctx)
+                direct = correlation_coefficient(target, ctx)
                 worst = max(worst, abs(via_walk - direct))
                 checked += 1
     assert worst <= 1e-8
@@ -103,12 +107,12 @@ def test_criterion_4_walk_identity_on_component_mean_zero(lemma_targets):
     for k, target in enumerate(lemma_targets):
         contexts = [sp.EMPTY_CONTEXT]
         if k < 10:
-            contexts.extend(sp.supported_contexts(target, 1))
+            contexts.extend(supported_contexts(target, 1))
         for ctx in contexts:
             m = target.n - ctx.size
             if m < 2:
                 continue
-            walk = sp.random_walk_kernel(target, ctx)
+            walk = random_walk_kernel(target, ctx)
             altered = altered_random_walk_kernel(target, ctx)
             states = indexed_states(target, ctx)
             funcs = rng.normal(size=(walk.order, 100))

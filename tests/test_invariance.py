@@ -4,8 +4,8 @@ Renaming coordinates or alphabet values describes the same distribution, so
 ``Gap(m, l)``, ``S(m)``, ``G(m)`` and ``eta(m)`` must not move.  The batched
 engine must agree with the brute-force oracles of ``conftest`` context by
 context, ``Gap(m, m)`` is 1, the telescope inequality holds, and product
-targets have ``Gap(n, l) = l/n`` with ``S``, ``G`` and ``eta`` at their
-independent-case values.
+targets have ``Gap(m, l) = l/m`` at every level, zero-mass values included,
+with ``S``, ``G`` and ``eta`` at their independent-case values.
 Targets are small (alphabets of size 2 or 3, at most 4 coordinates) with
 integer weights, so zero entries are common: they leave contexts unsupported,
 make the conditional rows fall back to uniform, and put contexts with
@@ -18,18 +18,22 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_gap, oracle_rw_matrix, recursive_gibbs_kernel
+from conftest import (
+    correlation_coefficient,
+    influence_matrix_tv,
+    oracle_gap,
+    oracle_rw_matrix,
+    random_walk_kernel,
+    recursive_gibbs_kernel,
+    spectral_summary,
+    supported_contexts,
+)
 from spectel import (
     FiniteTarget,
     assemble_bounds,
-    correlation_coefficient,
     gap_profile,
-    influence_matrix_tv,
     product_target,
-    random_walk_kernel,
     spectral_radius,
-    spectral_summary,
-    supported_contexts,
     telescope_verify,
 )
 from spectel.kernels import _gibbs_spectra
@@ -199,3 +203,24 @@ def test_product_target_gap_is_l_over_n(data):
         assert abs(report.s_profile[m] - 1 / m) <= 1e-12, m
         assert abs(report.g_profile[m] - (m - 1) / m) <= 1e-12, m
         assert abs(report.eta_profile[m]) <= 1e-12, m
+
+
+@SETTINGS
+@given(data=st.data())
+def test_product_target_gap_is_l_over_m_at_every_level(data):
+    # A coordinate's function f(x_i) moves only in the l/m share of blocks
+    # that hold i, which is the slowest mode when the coordinates are
+    # independent.  A coordinate with one supported value has no non-constant
+    # function, so with none of two supported values every gap is 1.
+    axes = data.draw(st.lists(st.sampled_from((2, 3)), min_size=2, max_size=4))
+    marginals = []
+    for a in axes:
+        weights = data.draw(st.lists(st.integers(0, 4), min_size=a, max_size=a))
+        if not any(weights):
+            weights[data.draw(st.integers(0, a - 1))] = 1
+        marginals.append(np.array(weights, dtype=float) / sum(weights))
+    profile = gap_profile(product_target(marginals))
+    varied = any(np.count_nonzero(w) >= 2 for w in marginals)
+    for (m, l), entry in profile.entries.items():
+        expected = l / m if varied else 1.0
+        assert abs(entry.gap - expected) <= 1e-12, (m, l, entry.gap)

@@ -13,25 +13,24 @@ from spectel import (
     ResourceLimitError,
     STATE_CAP,
     WeightedKernel,
-    gibbs_kernel,
     product_target,
     random_target,
-    random_walk_kernel,
     sample_gibbs_chain,
-    spectral_summary,
-    supported_contexts,
 )
+from spectel import kernels
 from spectel.kernels import (
     _gibbs_spectra,
     _gibbs_stack,
     _gram_order,
     _gram_stack,
+    _solve_order,
     _spectral_stack,
 )
 
 from conftest import (
     altered_random_walk_kernel,
     coupled_pair_target,
+    gibbs_kernel,
     indexed_states,
     oracle_gap,
     oracle_gibbs_chain,
@@ -39,7 +38,10 @@ from conftest import (
     oracle_rw_matrix,
     peak,
     random_small_target,
+    random_walk_kernel,
     recursive_gibbs_kernel,
+    spectral_summary,
+    supported_contexts,
 )
 
 
@@ -348,6 +350,22 @@ class TestGramStack:
     def test_full_block_rejected(self, rng):
         with pytest.raises(DomainError):
             _gram_stack(dirichlet_stack(rng, (2, 3)), 2)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 2, 2), (2, 3, 4), (2, 2, 2, 2)])
+    def test_solve_order_is_the_order_a_full_support_context_solves(self, shape, rng, monkeypatch):
+        orders = []
+        solve = kernels._solve
+
+        def spy(mat):
+            orders.append(mat.shape[-1])
+            return solve(mat)
+
+        monkeypatch.setattr(kernels, "_solve", spy)
+        weights = dirichlet_stack(rng, shape)
+        for l in range(1, len(shape) + 1):
+            orders.clear()
+            _gibbs_spectra(weights, l)
+            assert set(orders) == {_solve_order(shape, l)}, l
 
 
 class TestWeightedKernelValidation:
