@@ -17,23 +17,24 @@ Three routes produce lower bounds on ``Gap(m, m-1)``:
   at level ``m`` has spectral radius at most ``eta < m-1``.
 
 Everything here is exact enumeration over supported contexts, never sampling.
-:func:`gap_profile` and :func:`assemble_bounds` share one pass over the levels
-that enumerates each level's contexts once, from the top level down, in
-stacks that gather the contexts of one free shape, whatever index set they
-fix.  Stacks are cut so that a stack of Gibbs kernels holds no more floats
-than the largest matrix the scan solves for a full-support context (the
-order-864 Gram matrix at ``(4, 1)`` on (6,6,6,6)), one context at least, so
-that solve sets the scan's memory ceiling.  A stack is solved per block size
-and route and, on the levels the bounds need, run through the S, G and eta
-routes, which share one set of marginals and pair tables.  The top level has
-one context, so its full-block gap takes its exact value: that kernel is
-``1 pi^T``, the projection onto constants, so ``Gap(n, n) = 1`` with bottom
-eigenvalue 0, and it is never built.  Every ``Gap(m, m)`` with ``m < n`` is
-still solved densely, because which of the level's tied contexts a report
-names is decided by last-bit rounding.  For a block size ``l < m``, a context
-with no zero weight is solved through the Gram matrix of its kept sets when
-that matrix is the smaller; every other context through its dense kernel
-(see :func:`spectel.kernels._gibbs_spectra`).  Dense contexts whose zero-weight
+:func:`gap_profile` and :func:`assemble_bounds` share one pass over the
+levels that enumerates each level's contexts once, from the top level down,
+in stacks that gather the contexts of one free shape, whatever index set
+they fix.  The scan cuts each stack so that a slice of Gibbs kernels holds
+no more floats than the largest matrix it solves for a full-support context
+(the order-864 Gram matrix at ``(4, 1)`` on (6,6,6,6), one of the top
+level's), one context at least, so that solve sets the scan's memory
+ceiling.  A slice is solved per block size and route and, on the levels the
+bounds need, run through the S, G and eta routes, which share one set of
+marginals and pair tables.  The top level has one context, so its full-block
+gap takes its exact value: that kernel is ``1 pi^T``, the projection onto
+constants, so ``Gap(n, n) = 1`` with bottom eigenvalue 0, and it is never
+built.  Every ``Gap(m, m)`` with ``m < n`` is still solved densely, because
+which of the level's tied contexts a report names is decided by last-bit
+rounding.  For a block size ``l < m``, a context with no zero weight is
+solved through the Gram matrix of its kept sets when that matrix is the
+smaller; every other context through its dense kernel (see
+:func:`spectel.kernels._gibbs_spectra`).  Dense contexts whose zero-weight
 states differ are solved in sub-stacks, one per support mask.  Each value
 lands in one array per level and quantity, in canonical order, and one
 picker takes the first extremum, as a context-by-context scan would: every
@@ -42,7 +43,7 @@ context of a stack is computed bit for bit as in a stack of one.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -345,16 +346,11 @@ def _extremum(pick, values: np.ndarray, contexts: list) -> tuple:
 def _largest_solve(axes: tuple[int, ...]) -> int:
     """Order of the largest matrix a scan of ``axes`` solves for a full-support context.
 
-    The largest :func:`spectel.kernels._solve_order` over every free shape
-    and block size, but the top level's full block, whose gap is not solved.
+    The largest :func:`spectel.kernels._solve_order` of the top level's
+    ``l < n``.  A lower free shape drops an axis, so it has at most
+    ``N / min(axes)`` states, below the top's block-1 ``min(N, sum_i N/q_i)``.
     """
-    n = len(axes)
-    shapes = {
-        tuple(sorted(free)) for m in range(1, n + 1) for free in itertools.combinations(axes, m)
-    }
-    return max(
-        _solve_order(shape, l) for shape in shapes for l in range(1, len(shape) + 1) if l < n
-    )
+    return max(_solve_order(axes, l) for l in range(1, len(axes)))
 
 
 def _scan(
@@ -365,11 +361,11 @@ def _scan(
     Each level's supported contexts are enumerated once; every stack is
     solved for each block size ``1..m`` and, when ``m > l``, run through the
     three routes.  The top level has one context, so its full-block gap takes
-    its exact value, 1 with bottom 0, and is not solved.  Stacks are cut to
-    the largest matrix a full-support context solves (:func:`_largest_solve`),
-    so that solve sets the scan's memory ceiling, and levels run from the top
-    down, so the largest solves meet a heap the lower levels have not yet
-    fragmented.  Results are returned in ascending order of level.
+    its exact value, 1 with bottom 0, and is not solved.  Each free shape's
+    stack is cut here, into views, to the largest matrix a full-support
+    context solves (:func:`_largest_solve`), so that solve sets the scan's
+    memory ceiling, and levels run from the top down, so the largest solves
+    meet a heap the lower levels have not yet fragmented.  Results are returned in ascending order of level.
     """
     _check_cap(target.probs.size)
     order = _largest_solve(target.axes)
@@ -378,22 +374,25 @@ def _scan(
     values: dict[str, dict[int, float]] = {name: {} for name, _ in _ROUTES}
     extremal: dict[str, dict[int, dict]] = {name: {} for name, _ in _ROUTES}
     for m in range(target.n, 0, -1):
-        contexts, stacks = _supported_level(target, m, order)
+        contexts, stacks = _supported_level(target, m)
         gaps = np.empty((m, len(contexts)))
         routes = np.empty((len(_ROUTES), len(contexts)))
         low = np.inf
-        for pos, weights in stacks:
-            for size in range(1, m + 1):
-                if size == target.n:
-                    # The top level has one context, so its full-block gap
-                    # takes its exact value: 1 pi^T is 0 on mean-zero functions.
-                    gaps[size - 1, pos], bottom = 1.0, 0.0
-                else:
-                    _, gaps[size - 1, pos], bottoms = _gibbs_spectra(weights, size)
-                    bottom = float(bottoms.min())
-                low = min(low, bottom)
-            if m > l:
-                routes[:, pos] = _route_values(weights)
+        for shape_pos, shape_weights in stacks:
+            cut = max(1, order**2 // math.prod(shape_weights.shape[1:]) ** 2)
+            for start in range(0, len(shape_pos), cut):
+                pos, weights = shape_pos[start : start + cut], shape_weights[start : start + cut]
+                for size in range(1, m + 1):
+                    if size == target.n:
+                        # The top level has one context, so its full-block gap
+                        # takes its exact value: 1 pi^T is 0 on mean-zero functions.
+                        gaps[size - 1, pos], bottom = 1.0, 0.0
+                    else:
+                        _, gaps[size - 1, pos], bottoms = _gibbs_spectra(weights, size)
+                        bottom = float(bottoms.min())
+                    low = min(low, bottom)
+                if m > l:
+                    routes[:, pos] = _route_values(weights)
         level_psd[m] = low
         for size, row in enumerate(gaps, start=1):
             entries[(m, size)] = GapEntry(*_extremum(np.argmin, row, contexts))

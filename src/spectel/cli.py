@@ -288,7 +288,7 @@ def cmd_verify_cube(args: argparse.Namespace) -> int:
     if not 3 <= args.n <= 8:
         raise DomainError(f"--n must lie in 3..8, got {args.n}")
     tols = _parse_tolerances(args.tol, CUBE_TOLERANCES)
-    corner._check_estimate_steps(args.steps)
+    corner._check_estimate_steps(args.n, args.steps)
     started = time.monotonic()
     rng = np.random.default_rng(args.seed)
     report = _base_report("verify-cube", seed=args.seed, tolerances=tols)

@@ -159,9 +159,9 @@ def run_corner_chain(
     when ``trace_coord`` is set (memory-light for long runs).  Per block of
     65,536 steps the loop only updates the state; the block's rows are then
     forward-filled from the values it drew.  The output is a deterministic
-    function of the RNG stream and the start.  A trajectory of more than
-    ``STATE_CAP**2`` values raises :class:`ResourceLimitError` before
-    anything is allocated.
+    function of the RNG stream and the start.  A start state and trajectory
+    of more than ``STATE_CAP**2`` values raise :class:`ResourceLimitError`
+    before anything is allocated.
     """
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
@@ -169,7 +169,7 @@ def run_corner_chain(
         raise DomainError("steps must be >= 0")
     if trace_coord is not None and not 0 <= trace_coord < n:
         raise DomainError(f"trace_coord must lie in 0..{n - 1}, got {trace_coord}")
-    _check_storage(steps * (n if trace_coord is None else 1))
+    _check_storage(n + steps * (n if trace_coord is None else 1))
     if x0 is None:
         x = list(stationary_corner_sample(n, rng))
     else:
@@ -500,7 +500,7 @@ def _fit_decay_rate(trace: np.ndarray) -> tuple[float, int]:
     return float(np.exp(slope)), len(lags)
 
 
-def _check_estimate_steps(steps: int) -> None:
+def _check_estimate_steps(n: int, steps: int) -> None:
     """The step-count rules of :func:`empirical_gap_estimate`, checked before any work."""
     if steps < 0:
         raise DomainError("steps must be >= 0")
@@ -509,7 +509,7 @@ def _check_estimate_steps(steps: int) -> None:
             f"{steps} steps is below the 1e6 floor needed for a stable "
             "autocorrelation window"
         )
-    _check_storage(steps)  # the chain keeps one coordinate's trace
+    _check_storage(n + steps)  # the start state, then one coordinate's trace
 
 
 def empirical_gap_estimate(n: int, steps: int, rng: np.random.Generator) -> GapEstimate:
@@ -525,7 +525,7 @@ def empirical_gap_estimate(n: int, steps: int, rng: np.random.Generator) -> GapE
     """
     if not 3 <= n <= 8:
         raise DomainError(f"n must lie in 3..8, got {n}")
-    _check_estimate_steps(steps)
+    _check_estimate_steps(n, steps)
     trace = run_corner_chain(n, steps, rng, trace_coord=0)
     rho, lags_used = _fit_decay_rate(trace)
 

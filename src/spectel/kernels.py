@@ -38,9 +38,10 @@ value, 1.
 :mod:`spectel.bounds` stacks the contexts of a level that share a free
 shape, whatever index set they fix; dense builders return a (B, N, N) stack
 of matrices, checked and eigensolved, and the Gram builder returns the
-spectral values of its stack.  Stacks are cut to B * N^2 <= D^2 floats, one
-context at least, where D is the order of the largest matrix the scan solves
-for a full-support context, and every temporary of a check, symmetrization
+spectral values of its stack.  The scan cuts stacks to B * N^2 <= D^2
+floats, one context at least, where D, the largest :func:`_solve_order` of
+the top level's block sizes, is the largest matrix it solves for a
+full-support context, and every temporary of a check, symmetrization
 or normalization covers a slice of at most ``_SLICE_FLOATS`` floats (one
 matrix or row at least), so a scan needs little more memory than its
 largest eigensolve.  Every context of a stack is computed bit for bit as in

@@ -226,45 +226,35 @@ def supported_conditional(
     return _free(target, ctx.lam), block / mass
 
 
-def _supported_assignments(target: FiniteTarget, lam: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Assignments to the index set ``lam`` with positive mass, row-major."""
-    if not lam:
-        return [()]
-    marg = marginal(target, lam)
-    return [tuple(int(v) for v in y) for y in np.ndindex(marg.shape) if marg[y] > 0.0]
-
-
-def _supported_level(target: FiniteTarget, m: int, order: int):
-    """Supported contexts leaving ``m`` coordinates free, and their stacked conditionals.
+def _supported_level(target: FiniteTarget, m: int):
+    """Supported contexts leaving ``m`` coordinates free, and their conditionals by free shape.
 
     Returns ``(contexts, stacks)``.  ``contexts`` lists every supported
     (lam, y) in canonical order: index sets of size ``n - m`` in
     lexicographic order, then assignments row-major (last index fastest),
-    so the top level's one context is ``((), ())``.  Each
-    stack is ``(positions, weights)``: the conditionals (B, *shape) of
-    contexts with one free shape, from any index set, where row ``k`` is the
-    conditional tensor given ``contexts[positions[k]]``, computed on the
-    same slice and with the same division as :func:`supported_conditional`,
-    so its bits match.  Stacks are cut so that B kernels of order
-    N = prod(shape) hold no more floats than one matrix of order ``order``,
-    the largest a scan solves: B * N^2 <= order^2, with B >= 1.
+    so the top level's one context is ``((), ())``.  Each stack
+    ``(positions, weights)`` holds the conditionals (B, *shape) of every
+    context with one free shape, from any index set, uncut: row ``k`` is the
+    conditional tensor given ``contexts[positions[k]]``.  Each context's
+    slice is summed once, and that mass decides support (``> 0``) and
+    divides, as in :func:`supported_conditional`, so the bits match.
     """
     contexts: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     blocks: dict[tuple[int, ...], list] = {}
     for lam in itertools.combinations(range(1, target.n + 1), target.n - m):
         shape = tuple(target.axes[i - 1] for i in _free(target, lam))
-        for y in _supported_assignments(target, lam):
-            blocks.setdefault(shape, []).append((len(contexts), _context_slice(target, lam, y)))
-            contexts.append((lam, y))
+        for y in np.ndindex(*(target.axes[i - 1] for i in lam)):
+            block = _context_slice(target, lam, y)
+            mass = float(block.sum())
+            if mass > 0.0:
+                blocks.setdefault(shape, []).append((len(contexts), block, mass))
+                contexts.append((lam, y))
     stacks = []
     for shape, shape_blocks in blocks.items():
-        cut = max(1, order**2 // math.prod(shape) ** 2)
-        for start in range(0, len(shape_blocks), cut):
-            chunk = shape_blocks[start : start + cut]
-            weights = np.empty((len(chunk),) + shape)
-            for k, (_, block) in enumerate(chunk):
-                np.divide(block, float(block.sum()), out=weights[k])
-            stacks.append((np.array([pos for pos, _ in chunk]), weights))
+        weights = np.empty((len(shape_blocks),) + shape)
+        for k, (_, block, mass) in enumerate(shape_blocks):
+            np.divide(block, mass, out=weights[k])
+        stacks.append((np.array([pos for pos, _, _ in shape_blocks]), weights))
     return contexts, stacks
 
 

@@ -446,3 +446,10 @@ def oracle_gap(matrix: np.ndarray, weights: np.ndarray) -> float:
 def coupled_pair_target() -> FiniteTarget:
     """Two binary coordinates forced equal, uniform: the fully coupled pair."""
     return FiniteTarget([2, 2], [0.5, 0.0, 0.0, 0.5])
+
+
+def sparse_mixed_target() -> FiniteTarget:
+    """(2, 3, 2, 3) with 9 of 36 entries zeroed: unsupported contexts and mixed supports."""
+    weights = np.random.default_rng(5).dirichlet(np.ones(36))
+    weights[[0, 3, 7, 8, 13, 20, 21, 29, 35]] = 0.0
+    return FiniteTarget((2, 3, 2, 3), weights.reshape(2, 3, 2, 3) / weights.sum())

@@ -1,7 +1,12 @@
 """Gap profiles, telescope residuals, correlation routes, and bound assembly."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectel import (
     DomainError,
@@ -27,8 +32,10 @@ from conftest import (
     peak,
     product_of_marginals,
     random_small_target,
+    sparse_mixed_target,
     supported_contexts,
 )
+from spectel.target import supported_conditional
 
 
 class TestGapProfile:
@@ -317,6 +324,61 @@ class TestAssembleBounds:
         monkeypatch.setattr(kernels, "_solve", spy)
         assemble_bounds(random_target(axes, rng), 1)
         assert max(orders) == bounds._largest_solve(axes)
+
+    @pytest.mark.parametrize("order", [None, 6], ids=["largest-solve", "order-6"])
+    def test_scan_cuts_stacks(self, monkeypatch, order):
+        # At the scan's own order, and at one below most kernels' orders,
+        # under which their stacks hold one context each.
+        t = sparse_mixed_target()
+        if order is None:
+            order = bounds._largest_solve(t.axes)
+        else:
+            monkeypatch.setattr(bounds, "_largest_solve", lambda axes: order)
+        solved: dict[tuple, list[np.ndarray]] = {}
+        gibbs_spectra, route_values = bounds._gibbs_spectra, bounds._route_values
+
+        def gibbs_spy(stack, size):
+            solved.setdefault((stack.ndim - 1, size, stack.shape[1:]), []).append(stack.copy())
+            return gibbs_spectra(stack, size)
+
+        def route_spy(stack):
+            solved.setdefault((stack.ndim - 1, "routes", stack.shape[1:]), []).append(stack.copy())
+            return route_values(stack)
+
+        monkeypatch.setattr(bounds, "_gibbs_spectra", gibbs_spy)
+        monkeypatch.setattr(bounds, "_route_values", route_spy)
+        assert assemble_bounds(t, 1).passed
+        expected = {}
+        for m in range(1, t.n + 1):
+            for ctx in supported_contexts(t, t.n - m):
+                rows = supported_conditional(t, ctx)[1]
+                sizes = [s for s in range(1, m + 1) if s < t.n] + ["routes"] * (m > 1)
+                for size in sizes:
+                    expected.setdefault((m, size, rows.shape), []).append(rows)
+        assert solved.keys() == expected.keys()
+        for key, stacks in solved.items():
+            n_states = math.prod(key[2])
+            counts = [len(stack) for stack in stacks]
+            # No Gibbs stack outgrows a matrix of the scan's order unless it
+            # holds one context, and only a shape's last stack is short.
+            assert all(b * n_states**2 <= order**2 or b == 1 for b in counts)
+            assert all(b == max(1, order**2 // n_states**2) for b in counts[:-1])
+            # Every context solved once per block size, in canonical order.
+            assert np.array_equal(np.concatenate(stacks), np.stack(expected[key]))
+
+    @given(st.lists(st.integers(2, 9), min_size=2, max_size=7))
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    def test_largest_solve_is_the_largest_over_every_free_shape(self, axes):
+        # The top level's block sizes suffice: every lower free shape drops an axis.
+        n = len(axes)
+        every_shape = max(
+            kernels._solve_order(free, l)
+            for m in range(1, n + 1)
+            for free in itertools.combinations(axes, m)
+            for l in range(1, m + 1)
+            if l < n
+        )
+        assert bounds._largest_solve(tuple(axes)) == every_shape
 
     def test_largest_solve_of_the_benchmark_shapes(self):
         # The (4, 1) Gram matrix on (6,6,6,6); the top kernel on (2,)^8, whose

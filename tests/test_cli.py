@@ -363,6 +363,16 @@ class TestSample:
     def test_missing_file(self, tmp_path):
         assert main(["sample", "--target", str(tmp_path / "nope.json")]) == EXIT_BAD_INPUT
 
+    def test_cube_start_state_counts_toward_storage(self, capsys):
+        # With no step, the start draw alone would hold 10^12 values (7.28 TiB).
+        argv = ["sample", "--target", "cube", "--n", "1000000000000", "--steps", "0"]
+        assert main(argv) == EXIT_RESOURCE
+        err = capsys.readouterr().err
+        assert err.startswith("spectel: ") and err.count("\n") == 1
+        # A start state of ordinary size and no step print nothing.
+        assert main(["sample", "--target", "cube", "--n", "4", "--steps", "0"]) == EXIT_OK
+        assert capsys.readouterr() == ("", "")
+
 
 class TestVerifyCube:
     def test_insufficient_steps_exit_four(self, tmp_path, capsys):

@@ -5,8 +5,10 @@ the benchmark compares its numbers to 1e-12 and its argmin contexts
 exactly.  Where gaps tie (``Gap(m, m)`` is 1 for every context), last-bit
 rounding picks the argmin, so an arithmetic change can move it with every
 value still correct.  This runs ``verify-finite`` on every seed-0 target
-of finite-large and on the first of finite-many, and compares each with
-the stored reference, so such a move fails here first.  It reads ``perf/``
+of finite-large and on the first of finite-many and of finite-sparse, whose
+zero-mass contexts, zero-weight dense solves and support sub-stacks the
+other two lack, and compares each with the stored reference, so such a
+move fails here first.  It reads ``perf/``
 and writes only into a temporary directory.
 """
 
@@ -42,7 +44,7 @@ def check_seed0_target(tmp_path, workload, index):
     assert harness.compare(expected, harness.deterministic_part(op.command, op.out)) == []
 
 
-@pytest.mark.parametrize("workload", ["finite-many", "finite-large"])
+@pytest.mark.parametrize("workload", ["finite-many", "finite-large", "finite-sparse"])
 def test_first_seed0_target_matches_reference(tmp_path, workload):
     check_seed0_target(tmp_path, workload, 0)
 

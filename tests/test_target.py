@@ -20,8 +20,6 @@ from spectel import (
     target_from_dict,
 )
 
-from spectel.bounds import _largest_solve
-from spectel.kernels import _gibbs_stack
 from spectel.target import _supported_level
 
 from conftest import (
@@ -32,6 +30,7 @@ from conftest import (
     oracle_marginal,
     product_of_marginals,
     random_small_target,
+    sparse_mixed_target,
     supported_contexts,
     target_to_dict,
 )
@@ -175,45 +174,29 @@ class TestSupportedContexts:
             supported_conditional(sparse, CondContext((1,), (1,)))
 
 
-def _sparse_mixed_target() -> FiniteTarget:
-    weights = np.random.default_rng(5).dirichlet(np.ones(36))
-    weights[[0, 3, 7, 8, 13, 20, 21, 29, 35]] = 0.0
-    return FiniteTarget((2, 3, 2, 3), weights.reshape(2, 3, 2, 3) / weights.sum())
-
-
 @pytest.mark.parametrize(
     "target",
-    [random_target((2,) * 6, np.random.default_rng(3)), _sparse_mixed_target()],
+    [random_target((2,) * 6, np.random.default_rng(3)), sparse_mixed_target()],
     ids=["2^6", "2,3,2,3-sparse"],
 )
 def test_supported_level_stacks(target):
+    # One uncut stack per free shape; the scan cuts them (see test_bounds).
     spanning = 0
-    # The scan's ceiling, and one below most kernels' orders, under which
-    # their stacks hold one context each.
-    for order in (_largest_solve(target.axes), 6):
-        for m in range(1, target.n + 1):
-            contexts, stacks = _supported_level(target, m, order)
-            assert contexts == [(c.lam, c.y) for c in supported_contexts(target, target.n - m)]
-            positions = np.concatenate([pos for pos, _ in stacks])
-            # Every supported context exactly once, each stack in canonical order.
-            assert sorted(positions.tolist()) == list(range(len(contexts)))
-            assert all((np.diff(pos) > 0).all() for pos, _ in stacks)
-            by_shape = {}
-            for pos, weights in stacks:
-                for k, p in enumerate(pos):
-                    expected = supported_conditional(target, CondContext(*contexts[p]))[1]
-                    assert np.array_equal(weights[k], expected)
-                # No Gibbs stack outgrows a matrix of the ceiling's order unless
-                # it holds one context, and only the last stack of a free shape
-                # is cut short.
-                n_states = math.prod(weights.shape[1:])
-                assert len(pos) >= 1
-                assert _gibbs_stack(weights, 1).size == len(pos) * n_states**2
-                assert len(pos) * n_states**2 <= order**2 or len(pos) == 1
-                by_shape.setdefault(weights.shape[1:], []).append(len(pos))
-                spanning += len({contexts[p][0] for p in pos}) > 1
-            for shape, counts in by_shape.items():
-                assert all(b == max(1, order**2 // math.prod(shape) ** 2) for b in counts[:-1])
+    for m in range(1, target.n + 1):
+        contexts, stacks = _supported_level(target, m)
+        assert contexts == [(c.lam, c.y) for c in supported_contexts(target, target.n - m)]
+        positions = np.concatenate([pos for pos, _ in stacks])
+        # Every supported context exactly once, each stack in canonical order.
+        assert sorted(positions.tolist()) == list(range(len(contexts)))
+        assert all((np.diff(pos) > 0).all() for pos, _ in stacks)
+        shapes = [weights.shape[1:] for _, weights in stacks]
+        assert len(set(shapes)) == len(shapes)
+        for pos, weights in stacks:
+            assert len(pos) == len(weights) >= 1
+            for k, p in enumerate(pos):
+                expected = supported_conditional(target, CondContext(*contexts[p]))[1]
+                assert np.array_equal(weights[k], expected)
+            spanning += len({contexts[p][0] for p in pos}) > 1
     # Contexts of different index sets with one free shape share stacks.
     assert spanning > 0
 
