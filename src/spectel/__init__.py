@@ -27,7 +27,7 @@ from .target import (
     target_from_dict,
 )
 from .kernels import (
-    STATE_CAP,
+    MEMORY_CAP,
     WeightedKernel,
     sample_gibbs_chain,
 )

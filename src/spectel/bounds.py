@@ -24,7 +24,8 @@ they fix.  The scan cuts each stack so that a slice of Gibbs kernels holds
 no more floats than the largest matrix it solves for a full-support context
 (the order-864 Gram matrix at ``(4, 1)`` on (6,6,6,6), one of the top
 level's), one context at least, so that solve sets the scan's memory
-ceiling.  A slice is solved per block size and route and, on the levels the
+ceiling, checked in bytes before any level is enumerated (:func:`_scan_bytes`).
+A slice is solved per block size and route and, on the levels the
 bounds need, run through the S, G and eta routes, which share one set of
 marginals and pair tables.  The top level has one context, so its full-block
 gap takes its exact value: that kernel is ``1 pi^T``, the projection onto
@@ -50,7 +51,8 @@ import numpy as np
 
 from .errors import DomainError
 from .kernels import (
-    _check_cap,
+    _SLICE_FLOATS,
+    _check_memory,
     _coordinate_tables,
     _gibbs_spectra,
     _solve_order,
@@ -234,18 +236,27 @@ def _influence_stack(
     conditional laws of free coordinate j induced by two supported values of
     free coordinate i.  Total variation is exactly the optimal-coupling cost
     under the discrete metric, so no smaller constant satisfies the
-    contraction condition.
+    contraction condition.  The (B, k_i, k_i, k_j) differences go in slices
+    of value rows of at most ``_SLICE_FLOATS`` floats (one row at least);
+    each distance is the same sum as unsliced, and the maximum is exact.
     """
     m = len(marginals)
-    phi = np.zeros((marginals[0].shape[0], m, m))
+    n_ctx = marginals[0].shape[0]
+    phi = np.zeros((n_ctx, m, m))
     for a in range(m):
         supported = marginals[a] > 0
-        both = supported[:, :, None] & supported[:, None, :]
         for b in range(m):
             if b != a:
                 r = rows[(a, b)]
-                pair_tv = 0.5 * np.abs(r[:, :, None, :] - r[:, None, :, :]).sum(axis=-1)
-                phi[:, a, b] = np.where(both, pair_tv, 0.0).max(axis=(1, 2))
+                k_a, k_b = r.shape[1:]
+                step = max(1, _SLICE_FLOATS // (n_ctx * k_a * k_b))
+                for lo in range(0, k_a, step):
+                    part = slice(lo, lo + step)
+                    both = supported[:, part, None] & supported[:, None, :]
+                    diff = np.abs(r[:, part, None, :] - r[:, None, :, :])
+                    pair_tv = 0.5 * diff.sum(axis=-1)
+                    worst = np.where(both, pair_tv, 0.0).max(axis=(1, 2))
+                    np.maximum(phi[:, a, b], worst, out=phi[:, a, b])
     return phi
 
 
@@ -353,6 +364,18 @@ def _largest_solve(axes: tuple[int, ...]) -> int:
     return max(_solve_order(axes, l) for l in range(1, len(axes)))
 
 
+def _scan_bytes(order: int) -> int:
+    """Bytes a scan whose largest solve has ``order`` holds: 8 matrices of that order.
+
+    That matrix, numpy's copy of it inside eigvalsh (which tracemalloc does
+    not see) and the largest build or route temporary beside it.  The
+    tracemalloc peak of ``assemble_bounds(t, 1)`` reached 5.4 matrices over
+    Dirichlet(1) (6,6,6,6), (2,)^8, (3,)^6, (2,3,4), (150,150), (400,50),
+    (30,30,4), (20,20,20), (500,10) and (12,12,12), so 6.4 with the copy.
+    """
+    return 8 * 8 * order**2
+
+
 def _scan(
     target: FiniteTarget, l: int
 ) -> tuple[GapProfile, dict[str, dict[int, float]], dict[str, dict[int, dict]]]:
@@ -364,11 +387,13 @@ def _scan(
     its exact value, 1 with bottom 0, and is not solved.  Each free shape's
     stack is cut here, into views, to the largest matrix a full-support
     context solves (:func:`_largest_solve`), so that solve sets the scan's
-    memory ceiling, and levels run from the top down, so the largest solves
-    meet a heap the lower levels have not yet fragmented.  Results are returned in ascending order of level.
+    memory ceiling, checked (:func:`_scan_bytes`) before any level is
+    enumerated, and levels run from the top down, so the largest solves
+    meet a heap the lower levels have not yet fragmented.  Results are
+    returned in ascending order of level.
     """
-    _check_cap(target.probs.size)
     order = _largest_solve(target.axes)
+    _check_memory(_scan_bytes(order), f"the exact scan, whose largest solve has order {order},")
     entries: dict[tuple[int, int], GapEntry] = {}
     level_psd: dict[int, float] = {}
     values: dict[str, dict[int, float]] = {name: {} for name, _ in _ROUTES}

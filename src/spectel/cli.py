@@ -29,10 +29,13 @@ rejects, such as a negative ``--seed``, a ``true`` or ``false`` in a target's
 checked before any work starts, a ``--random`` COUNT below 1, a negative
 ``--steps``, a ``--tol`` key or flag the command does not read and a
 ``report-merge`` input that is not a JSON object or whose pass flag is not a
-bool), 3 state-space cap exceeded or a ``--steps`` whose chain would store
-more than ``STATE_CAP**2`` values, 4 statistical contract not met (a
-verify-cube ``--steps`` below 1e6).  verify-cube checks ``--steps`` before
-any of its checks runs.
+bool), 3 the run would hold more than ``MEMORY_CAP`` (3.2 GB) bytes, 4
+statistical contract not met (a verify-cube ``--steps`` below 1e6).  Each
+command works out the bytes it will hold from numbers it already has (the
+largest matrix a scan solves; with ``--random`` also the joint tensor and
+the report's entries; a chain's steps) and checks them once, before it
+allocates: verify-finite ``--random`` before its first draw, verify-cube
+before any of its checks runs.
 """
 
 from __future__ import annotations
@@ -49,15 +52,15 @@ import numpy as np
 
 from . import __version__
 from . import cube_corner as corner
-from .bounds import assemble_bounds, spectral_radius
+from .bounds import _largest_solve, _scan_bytes, assemble_bounds, spectral_radius
 from .errors import (
     DomainError,
     NumericalContractError,
     ResourceLimitError,
     StatisticalContractError,
 )
-from .kernels import _check_cap, sample_gibbs_chain
-from .target import FiniteTarget, _check_axes, _read_json, load_target, random_target
+from .kernels import _check_memory, sample_gibbs_chain
+from .target import _check_axes, _read_json, load_target, random_target
 
 EXIT_OK = 0
 EXIT_CHECKS_FAILED = 1
@@ -73,6 +76,10 @@ CUBE_TOLERANCES = {
     "tv_match": 1e-8,
     "tv_bound_slack": 1e-10,
 }
+# Bytes a verify-finite report holds per target entry, per square of its
+# coordinate count: the entry's dicts and json.dumps's chunks of it.  Under
+# tracemalloc, --random runs on 2 to 6 coordinates added at most 4,910.
+_ENTRY_BYTES_PER_N2 = 5_000
 # Random point pairs in the TV sweep and coupling draws per m in the Monte Carlo check.
 TV_DRAWS = 100
 MC_DRAWS = 100_000
@@ -99,6 +106,7 @@ def _parse_tolerances(pairs: list[str] | None, defaults: dict[str, float]) -> di
 
 
 def _parse_axes(raw: str | None, n: int | None) -> tuple[int, ...]:
+    """The sizes of ``--axes`` (times ``--n``), validated, their joint tensor checked in bytes."""
     if raw is None:
         raise DomainError("--random requires --axes (and --n for a uniform size)")
     try:
@@ -108,9 +116,14 @@ def _parse_axes(raw: str | None, n: int | None) -> tuple[int, ...]:
     if "," in raw:
         if n is not None:
             raise DomainError("--n goes only with a single --axes SIZE, not a comma list")
-        return sizes
-    if n is None:
+        n = 1
+    elif n is None:
         raise DomainError("--axes SIZE without commas needs --n for the coordinate count")
+    # Checked on at most two copies of the sizes, and in bytes on at most 128
+    # of them, so a huge --n or list builds no tuple or product that takes
+    # long: 2^128 floats are over any cap.
+    _check_axes(sizes * min(n, 2))
+    _check_memory(8 * math.prod(sizes[:128]) ** min(n, 128), "the joint tensor of --axes")
     return sizes * n
 
 
@@ -143,20 +156,24 @@ def cmd_verify_finite(args: argparse.Namespace) -> int:
     started = time.monotonic()
     report = _base_report("verify-finite", seed=args.seed, tolerances=tols)
 
-    targets: list[tuple[str, FiniteTarget]] = []
     if args.target:
         if args.n is not None or args.axes is not None:
             raise DomainError("--n and --axes go only with --random; a target file sets its own")
-        targets.append((args.target, load_target(args.target)))
+        targets = [(args.target, load_target(args.target))]
     elif args.random is not None:
-        axes = _check_axes(_parse_axes(args.axes, args.n))
+        axes = _parse_axes(args.axes, args.n)
         if args.random < 1:
             raise DomainError(f"--random COUNT must be >= 1, got {args.random}")
-        # Checked before random_target allocates the joint tensor.
-        _check_cap(math.prod(axes))
+        # Targets are drawn one at a time, so one tensor and one scan are held
+        # beside the entries the report keeps: all checked before the first draw.
+        _check_memory(
+            8 * math.prod(axes)
+            + _scan_bytes(_largest_solve(axes))
+            + args.random * _ENTRY_BYTES_PER_N2 * len(axes) ** 2,
+            f"verify-finite --random with {len(axes)} coordinates",
+        )
         rng = np.random.default_rng(args.seed)
-        for k in range(args.random):
-            targets.append((f"random[{k}]", random_target(axes, rng)))
+        targets = ((f"random[{k}]", random_target(axes, rng)) for k in range(args.random))
     else:
         raise DomainError("verify-finite needs --target PATH or --random COUNT")
 

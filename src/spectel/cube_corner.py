@@ -22,6 +22,10 @@ Quadrature is Gauss-Legendre with 256 nodes: the integrands are polynomials
 of degree far below 511, so residual tolerances reflect conditioning, not
 truncation.  Orthonormal polynomials are built by modified Gram-Schmidt on
 monomials (two passes) and capped at degree 8 where conditioning is safe.
+
+The chain and the gap estimate check the bytes they will hold, measured
+under tracemalloc, against :data:`spectel.kernels.MEMORY_CAP` before they
+allocate (:func:`_chain_bytes`, :func:`_estimate_bytes`).
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import numpy as np
 
 from .bounds import InfluenceMatrix
 from .errors import DomainError, NumericalContractError, StatisticalContractError
-from .kernels import _check_storage
+from .kernels import _check_memory
 
 _MAX_POLY_DEGREE = 8
 _QUAD_POINTS = 256
@@ -146,6 +150,18 @@ def stationary_corner_sample(n: int, rng: np.random.Generator) -> tuple[float, .
             return tuple(float(v) for v in x)
 
 
+_BLOCK = 1 << 16  # steps per block of the chain's loop
+
+
+def _chain_bytes(n: int, steps: int, cols: int) -> int:
+    """Bytes :func:`run_corner_chain` holds: its ``cols`` output columns, start and one block.
+
+    Measured: up to 57 bytes per coordinate of the start state, and per step
+    of a block 80 plus 16 per column (the draws, the fill's indices and rows).
+    """
+    return 8 * steps * cols + 64 * n + min(steps, _BLOCK) * (96 + 24 * cols)
+
+
 def run_corner_chain(
     n: int,
     steps: int,
@@ -159,9 +175,9 @@ def run_corner_chain(
     when ``trace_coord`` is set (memory-light for long runs).  Per block of
     65,536 steps the loop only updates the state; the block's rows are then
     forward-filled from the values it drew.  The output is a deterministic
-    function of the RNG stream and the start.  A start state and trajectory
-    of more than ``STATE_CAP**2`` values raise :class:`ResourceLimitError`
-    before anything is allocated.
+    function of the RNG stream and the start.  A run that would need more
+    than :data:`spectel.kernels.MEMORY_CAP` bytes (:func:`_chain_bytes`)
+    raises :class:`ResourceLimitError` before anything is allocated.
     """
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
@@ -169,7 +185,7 @@ def run_corner_chain(
         raise DomainError("steps must be >= 0")
     if trace_coord is not None and not 0 <= trace_coord < n:
         raise DomainError(f"trace_coord must lie in 0..{n - 1}, got {trace_coord}")
-    _check_storage(n + steps * (n if trace_coord is None else 1))
+    _check_memory(_chain_bytes(n, steps, n if trace_coord is None else 1), "the chain")
     if x0 is None:
         x = list(stationary_corner_sample(n, rng))
     else:
@@ -178,9 +194,8 @@ def run_corner_chain(
     total = sum(x)
     cols = np.arange(n) if trace_coord is None else np.asarray(trace_coord)
     out = np.empty((steps, *cols.shape))
-    block = 1 << 16
-    for start in range(0, steps, block):
-        b = min(block, steps - start)
+    for start in range(0, steps, _BLOCK):
+        b = min(_BLOCK, steps - start)
         idx = rng.integers(0, n, size=b)
         vals = rng.random(size=b).tolist()
         seq = x + vals  # [j]: coordinate j at the block start, [n + t]: step t's value
@@ -500,6 +515,15 @@ def _fit_decay_rate(trace: np.ndarray) -> tuple[float, int]:
     return float(np.exp(slope)), len(lags)
 
 
+def _estimate_bytes(n: int, steps: int) -> int:
+    """Bytes :func:`empirical_gap_estimate` holds: the chain's trace, then the fit's.
+
+    The fit's centred copy, and FFT buffers of up to 4 floats (31.6 bytes
+    measured) per point of its padded length, at most ``2^bit_length(steps + 1000)``.
+    """
+    return _chain_bytes(n, steps, 1) + 8 * (steps + 4 * (1 << (steps + 1000).bit_length()))
+
+
 def _check_estimate_steps(n: int, steps: int) -> None:
     """The step-count rules of :func:`empirical_gap_estimate`, checked before any work."""
     if steps < 0:
@@ -509,7 +533,7 @@ def _check_estimate_steps(n: int, steps: int) -> None:
             f"{steps} steps is below the 1e6 floor needed for a stable "
             "autocorrelation window"
         )
-    _check_storage(n + steps)  # the start state, then one coordinate's trace
+    _check_memory(_estimate_bytes(n, steps), "the gap estimate")
 
 
 def empirical_gap_estimate(n: int, steps: int, rng: np.random.Generator) -> GapEstimate:

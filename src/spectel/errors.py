@@ -10,7 +10,7 @@ class DomainError(SpectelError, ValueError):
 
 
 class ResourceLimitError(SpectelError):
-    """A computation would exceed the dense state-space cap."""
+    """A computation would hold more bytes than the memory cap."""
 
 
 class NumericalContractError(SpectelError):

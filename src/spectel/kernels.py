@@ -16,9 +16,10 @@ stacks: the private ``_*_stack`` builders take a stack of conditionals
 Both are reversible with respect to their stationary weights, so the
 spectral analysis symmetrizes with D^{1/2} K D^{-1/2} and uses a dense
 symmetric eigensolver: one eigensolve per kernel, of the matrix with the
-constant direction deflated (:func:`_spectral_stack`).  State spaces are
-hard-capped at :data:`STATE_CAP` dense states: this module is a verifier,
-exactness beats scale.
+constant direction deflated (:func:`_spectral_stack`).  This module is a
+verifier, exactness beats scale: every command checks the bytes it will hold
+against :data:`MEMORY_CAP` once, with :func:`_check_memory`, before it
+allocates, and the builders check nothing themselves.
 
 The exact pipeline solves a block Gibbs kernel by the smaller of two
 eigenproblems (:func:`_gibbs_spectra`).  The kernel is an average of
@@ -65,8 +66,8 @@ import numpy as np
 from .errors import DomainError, NumericalContractError, ResourceLimitError
 from .target import FiniteTarget
 
-# Dense-eigensolver cap on the number of states of a single kernel.
-STATE_CAP = 20_000
+# Bytes a command may plan to hold: the dense order-20,000 kernel, 8 * 20,000^2.
+MEMORY_CAP = 8 * 20_000**2
 
 _ROW_TOL = 1e-12
 # Largest detailed-balance violation |w_i K_ij - w_j K_ji| a spectral solve accepts.
@@ -118,18 +119,13 @@ class WeightedKernel:
         return f"WeightedKernel(order={self.order})"
 
 
-def _check_cap(n_states: int) -> None:
-    if n_states > STATE_CAP:
+def _check_memory(nbytes: int, what: str) -> None:
+    """Refuse work that would hold more than :data:`MEMORY_CAP` bytes, before it allocates."""
+    if nbytes > MEMORY_CAP:
+        # nbytes can have more digits than str() converts.
+        size = f"{nbytes / 1e9:.3g} GB" if nbytes < 10**21 else "more than 10^12 GB"
         raise ResourceLimitError(
-            f"state space has {n_states} states, exceeding the cap of {STATE_CAP}"
-        )
-
-
-def _check_storage(entries: int) -> None:
-    """Refuse a sampler run that would store more values than the largest dense kernel."""
-    if entries > STATE_CAP**2:
-        raise ResourceLimitError(
-            f"the run would store {entries} values, exceeding the cap of {STATE_CAP**2}"
+            f"{what} needs {size}, above the memory cap of {MEMORY_CAP / 1e9:g} GB"
         )
 
 
@@ -226,8 +222,6 @@ def _gibbs_stack(weights: np.ndarray, l: int) -> np.ndarray:
     if not 1 <= l <= m:
         raise DomainError(f"block size {l} out of range 1..{m}")
     n_states = int(np.prod(shape))
-    _check_cap(n_states)
-
     kernel = np.zeros((n_ctx,) + shape * 2)
     st = kernel.strides
     for gamma_pos in itertools.combinations(range(m), l):
@@ -249,9 +243,16 @@ def _gibbs_stack(weights: np.ndarray, l: int) -> np.ndarray:
 
 
 def _gram_order(shape: tuple[int, ...], l: int) -> int:
-    """Order of the block-``l`` Gram matrix on ``shape``: the summed sizes of the kept alphabets."""
-    m = len(shape)
-    return sum(math.prod(shape[p] for p in kept) for kept in itertools.combinations(range(m), m - l))
+    """Order of the block-``l`` Gram matrix on ``shape``: the summed sizes of the kept alphabets.
+
+    That sum over the kept sets of size ``m - l`` is the elementary
+    symmetric polynomial ``e_{m-l}`` of the sizes, built one size at a time.
+    """
+    e = [1] + [0] * (len(shape) - l)
+    for q in shape:
+        for j in range(len(e) - 1, 0, -1):
+            e[j] += e[j - 1] * q
+    return e[-1]
 
 
 def _solve_order(shape: tuple[int, ...], l: int) -> int:
@@ -377,7 +378,6 @@ def _walk_stack(
     n_ctx = marginals[0].shape[0]
     sizes = [marg.shape[1] for marg in marginals]
     n_states = sum(sizes)
-    _check_cap(n_states)
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     kernel = np.zeros((n_ctx, n_states, n_states))
     for a in range(m):
@@ -475,9 +475,8 @@ def sample_gibbs_chain(
     the blocks and one ``rng.random`` call for the uniforms.  The state is a
     flat row-major index into ``target.probs``; a step looks up its rest row
     in the block's tables and bisects that row's cumulative pmf.  The tables
-    (numpy arrays read through memoryviews, 16 bytes per entry) grow as
-    C(n, l) * N for N states.  A run whose trajectory and tables would hold
-    more than ``STATE_CAP**2`` values raises :class:`ResourceLimitError`
+    grow as C(n, l) * N for N states.  A run whose steps and tables would
+    need more than :data:`MEMORY_CAP` bytes raises :class:`ResourceLimitError`
     before anything is allocated.
     """
     n = target.n
@@ -485,7 +484,11 @@ def sample_gibbs_chain(
         raise DomainError(f"block size {l} out of range 1..{n}")
     if steps < 0:
         raise DomainError("steps must be >= 0")
-    _check_storage(steps * n + 2 * comb(n, l) * target.probs.size)
+    # Measured: a step holds 7 words as the streams are drawn and 1 + 2n as
+    # the path is unravelled; a table up to 290 bytes a state (binary, l = 1:
+    # a memoryview per two-state row), beside 64 KiB.
+    steps_bytes = 8 * max(7, 1 + 2 * n) * steps
+    _check_memory(steps_bytes + 2**16 + 320 * comb(n, l) * target.probs.size, "the sampler run")
     axes = target.axes
     flat = np.arange(target.probs.size).reshape(axes)
     tables = []

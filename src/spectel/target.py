@@ -43,8 +43,9 @@ def _check_axes(axes: Sequence[int]) -> tuple[int, ...]:
         raise DomainError("alphabet sizes must be integers, got a boolean")
     if len(axes_t) < 2:
         raise DomainError(f"need at least 2 coordinates, got {len(axes_t)}")
-    if any(a < 2 for a in axes_t):
-        raise DomainError(f"every alphabet must have size >= 2, got {axes_t}")
+    for i, a in enumerate(axes_t, start=1):
+        if a < 2:
+            raise DomainError(f"every alphabet must have size >= 2; coordinate {i}'s is smaller")
     return axes_t
 
 
@@ -73,15 +74,19 @@ class FiniteTarget:
         if arr.dtype.kind not in "iuf":
             raise DomainError(f"probabilities must be numeric, got {arr.dtype} entries")
         arr = arr.astype(float, copy=False)
-        size = math.prod(axes_t)
         if arr.ndim == 1:
-            if arr.size != size:
+            # An array holds under 2^64 entries, so past 64 sizes no product is
+            # taken (a long list of huge ones takes seconds), nor is it echoed.
+            if len(axes_t) > 64 or arr.size != math.prod(axes_t):
                 raise DomainError(
-                    f"flat tensor has {arr.size} entries, axes {axes_t} need {size}"
+                    f"flat tensor has {arr.size} entries, not the product of the "
+                    f"{len(axes_t)} alphabet sizes"
                 )
             arr = arr.reshape(axes_t)
         elif arr.shape != axes_t:
-            raise DomainError(f"tensor shape {arr.shape} does not match axes {axes_t}")
+            raise DomainError(
+                f"tensor shape {arr.shape} does not match the {len(axes_t)} alphabet sizes"
+            )
         else:
             arr = arr.copy()
         if not np.all(np.isfinite(arr)):
@@ -313,6 +318,11 @@ def _read_json(path: str):
             return json.load(fh)
         except RecursionError:
             raise DomainError(f"{path}: JSON nests too deeply to decode") from None
+        except json.JSONDecodeError:
+            raise
+        except ValueError:
+            # int() converts at most 4,300 digits.
+            raise DomainError(f"{path}: JSON holds an integer too long to read") from None
 
 
 def load_target(path: str) -> FiniteTarget:

@@ -62,6 +62,29 @@ def peak(run):
         tracemalloc.stop()
 
 
+class MemoryChecked(Exception):
+    """Raised by a stopping :func:`spy_memory_check` once the check has passed."""
+
+
+def spy_memory_check(monkeypatch, module, stop: bool = False) -> list[int]:
+    """The footprints ``module._check_memory`` is called on, in call order.
+
+    With ``stop``, a footprint that passes the check raises
+    :class:`MemoryChecked`, so the run ends before it allocates.
+    """
+    seen: list[int] = []
+    check = module._check_memory
+
+    def spy(nbytes, what):
+        seen.append(nbytes)
+        check(nbytes, what)
+        if stop:
+            raise MemoryChecked(nbytes)
+
+    monkeypatch.setattr(module, "_check_memory", spy)
+    return seen
+
+
 def random_small_target(rng, n_choices=(3, 4), axes_choices=(2, 3, 4)) -> FiniteTarget:
     n = int(rng.choice(n_choices))
     axes = [int(rng.choice(axes_choices)) for _ in range(n)]

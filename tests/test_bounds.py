@@ -13,6 +13,7 @@ from spectel import (
     EMPTY_CONTEXT,
     FiniteTarget,
     InfluenceMatrix,
+    ResourceLimitError,
     assemble_bounds,
     gap_profile,
     product_target,
@@ -380,6 +381,11 @@ class TestAssembleBounds:
         )
         assert bounds._largest_solve(tuple(axes)) == every_shape
 
+    def test_largest_solve_of_many_coordinates(self):
+        # The Gram orders are a recurrence in the sizes, not a sum over the
+        # C(m, m - l) kept sets, so 21 binary block sizes take milliseconds.
+        assert bounds._largest_solve((2,) * 22) == 2**22
+
     def test_largest_solve_of_the_benchmark_shapes(self):
         # The (4, 1) Gram matrix on (6,6,6,6); the top kernel on (2,)^8, whose
         # Gram matrix at (8, 1) is larger, of order 1,024.
@@ -395,6 +401,32 @@ class TestAssembleBounds:
         used, report = peak(lambda: assemble_bounds(t, 1))
         assert report.passed
         assert used <= 8 * 2**20, used / 2**20
+        order = bounds._largest_solve(t.axes)
+        assert used + 8 * order**2 <= bounds._scan_bytes(order)
+
+    @pytest.mark.parametrize(
+        "axes", [(2, 3, 4), (150, 150), (500, 10), (12, 12, 12)], ids=str
+    )
+    def test_footprint_covers_the_peak_and_the_solver_copy(self, axes):
+        # The scan's footprint must cover its tracemalloc peak plus the copy
+        # of the largest matrix that eigvalsh makes, which tracemalloc does not
+        # see.  Two coordinates hold the most beside that matrix (5.3 of it
+        # on (150,150)): the correlation route's basis and moment matrices.
+        t = random_target(axes, np.random.default_rng(0))
+        used, report = peak(lambda: assemble_bounds(t, 1))
+        assert report.passed
+        order = bounds._largest_solve(axes)
+        assert used + 8 * order**2 <= bounds._scan_bytes(order), used / (8 * order**2)
+
+    def test_oversized_scan_refused_before_allocating(self):
+        # (2,)^14 solves a dense kernel of order 16,384, 2.1 GB a matrix.
+        t = random_target((2,) * 14, np.random.default_rng(0))
+
+        def attempt():
+            with pytest.raises(ResourceLimitError):
+                assemble_bounds(t, 1)
+
+        assert peak(attempt)[0] < 2**20
 
     def test_block_size_two(self, rng):
         t = random_small_target(rng, n_choices=(4,), axes_choices=(2, 3))

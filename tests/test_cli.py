@@ -1,5 +1,6 @@
 """CLI surfaces: exit codes, report structure, determinism, error paths."""
 
+import io
 import json
 import math
 import os
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spectel
 from spectel import cube_corner as corner
@@ -34,7 +37,7 @@ from spectel.cli import (
     main,
 )
 
-from conftest import target_to_dict
+from conftest import peak, target_to_dict
 
 
 @pytest.fixture
@@ -113,11 +116,36 @@ class TestVerifyFinite:
             assert err.startswith("spectel: ") and err.count("\n") == 1
             assert "Traceback" not in err
 
-    def test_state_cap_exit_three(self, tmp_path):
-        big = tmp_path / "big.json"
-        probs = np.full(22500, 1.0 / 22500)
-        big.write_text(json.dumps({"axes": [150, 150], "probs": probs.tolist()}))
-        assert main(["verify-finite", "--target", str(big)]) == EXIT_RESOURCE
+    def test_memory_cap_exit_three(self, tmp_path, capsys):
+        # (2,)^15 solves a dense kernel of order 32,768; (150,150) has 22,500
+        # states, but its largest solve, the Gram matrix at (2, 1), has order 300.
+        for axes, code in (([2] * 15, EXIT_RESOURCE), ([150, 150], EXIT_OK)):
+            path = tmp_path / "target.json"
+            probs = np.full(math.prod(axes), 1.0 / math.prod(axes))
+            path.write_text(json.dumps({"axes": axes, "probs": probs.tolist()}))
+            out = str(tmp_path / "report.json")
+            assert main(["verify-finite", "--target", str(path), "--out", out]) == code
+            err = capsys.readouterr().err
+            assert err == "" if code == EXIT_OK else err.startswith("spectel: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["verify-finite", "sample"])
+    @pytest.mark.parametrize(
+        "body",
+        [
+            # 2^20,000 states have more digits than str() converts, and the
+            # axes would fill 60 kB of one line.
+            json.dumps({"axes": [2] * 20_000, "probs": [1.0]}),
+            # An integer that int() will not read.
+            '{"axes": [' + "9" * 5_000 + ', 2], "probs": [1.0]}',
+        ],
+        ids=["wide", "long-integer"],
+    )
+    def test_unbounded_numbers_in_no_message(self, tmp_path, capsys, command, body):
+        path = tmp_path / "wide.json"
+        path.write_text(body)
+        assert main([command, "--target", str(path)]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("spectel: ") and err.count("\n") == 1 and len(err) < 200, err
 
     def test_unknown_tolerance_exit_two(self, product3_path, capsys):
         # Each command takes only the keys it reads, so the other's keys are unknown.
@@ -183,11 +211,25 @@ class TestVerifyFinite:
             err = capsys.readouterr().err
             assert err.startswith("spectel: ") and err.count("\n") == 1
 
-    def test_random_state_cap_checked_before_drawing(self, capsys):
-        # 10^9 states: the cap must fire before the joint tensor is allocated.
-        code = main(["verify-finite", "--random", "1", "--axes", "1000,1000,1000"])
-        assert code == EXIT_RESOURCE
-        assert capsys.readouterr().err.count("\n") == 1
+    def test_random_state_cap_checked_before_drawing(self, capsys, monkeypatch):
+        # The tensor of 10^9 states, or of 2^100,000 (a product of more digits
+        # than str() converts), the tuple of 10^24 sizes, and 10^9 report
+        # entries: each refused before the first draw, in under 1 MiB.
+        monkeypatch.setattr(
+            "spectel.cli.random_target", lambda *args: pytest.fail("a target was drawn")
+        )
+        for sizes in (
+            ["--axes", "1000,1000,1000"],
+            ["--axes", "2", "--n", "100000"],
+            ["--axes", "2", "--n", "1" + "0" * 24],
+            ["--axes", ",".join(["3"] * 5_000)],
+        ):
+            used, code = peak(lambda: main(["verify-finite", "--random", "1", *sizes]))
+            assert code == EXIT_RESOURCE and used < 2**20, (sizes[:2], used)
+            err = capsys.readouterr().err
+            assert err.startswith("spectel: ") and err.count("\n") == 1, err
+        used, code = peak(lambda: main(["verify-finite", "--random", "1000000000", "--axes", "2,2"]))
+        assert code == EXIT_RESOURCE and used < 2**20
 
     def test_numerical_contract_exit_one(self, product3_path, capsys, monkeypatch):
         def violated(*args, **kwargs):
@@ -499,6 +541,26 @@ def test_oversized_steps_exit_three(tmp_path, argv):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--target", "{target}", "--steps", "100000000"],
+        ["verify-cube", "--steps", "399999996"],
+    ],
+    ids=["sample", "verify-cube"],
+)
+def test_oversized_steps_refused_before_allocating(tmp_path, capsys, monkeypatch, argv):
+    # 10^8 steps on (3,3,3,3) at 72 bytes a step; a 3.2 GB trace whose FFT
+    # pads it to 2^29 points.  Each passed the value cap.
+    monkeypatch.setattr("spectel.cli._check_closed_forms", lambda *args: pytest.fail("a check ran"))
+    path = tmp_path / "product.json"
+    path.write_text(json.dumps(target_to_dict(product_target([[0.2, 0.3, 0.5]] * 4))))
+    used, code = peak(lambda: main([a.format(target=path) for a in argv]))
+    assert code == EXIT_RESOURCE and used < 2**20, used
+    err = capsys.readouterr().err
+    assert err.startswith("spectel: ") and err.count("\n") == 1
+
+
 class TestReportMerge:
     def test_merge_pass_and_fail(self, product3_path, tmp_path):
         good = tmp_path / "good.json"
@@ -652,3 +714,90 @@ def test_import_loads_numpy_only():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+@st.composite
+def malformed_target(draw) -> dict:
+    """A target dict that ingest must refuse: each kind is one way to be malformed."""
+    axes, probs = [2, 2], [0.25] * 4
+    kind = draw(st.sampled_from(["long", "bool", "nested", "mismatch", "non-finite"]))
+    if kind == "long":
+        # Too many or too large sizes for one probability: a product of more
+        # digits than str() converts, or more axes than fit a line.
+        size, count = draw(st.integers(2, 10**40)), draw(st.integers(2, 25_000))
+        return {"axes": [size] * count, "probs": [1.0]}
+    if kind == "bool":
+        if draw(st.booleans()):
+            axes[draw(st.integers(0, 1))] = draw(st.booleans())
+        else:
+            probs[draw(st.integers(0, 3))] = draw(st.booleans())
+    elif kind == "nested":
+        if draw(st.booleans()):
+            axes = [axes]
+        else:
+            probs = [probs[:2], probs[2:3]]
+    elif kind == "mismatch":
+        axes = draw(st.lists(st.integers(2, 4), min_size=2, max_size=4))
+        length = draw(st.integers(1, 300).filter(lambda k: k != math.prod(axes)))
+        probs = [1.0 / length] * length
+    else:
+        probs[draw(st.integers(0, 3))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return {"axes": axes, "probs": probs}
+
+
+def _far(low: int) -> st.SearchStrategy[str]:
+    """An integer flag value of at least ``low``, or below 0, up to 40 digits."""
+    return st.one_of(st.integers(low, 10**40), st.integers(-(10**40), -1)).map(str)
+
+
+# Flag values past the byte rule (exit 3) or out of range (exit 2).  Sizes of
+# at least 10^5 hold 10^10 states on two axes; 2^40 floats are 8.8 TB.
+EXTREME_ARGV = st.one_of(
+    st.tuples(
+        st.just(["verify-finite", "--random", "1", "--axes"]),
+        st.integers(2, 10**6).map(str),
+        st.just("--n"),
+        st.one_of(st.integers(40, 10**40), st.integers(-(10**40), 1)).map(str),
+    ),
+    st.tuples(
+        st.just(["verify-finite", "--random", "1", "--axes"]),
+        st.lists(st.integers(10**5, 10**40), min_size=2, max_size=300).map(
+            lambda sizes: ",".join(map(str, sizes))
+        ),
+    ),
+    st.tuples(st.just(["verify-cube", "--steps"]), _far(4 * 10**8)),
+    st.tuples(st.just(["sample", "--target", "cube", "--n", "4", "--steps"]), _far(10**9)),
+    st.tuples(st.just(["sample", "--target", "{target}", "--steps"]), _far(10**9)),
+    st.tuples(st.just(["sample", "--target", "cube", "--steps", "0", "--n"]), _far(10**8)),
+).map(lambda parts: [*parts[0], *parts[1:]])
+
+
+@given(st.one_of(malformed_target(), EXTREME_ARGV), st.sampled_from(["verify-finite", "sample"]))
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+def test_malformed_input_refused_in_one_line(tmp_path_factory, case, command):
+    # Every stage that does work raises, so a refusal must come before all of them.
+    directory = tmp_path_factory.mktemp("malformed")
+    path = directory / "target.json"
+    if isinstance(case, dict):
+        path.write_text(json.dumps(case))
+        argv = [command, "--target", str(path)]
+    else:
+        path.write_text(json.dumps(target_to_dict(product_target([[0.5, 0.5]] * 2))))
+        argv = [a.format(target=path) for a in case]
+    work = lambda *args, **kwargs: pytest.fail("work started")  # noqa: E731
+    stderr = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        for name in (
+            "spectel.bounds._supported_level",
+            "spectel.kernels._block_rows",
+            "spectel.cube_corner.stationary_corner_sample",
+            "spectel.cli.random_target",
+            "spectel.cli._check_closed_forms",
+        ):
+            patch.setattr(name, work)
+        patch.setattr(sys, "stderr", stderr)
+        code = main(argv)
+    err = stderr.getvalue()
+    assert code in (EXIT_BAD_INPUT, EXIT_RESOURCE), (argv[:4], err)
+    assert err.startswith("spectel: ") and err.count("\n") == 1 and len(err) < 300, err
+    assert "Traceback" not in err

@@ -7,7 +7,7 @@ from spectel import (
     CondSlack,
     CornerState,
     DomainError,
-    STATE_CAP,
+    MEMORY_CAP,
     OrthoBasis,
     ResourceLimitError,
     StatisticalContractError,
@@ -28,9 +28,10 @@ from spectel import (
     verify_eigenrelation,
     wasserstein_influence,
 )
-from spectel.cube_corner import _fit_decay_rate, _gl_rule
+from spectel import cube_corner as corner
+from spectel.cube_corner import _chain_bytes, _estimate_bytes, _fit_decay_rate, _gl_rule
 
-from conftest import oracle_corner_chain
+from conftest import MemoryChecked, oracle_corner_chain, peak, spy_memory_check
 
 
 def ks_distance(samples: np.ndarray, cdf) -> float:
@@ -430,12 +431,23 @@ class TestCornerChain:
             assert trace.shape == (steps,)
             np.testing.assert_array_equal(trace, want[:, j])
 
-    def test_oversized_run_refused(self):
-        # More stored values than the largest dense kernel, for either output shape.
-        with pytest.raises(ResourceLimitError, match="would store"):
-            run_corner_chain(3, STATE_CAP**2 // 3 + 1, np.random.default_rng(0))
-        with pytest.raises(ResourceLimitError, match="would store"):
-            run_corner_chain(3, STATE_CAP**2 + 1, np.random.default_rng(0), trace_coord=0)
+    def test_oversized_run_refused(self, monkeypatch):
+        # The byte boundary for either output shape, n = 3 columns or one:
+        # 8 bytes a step and column, beside the start state and one block's
+        # 96 + 24 bytes a step and column.
+        spy_memory_check(monkeypatch, corner, stop=True)
+        for cols, trace_coord in ((3, None), (1, 0)):
+            steps = (MEMORY_CAP - 64 * 3 - 2**16 * (96 + 24 * cols)) // (8 * cols)
+            with pytest.raises(ResourceLimitError, match="chain"):
+                run_corner_chain(3, steps + 1, np.random.default_rng(0), trace_coord=trace_coord)
+            with pytest.raises(MemoryChecked):
+                run_corner_chain(3, steps, np.random.default_rng(0), trace_coord=trace_coord)
+
+    def test_footprint_covers_the_peak(self):
+        # A full block and one step; every term beyond the blocks is per step.
+        steps = 2**16 + 1
+        used, _ = peak(lambda: run_corner_chain(8, steps, np.random.default_rng(0)))
+        assert used <= _chain_bytes(8, steps, 8), used
 
     @pytest.mark.parametrize("coord", [-1, 3, 7])
     def test_trace_coord_out_of_range(self, coord):
@@ -475,6 +487,14 @@ class TestEmpiricalGapEstimate:
         rho, used = _fit_decay_rate(trace)
         assert used == len(lags)
         assert abs(rho - expected) <= 1e-12
+
+    def test_footprint_covers_the_peak(self):
+        # The trace and its fit, the bulk of the estimate, at 10^5 steps.
+        def run():
+            _fit_decay_rate(run_corner_chain(4, 100_000, np.random.default_rng(0), trace_coord=0))
+
+        used, _ = peak(run)
+        assert used <= _estimate_bytes(4, 100_000), used
 
     def test_sandwich_n3(self):
         estimate = empirical_gap_estimate(3, 1_000_000, np.random.default_rng(6))

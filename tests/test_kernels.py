@@ -1,8 +1,13 @@
 """Kernel assembly against enumeration oracles, spectral summaries, invariants."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectel import (
     CondContext,
@@ -10,8 +15,8 @@ from spectel import (
     EMPTY_CONTEXT,
     FiniteTarget,
     NumericalContractError,
+    MEMORY_CAP,
     ResourceLimitError,
-    STATE_CAP,
     WeightedKernel,
     product_target,
     random_target,
@@ -28,6 +33,7 @@ from spectel.kernels import (
 )
 
 from conftest import (
+    MemoryChecked,
     altered_random_walk_kernel,
     coupled_pair_target,
     gibbs_kernel,
@@ -41,6 +47,7 @@ from conftest import (
     random_walk_kernel,
     recursive_gibbs_kernel,
     spectral_summary,
+    spy_memory_check,
     supported_contexts,
 )
 
@@ -123,11 +130,6 @@ class TestGibbsKernel:
             gibbs_kernel(t, EMPTY_CONTEXT, 0)
         with pytest.raises(DomainError):
             gibbs_kernel(t, EMPTY_CONTEXT, 3)
-
-    def test_state_cap(self):
-        t = FiniteTarget([150, 150], np.full(22500, 1.0 / 22500))
-        with pytest.raises(ResourceLimitError):
-            gibbs_kernel(t, EMPTY_CONTEXT, 1)
 
 
 class TestRecursiveGibbs:
@@ -306,6 +308,14 @@ def dirichlet_stack(rng, shape, size=3):
 
 
 class TestGramStack:
+    @given(st.lists(st.integers(2, 9), min_size=1, max_size=9), st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    def test_gram_order_sums_the_kept_alphabets(self, shape, data):
+        m = len(shape)
+        l = data.draw(st.integers(1, m))
+        kept = itertools.combinations(range(m), m - l)
+        assert _gram_order(tuple(shape), l) == sum(math.prod(shape[p] for p in r) for r in kept)
+
     @pytest.mark.parametrize("shape", [(3, 3), (2, 3, 4), (3, 3, 3), (2, 2, 2, 2)])
     def test_matches_dense_route(self, shape, rng):
         weights = dirichlet_stack(rng, shape)
@@ -389,11 +399,27 @@ class TestWeightedKernelValidation:
 
 
 class TestSampleGibbsChain:
-    def test_oversized_run_refused(self):
-        # The trajectory alone would hold more values than the largest dense kernel.
+    def test_oversized_run_refused(self, monkeypatch):
+        # The byte boundary on n = 3: 7 words a step, beside the 64 KiB and
+        # 320 bytes a state of 3 blocks' tables on 12 states.
         t = random_target([2, 3, 2], np.random.default_rng(5))
-        with pytest.raises(ResourceLimitError, match="would store"):
-            sample_gibbs_chain(t, STATE_CAP**2 // 3 + 1, np.random.default_rng(0))
+        steps = (MEMORY_CAP - 2**16 - 320 * 3 * 12) // 56
+        spy_memory_check(monkeypatch, kernels, stop=True)
+        with pytest.raises(ResourceLimitError, match="sampler run"):
+            sample_gibbs_chain(t, steps + 1, np.random.default_rng(0))
+        with pytest.raises(MemoryChecked):
+            sample_gibbs_chain(t, steps, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "axes, l, steps", [((2,) * 8, 1, 100_000), ((2, 3, 2), 1, 20_000)], ids=["2^8", "2x3x2"]
+    )
+    def test_footprint_covers_the_peak(self, axes, l, steps, monkeypatch):
+        # (2,)^8 at l = 1 holds the most table bytes a state, and its steps
+        # peak as they are unravelled; on 3 coordinates, as they are drawn.
+        t = random_target(axes, np.random.default_rng(5))
+        seen = spy_memory_check(monkeypatch, kernels)
+        used, _ = peak(lambda: sample_gibbs_chain(t, steps, np.random.default_rng(0), l=l))
+        assert used <= seen[0], (used, seen)
 
     def test_determinism(self, rng):
         t = random_target([2, 3, 2], np.random.default_rng(5))
