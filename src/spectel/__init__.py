@@ -16,14 +16,9 @@ from .errors import (
 )
 from .target import (
     CondContext,
-    EMPTY_CONTEXT,
     FiniteTarget,
-    conditional,
     load_target,
-    marginal,
-    product_target,
     random_target,
-    supported_conditional,
     target_from_dict,
 )
 from .kernels import (
@@ -58,7 +53,6 @@ from .cube_corner import (
     nested_conditional_density,
     poly_eigenvalue,
     run_corner_chain,
-    sample_conditional,
     stationary_corner_sample,
     sum_square_constant,
     tv_contraction_check,

@@ -41,6 +41,7 @@ before any of its checks runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -77,9 +78,10 @@ CUBE_TOLERANCES = {
     "tv_bound_slack": 1e-10,
 }
 # Bytes a verify-finite report holds per target entry, per square of its
-# coordinate count: the entry's dicts and json.dumps's chunks of it.  Under
-# tracemalloc, --random runs on 2 to 6 coordinates added at most 4,910.
-_ENTRY_BYTES_PER_N2 = 5_000
+# coordinate count: the entry's dicts (the report is streamed out).  Under
+# tracemalloc, --random runs of 11 to 301 entries on 2 to 7 coordinates
+# added at most 2,002.
+_ENTRY_BYTES_PER_N2 = 2_100
 # Random point pairs in the TV sweep and coupling draws per m in the Monte Carlo check.
 TV_DRAWS = 100
 MC_DRAWS = 100_000
@@ -139,12 +141,10 @@ def _check_out_dir(out: str | None) -> None:
 
 
 def _write_report(report: dict, out: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=False) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Stream the report as indented JSON, the bytes of ``json.dumps`` without its chunk list."""
+    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
 
 
 def _base_report(command: str, **fields) -> dict:

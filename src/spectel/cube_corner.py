@@ -7,7 +7,8 @@ conditional has density ``m (R - x)^(m-1) / R^m`` on (0, R); conditioning one
 more coordinate at ``x`` gives ``(m-1) (R - x - z)^(m-2) / (R - x)^(m-1)`` on
 ``(0, R - x)``.  Everything in this module is built from these two densities:
 
-* exact inverse-CDF samplers and the single-site Gibbs chain;
+* an exact stationary draw and the single-site Gibbs chain, whose update
+  is the uniform full conditional on (0, R), drawn inline;
 * the scaled eigenvalues ``zeta_k`` of the cross-coordinate conditional
   expectation acting on orthonormal polynomials, verified by quadrature;
 * the closed-form ceiling on the summation correlation coefficient and the
@@ -127,19 +128,6 @@ def nested_conditional_density(m: int, R: float, x: float, z) -> np.ndarray | fl
         raise DomainError(f"conditioned value {x} outside (0, {R})")
     vals = _density(m - 1, R - x, np.asarray(z, dtype=float))
     return float(vals) if np.isscalar(z) else vals
-
-
-def sample_conditional(slack: CondSlack, u: float) -> float:
-    """Inverse-CDF draw from :func:`conditional_density` at uniform ``u``.
-
-    The CDF is 1 - ((R - x)/R)^m, so the inverse is R (1 - (1-u)^(1/m)).
-    For m = 1 this is exactly the uniform scaling R*u.
-    """
-    if not 0.0 < u < 1.0:
-        raise DomainError(f"u must lie in (0, 1), got {u}")
-    if slack.m == 1:
-        return slack.R * u
-    return slack.R * (1.0 - (1.0 - u) ** (1.0 / slack.m))
 
 
 def stationary_corner_sample(n: int, rng: np.random.Generator) -> tuple[float, ...]:

@@ -1,11 +1,11 @@
-"""Finite product-space distributions with exact marginals and conditionals.
+"""Finite product-space distributions: ingest, random draws, and context enumeration.
 
 A :class:`FiniteTarget` stores the full joint probability tensor of a random
-vector (X_1, ..., X_n) over a product of finite alphabets.  Everything in this
-module is exact tensor arithmetic: marginals are sums over axes, conditionals
-are ratios of marginals, and conditioning contexts with zero marginal mass
-fall back to the uniform distribution (a convention that downstream gap
-minimizations never consult, because they skip unsupported contexts).
+vector (X_1, ..., X_n) over a product of finite alphabets.  Targets come from
+the JSON wire format or from a Dirichlet(1) draw.  :func:`_supported_level`
+enumerates the conditioning contexts of one level and divides each context's
+slice of the tensor by its mass, exactly; contexts with zero marginal mass
+are skipped, since every gap and bound minimizes over supported contexts.
 
 Conventions, normative throughout the package:
 
@@ -21,7 +21,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -112,14 +112,15 @@ class FiniteTarget:
         return f"FiniteTarget(axes={self.axes})"
 
 
+# No command builds one; kept while perf/spans.py hooks it (ROADMAP items 3 and 7).
 @dataclass(frozen=True)
 class CondContext:
     """An index set with a fixed assignment: the pair (Lambda, y).
 
     ``lam`` holds 1-based coordinate indices, strictly increasing; ``y`` holds
-    one 0-based alphabet value per index.  Range checks against a concrete
-    target happen in the operations that consume the context.  The empty
-    context ``CondContext((), ())`` means "condition on nothing".
+    one 0-based alphabet value per index; no range is checked against a
+    target.  The empty context ``CondContext((), ())`` means "condition on
+    nothing".
     """
 
     lam: tuple[int, ...]
@@ -144,30 +145,6 @@ class CondContext:
         return len(self.lam)
 
 
-EMPTY_CONTEXT = CondContext((), ())
-
-
-def _check_indices(target: FiniteTarget, indices: Iterable[int], name: str) -> tuple[int, ...]:
-    idx = tuple(int(i) for i in indices)
-    if len(set(idx)) != len(idx):
-        raise DomainError(f"{name} contains repeated indices: {idx}")
-    for i in idx:
-        if not 1 <= i <= target.n:
-            raise DomainError(f"{name} index {i} out of range 1..{target.n}")
-    return tuple(sorted(idx))
-
-
-def _check_context(target: FiniteTarget, ctx: CondContext) -> None:
-    if ctx.size > target.n - 1:
-        raise DomainError(
-            f"context fixes {ctx.size} coordinates; at most {target.n - 1} allowed"
-        )
-    _check_indices(target, ctx.lam, "lambda")
-    for i, v in zip(ctx.lam, ctx.y):
-        if not 0 <= v < target.axes[i - 1]:
-            raise DomainError(f"value {v} out of range for coordinate {i}")
-
-
 def _free(target: FiniteTarget, lam: tuple[int, ...]) -> tuple[int, ...]:
     fixed = set(lam)
     return tuple(i for i in range(1, target.n + 1) if i not in fixed)
@@ -181,56 +158,6 @@ def _context_slice(target: FiniteTarget, lam: tuple[int, ...], y: tuple[int, ...
     return target.probs[tuple(index)]
 
 
-def marginal(target: FiniteTarget, gamma: Iterable[int]) -> np.ndarray:
-    """Marginal tensor of the coordinates in ``gamma`` (sorted axis order).
-
-    Equals the joint tensor summed over the complementary axes; entries sum
-    to 1.
-    """
-    g = _check_indices(target, gamma, "gamma")
-    if not g:
-        raise DomainError("gamma must be nonempty")
-    return target.probs.sum(axis=tuple(i for i in range(target.n) if (i + 1) not in g))
-
-
-def conditional(target: FiniteTarget, gamma: Iterable[int], ctx: CondContext) -> np.ndarray:
-    """Conditional tensor of ``gamma`` given the context, over sorted gamma axes.
-
-    Returns the exact ratio of marginals when the context has positive mass
-    and the uniform distribution on the gamma block otherwise.  ``gamma`` must
-    be disjoint from the context's index set.
-    """
-    g = _check_indices(target, gamma, "gamma")
-    if not g:
-        raise DomainError("gamma must be nonempty")
-    _check_context(target, ctx)
-    if set(g) & set(ctx.lam):
-        raise DomainError(f"gamma {g} overlaps lambda {ctx.lam}")
-    block = _context_slice(target, ctx.lam, ctx.y)
-    joint = block.sum(axis=tuple(pos for pos, i in enumerate(_free(target, ctx.lam)) if i not in g))
-    mass = float(block.sum())
-    if mass > 0.0:
-        return joint / mass
-    shape = tuple(target.axes[i - 1] for i in g)
-    return np.full(shape, 1.0 / np.prod(shape))
-
-
-def supported_conditional(
-    target: FiniteTarget, ctx: CondContext
-) -> tuple[tuple[int, ...], np.ndarray]:
-    """Free coordinates and conditional tensor of a context with positive mass.
-
-    Validates the context once and raises :class:`DomainError` when its
-    marginal mass is zero, so no uniform fallback is ever returned.
-    """
-    _check_context(target, ctx)
-    block = _context_slice(target, ctx.lam, ctx.y)
-    mass = float(block.sum())
-    if not mass > 0.0:
-        raise DomainError(f"context {ctx} has zero marginal mass")
-    return _free(target, ctx.lam), block / mass
-
-
 def _supported_level(target: FiniteTarget, m: int):
     """Supported contexts leaving ``m`` coordinates free, and their conditionals by free shape.
 
@@ -242,7 +169,7 @@ def _supported_level(target: FiniteTarget, m: int):
     context with one free shape, from any index set, uncut: row ``k`` is the
     conditional tensor given ``contexts[positions[k]]``.  Each context's
     slice is summed once, and that mass decides support (``> 0``) and
-    divides, as in :func:`supported_conditional`, so the bits match.
+    divides it, so each row is bit for bit ``block / float(block.sum())``.
     """
     contexts: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     blocks: dict[tuple[int, ...], list] = {}
@@ -270,20 +197,6 @@ def random_target(
     axes_t = _check_axes(axes)
     flat = rng.dirichlet(np.ones(math.prod(axes_t)))
     return FiniteTarget(axes_t, flat)
-
-
-def product_target(marginals: Sequence[np.ndarray]) -> FiniteTarget:
-    """Target whose coordinates are independent with the given marginals."""
-    vecs = [np.asarray(m, dtype=float) for m in marginals]
-    if not vecs:
-        raise DomainError("a product target needs at least one marginal")
-    for v in vecs:
-        if v.ndim != 1:
-            raise DomainError("each marginal must be a 1-D probability vector")
-    tensor = vecs[0]
-    for v in vecs[1:]:
-        tensor = np.multiply.outer(tensor, v)
-    return FiniteTarget(tuple(v.size for v in vecs), tensor)
 
 
 def target_from_dict(data: dict) -> FiniteTarget:

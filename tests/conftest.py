@@ -1,15 +1,20 @@
-"""Shared fixtures, brute-force oracles, and the engine's stack-of-one views.
+"""Shared fixtures, brute-force oracles, context helpers, and the engine's stack-of-one views.
 
 The oracles re-derive marginals, conditionals, and transition matrices by
 explicit enumeration (plain Python loops over full assignments), independent
 of the package's vectorized tensor assembly, so entrywise comparisons are a
 genuine dual route and expected values in tests are computed, not copied.
 
-Beside them sit single-context constructions the package does not ship: the
-paper's recursive Gibbs kernel and the altered index/value walk.  Every
-oracle is built from the package's public ``conditional``, ``marginal`` and
-``supported_conditional``, never from its stacked engine, so it checks that
-engine by a second route.
+The package ships no single-context API, so the oracles stand on helpers
+defined here: ``marginal``, ``conditional`` (uniform where the context has
+zero mass), ``supported_conditional`` (``block / float(block.sum())``, the
+bit-equality reference of the engine's level enumeration), ``product_target``
+and ``EMPTY_CONTEXT``.  They take their arguments as given, without
+validation, and are themselves checked against ``oracle_marginal`` and
+``oracle_conditional``.  Beside them sit single-context constructions the
+package does not ship: the paper's recursive Gibbs kernel and the altered
+index/value walk.  Every oracle is built from these helpers, never from the
+package's stacked engine, so it checks that engine by a second route.
 
 The views (``gibbs_kernel``, ``random_walk_kernel``, ``spectral_summary``,
 ``correlation_coefficient``, ``influence_matrix_tv``, and
@@ -24,6 +29,7 @@ engine's own context enumeration is checked against it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import tracemalloc
 from typing import NamedTuple
@@ -31,20 +37,10 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from spectel import (
-    EMPTY_CONTEXT,
-    CondContext,
-    FiniteTarget,
-    InfluenceMatrix,
-    WeightedKernel,
-    conditional,
-    marginal,
-    product_target,
-    random_target,
-    supported_conditional,
-)
+from spectel import CondContext, FiniteTarget, InfluenceMatrix, WeightedKernel, random_target
 from spectel.bounds import _correlation_stack, _influence_stack
 from spectel.kernels import _coordinate_tables, _gibbs_stack, _spectral_stack, _walk_stack
+from spectel.target import _context_slice
 
 
 @pytest.fixture
@@ -126,6 +122,41 @@ def oracle_conditional(target: FiniteTarget, gamma, lam, y) -> np.ndarray:
     if mass > 0:
         return out / mass
     return np.full(shape, 1.0 / out.size)
+
+
+EMPTY_CONTEXT = CondContext((), ())
+
+
+def product_target(marginals) -> FiniteTarget:
+    """Target whose coordinates are independent with the given 1-D marginals."""
+    tensor = functools.reduce(np.multiply.outer, [np.asarray(m, dtype=float) for m in marginals])
+    return FiniteTarget(tensor.shape, tensor)
+
+
+def marginal(target: FiniteTarget, gamma) -> np.ndarray:
+    """Marginal tensor of the coordinates in ``gamma``, over their sorted axes."""
+    return target.probs.sum(axis=tuple(i - 1 for i in range(1, target.n + 1) if i not in gamma))
+
+
+def conditional(target: FiniteTarget, gamma, ctx: CondContext) -> np.ndarray:
+    """Conditional tensor of ``gamma`` (disjoint from the context) over its sorted axes.
+
+    The ratio of marginals where the context has positive mass, the uniform
+    distribution on the ``gamma`` block where it has none.
+    """
+    free = free_indices(target, ctx)
+    block = _context_slice(target, ctx.lam, ctx.y)
+    joint = block.sum(axis=tuple(pos for pos, i in enumerate(free) if i not in gamma))
+    mass = float(block.sum())
+    if mass > 0.0:
+        return joint / mass
+    return np.full(joint.shape, 1.0 / joint.size)
+
+
+def supported_conditional(target: FiniteTarget, ctx: CondContext) -> np.ndarray:
+    """Conditional tensor of every free coordinate given a context with positive mass."""
+    block = _context_slice(target, ctx.lam, ctx.y)
+    return block / float(block.sum())
 
 
 def free_states(target: FiniteTarget, lam):
@@ -354,10 +385,10 @@ def recursive_gibbs_kernel(target: FiniteTarget, ctx: CondContext, l: int) -> We
     coordinate at its current value and recurses on the remaining ones;
     averaging the embedded sub-kernels must reproduce the engine's dense
     kernel (:func:`gibbs_kernel`) entrywise.  The rows come from
-    ``spectel.conditional``, whose zero-mass-to-uniform convention carries
+    :func:`conditional`, whose zero-mass-to-uniform convention carries
     through unsupported sub-contexts.
     """
-    _, weights = supported_conditional(target, ctx)
+    weights = supported_conditional(target, ctx)
     matrix = _recursive_matrix(target, ctx.lam, ctx.y, l, {})
     return WeightedKernel(matrix, weights.reshape(-1))
 
@@ -373,7 +404,7 @@ def altered_random_walk_kernel(target: FiniteTarget, ctx: CondContext) -> Weight
     From ``(j, x)`` the step picks a free coordinate ``i`` uniformly and draws
     its value from the conditional of ``i`` given the context and ``X_j = x``,
     or given the context alone when ``i == j``.  Rows come from
-    ``spectel.conditional``, not from the walk's own tables, so on functions
+    :func:`conditional`, not from the walk's own tables, so on functions
     with zero mean within every coordinate component it differs from
     ``random_walk_kernel`` by exactly Id/m.
     """
@@ -409,12 +440,12 @@ def supported_contexts(target: FiniteTarget, lambda_size: int):
 
 def _context_tables(target: FiniteTarget, ctx: CondContext):
     """The engine's marginals, pair tables and pair rows of one supported context."""
-    return _coordinate_tables(supported_conditional(target, ctx)[1][None])
+    return _coordinate_tables(supported_conditional(target, ctx)[None])
 
 
 def gibbs_kernel(target: FiniteTarget, ctx: CondContext, l: int) -> WeightedKernel:
     """View: the engine's dense block-``l`` Gibbs kernel of one supported context."""
-    weights = supported_conditional(target, ctx)[1]
+    weights = supported_conditional(target, ctx)
     return WeightedKernel(_gibbs_stack(weights[None], l)[0], weights.reshape(-1))
 
 

@@ -13,11 +13,13 @@ import pytest
 import spectel as sp
 
 from conftest import (
+    EMPTY_CONTEXT,
     altered_random_walk_kernel,
     correlation_coefficient,
     correlation_via_walk,
     gibbs_kernel,
     indexed_states,
+    product_target,
     random_walk_kernel,
     recursive_gibbs_kernel,
     supported_contexts,
@@ -62,7 +64,7 @@ def test_criterion_2_algorithm_equivalence(sweep):
     targets, _, _ = sweep
     worst = 0.0
     for k, target in enumerate(targets):
-        contexts = [sp.EMPTY_CONTEXT]
+        contexts = [EMPTY_CONTEXT]
         if k < 20:  # exhaustive context coverage on a slice of the sweep
             for size in range(1, target.n):
                 contexts.extend(supported_contexts(target, size))
@@ -105,7 +107,7 @@ def test_criterion_4_walk_identity_on_component_mean_zero(lemma_targets):
     rng = np.random.default_rng(SWEEP_SEED + 2)
     worst = 0.0
     for k, target in enumerate(lemma_targets):
-        contexts = [sp.EMPTY_CONTEXT]
+        contexts = [EMPTY_CONTEXT]
         if k < 10:
             contexts.extend(supported_contexts(target, 1))
         for ctx in contexts:
@@ -151,7 +153,7 @@ def test_criterion_5_bound_sandwich(sweep):
     for _ in range(10):
         n = int(rng.choice((3, 4)))
         marginals = [rng.dirichlet(np.ones(int(rng.integers(2, 5)))) for _ in range(n)]
-        product = sp.product_target(marginals)
+        product = product_target(marginals)
         profile = sp.gap_profile(product)
         for l in range(1, n + 1):
             assert profile.gap(n, l) == pytest.approx(l / n, abs=1e-9)

@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 
 from spectel import (
     DomainError,
-    EMPTY_CONTEXT,
     FiniteTarget,
     InfluenceMatrix,
     ResourceLimitError,
     assemble_bounds,
     gap_profile,
-    product_target,
     random_target,
     spectral_radius,
     telescope_verify,
@@ -24,6 +22,7 @@ from spectel import (
 from spectel import bounds, kernels
 
 from conftest import (
+    EMPTY_CONTEXT,
     correlation_coefficient,
     correlation_via_walk,
     coupled_pair_target,
@@ -32,11 +31,12 @@ from conftest import (
     oracle_gibbs_matrix,
     peak,
     product_of_marginals,
+    product_target,
     random_small_target,
     sparse_mixed_target,
+    supported_conditional,
     supported_contexts,
 )
-from spectel.target import supported_conditional
 
 
 class TestGapProfile:
@@ -352,7 +352,7 @@ class TestAssembleBounds:
         expected = {}
         for m in range(1, t.n + 1):
             for ctx in supported_contexts(t, t.n - m):
-                rows = supported_conditional(t, ctx)[1]
+                rows = supported_conditional(t, ctx)
                 sizes = [s for s in range(1, m + 1) if s < t.n] + ["routes"] * (m > 1)
                 for size in sizes:
                     expected.setdefault((m, size, rows.shape), []).append(rows)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -19,7 +20,6 @@ from spectel import cube_corner as corner
 from spectel import (
     NumericalContractError,
     load_target,
-    product_target,
     random_target,
     run_corner_chain,
     sample_gibbs_chain,
@@ -33,11 +33,12 @@ from spectel.cli import (
     EXIT_STATISTICAL,
     FINITE_TOLERANCES,
     _check_eigenrelation,
+    _write_report,
     build_parser,
     main,
 )
 
-from conftest import peak, target_to_dict
+from conftest import peak, product_target, sparse_mixed_target, target_to_dict
 
 
 @pytest.fixture
@@ -316,6 +317,36 @@ class TestVerifyFinite:
         err = capsys.readouterr().err
         assert err.startswith("spectel: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize(
+        "source",
+        [["--target", "{sparse}"], ["--random", "2", "--axes", "2,3,4", "--seed", "5"]],
+        ids=["sparse-file", "random"],
+    )
+    def test_reports_repeat_byte_for_byte(self, tmp_path, source):
+        sparse = tmp_path / "sparse.json"
+        sparse.write_text(json.dumps(target_to_dict(sparse_mixed_target())))
+        argv = ["verify-finite", *(a.format(sparse=sparse) for a in source)]
+        texts = []
+        for run in range(2):
+            out = tmp_path / f"report{run}.json"
+            assert main([*argv, "--out", str(out)]) == EXIT_OK
+            text, clocks = re.subn(rb'\n  "wallclock_s": [^\n]*', b"", out.read_bytes())
+            assert clocks == 1
+            texts.append(text)
+        assert texts[0] == texts[1]
+
+    def test_streamed_report_equals_dumps(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        assert main(["verify-finite", "--random", "2", "--axes", "2,3", "--out", str(path)]) == EXIT_OK
+        report = json.loads(path.read_text())
+        report["targets"].append({"name": "é\n", "values": [math.nan, -math.inf, None, 1e-300]})
+        expected = json.dumps(report, indent=2) + "\n"
+        _write_report(report, str(path))
+        assert path.read_text(encoding="utf-8") == expected
+        _write_report(report, None)
+        assert capsys.readouterr().out == expected
 
 
 class TestSample:

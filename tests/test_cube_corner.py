@@ -20,7 +20,6 @@ from spectel import (
     nested_conditional_density,
     poly_eigenvalue,
     run_corner_chain,
-    sample_conditional,
     spectral_radius,
     stationary_corner_sample,
     sum_square_constant,
@@ -74,16 +73,21 @@ class TestConditionalDensity:
             CondSlack(0.5, 0)
 
 
+def cdf_by_quadrature(slack: CondSlack, x: float) -> float:
+    nodes, weights = _gl_rule(0.0, x)
+    return float(conditional_density(slack, nodes) @ weights)
+
+
 class TestSampleConditional:
+    """The inverse-CDF draw ``R (1 - (1 - u)^(1/m))`` from :func:`conditional_density`."""
+
     def test_uniform_full_conditional(self):
-        assert sample_conditional(CondSlack(0.4, 1), 0.5) == pytest.approx(0.2, abs=1e-15)
+        # m = 1 is the chain's update: u = 0.5 draws 0.2 on (0, 0.4).
+        assert cdf_by_quadrature(CondSlack(0.4, 1), 0.2) == pytest.approx(0.5, abs=1e-14)
 
     def test_inverse_cdf_value(self):
-        assert sample_conditional(CondSlack(1.0, 2), 0.75) == pytest.approx(0.5, abs=1e-15)
-
-    def test_u_range_checked(self):
-        with pytest.raises(DomainError):
-            sample_conditional(CondSlack(1.0, 2), 0.0)
+        # u = 0.75 draws 1 - 0.25^(1/2) = 0.5.
+        assert cdf_by_quadrature(CondSlack(1.0, 2), 0.5) == pytest.approx(0.75, abs=1e-14)
 
     def test_kolmogorov_smirnov(self):
         rng = np.random.default_rng(2024)

@@ -23,21 +23,21 @@ from conftest import (
     influence_matrix_tv,
     oracle_gap,
     oracle_rw_matrix,
+    product_target,
     random_walk_kernel,
     recursive_gibbs_kernel,
     spectral_summary,
+    supported_conditional,
     supported_contexts,
 )
 from spectel import (
     FiniteTarget,
     assemble_bounds,
     gap_profile,
-    product_target,
     spectral_radius,
     telescope_verify,
 )
 from spectel.kernels import _gibbs_spectra
-from spectel.target import supported_conditional
 
 SETTINGS = settings(max_examples=12, deadline=None, derandomize=True, database=None)
 
@@ -124,7 +124,7 @@ def first_extremum(values, better):
 
 def context_gap(target: FiniteTarget, ctx, l: int) -> float:
     """One context's block-``l`` gap, by the route the engine takes for it, as a stack of one."""
-    weights = supported_conditional(target, ctx)[1]
+    weights = supported_conditional(target, ctx)
     return float(_gibbs_spectra(weights[None], l)[1][0])
 
 

@@ -12,13 +12,11 @@ from hypothesis import strategies as st
 from spectel import (
     CondContext,
     DomainError,
-    EMPTY_CONTEXT,
     FiniteTarget,
     NumericalContractError,
     MEMORY_CAP,
     ResourceLimitError,
     WeightedKernel,
-    product_target,
     random_target,
     sample_gibbs_chain,
 )
@@ -33,6 +31,7 @@ from spectel.kernels import (
 )
 
 from conftest import (
+    EMPTY_CONTEXT,
     MemoryChecked,
     altered_random_walk_kernel,
     coupled_pair_target,
@@ -43,6 +42,7 @@ from conftest import (
     oracle_gibbs_matrix,
     oracle_rw_matrix,
     peak,
+    product_target,
     random_small_target,
     random_walk_kernel,
     recursive_gibbs_kernel,
@@ -118,11 +118,6 @@ class TestGibbsKernel:
                 np.testing.assert_allclose(
                     k.weights @ k.matrix, k.weights, atol=1e-10
                 )
-
-    def test_unsupported_context_rejected(self):
-        t = FiniteTarget([2, 2], [0.5, 0.5, 0.0, 0.0])
-        with pytest.raises(DomainError):
-            gibbs_kernel(t, CondContext((1,), (1,)), 1)
 
     def test_block_size_range(self):
         t = FiniteTarget([2, 2], [0.1, 0.2, 0.3, 0.4])

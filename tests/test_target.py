@@ -1,4 +1,4 @@
-"""Marginal/conditional exactness, context enumeration, and ingestion rules."""
+"""Context helpers against the oracles, the engine's level enumeration, and ingestion rules."""
 
 import json
 import math
@@ -6,31 +6,24 @@ import math
 import numpy as np
 import pytest
 
-from spectel import (
-    CondContext,
-    DomainError,
-    EMPTY_CONTEXT,
-    FiniteTarget,
-    conditional,
-    load_target,
-    marginal,
-    product_target,
-    random_target,
-    supported_conditional,
-    target_from_dict,
-)
+from spectel import CondContext, DomainError, FiniteTarget, load_target, random_target, target_from_dict
 
 from spectel.target import _supported_level
 
 from conftest import (
+    EMPTY_CONTEXT,
+    conditional,
     conditional_tensor,
     free_indices,
+    marginal,
     marginal_mass,
     oracle_conditional,
     oracle_marginal,
     product_of_marginals,
+    product_target,
     random_small_target,
     sparse_mixed_target,
+    supported_conditional,
     supported_contexts,
     target_to_dict,
 )
@@ -47,10 +40,6 @@ class TestMarginal:
         np.testing.assert_allclose(marginal(t, (1,)), p1, atol=1e-15)
         np.testing.assert_allclose(marginal(t, (2,)), p2, atol=1e-15)
 
-    def test_product_target_needs_a_marginal(self):
-        with pytest.raises(DomainError, match="at least one marginal"):
-            product_target([])
-
     def test_full_index_set_returns_tensor(self):
         np.testing.assert_array_equal(marginal(HAND, (1, 2)), HAND.probs)
 
@@ -64,12 +53,6 @@ class TestMarginal:
                 np.testing.assert_allclose(
                     marginal(t, gamma), oracle_marginal(t, gamma), atol=1e-13
                 )
-
-    def test_out_of_range_index_rejected(self):
-        with pytest.raises(DomainError):
-            marginal(HAND, (3,))
-        with pytest.raises(DomainError):
-            marginal(HAND, ())
 
 
 class TestConditional:
@@ -90,10 +73,6 @@ class TestConditional:
     def test_hand_ratio(self):
         out = conditional(HAND, (1,), CondContext((2,), (0,)))
         np.testing.assert_allclose(out, [0.25, 0.75], atol=1e-15)
-
-    def test_overlapping_sets_rejected(self):
-        with pytest.raises(DomainError):
-            conditional(HAND, (2,), CondContext((2,), (0,)))
 
     def test_matches_enumeration_oracle(self, rng):
         for _ in range(5):
@@ -166,12 +145,12 @@ class TestSupportedContexts:
     def test_supported_conditional(self, rng):
         t = random_small_target(rng)
         for ctx in supported_contexts(t, 1):
-            free, weights = supported_conditional(t, ctx)
-            assert free == free_indices(t, ctx)
+            weights = supported_conditional(t, ctx)
+            assert weights.shape == tuple(t.axes[i - 1] for i in free_indices(t, ctx))
             np.testing.assert_array_equal(weights, conditional_tensor(t, ctx))
-        sparse = FiniteTarget([2, 2], [0.5, 0.5, 0.0, 0.0])
-        with pytest.raises(DomainError, match="zero marginal mass"):
-            supported_conditional(sparse, CondContext((1,), (1,)))
+            np.testing.assert_allclose(
+                weights, oracle_conditional(t, free_indices(t, ctx), ctx.lam, ctx.y), atol=1e-13
+            )
 
 
 @pytest.mark.parametrize(
@@ -194,7 +173,7 @@ def test_supported_level_stacks(target):
         for pos, weights in stacks:
             assert len(pos) == len(weights) >= 1
             for k, p in enumerate(pos):
-                expected = supported_conditional(target, CondContext(*contexts[p]))[1]
+                expected = supported_conditional(target, CondContext(*contexts[p]))
                 assert np.array_equal(weights[k], expected)
             spanning += len({contexts[p][0] for p in pos}) > 1
     # Contexts of different index sets with one free shape share stacks.
@@ -280,10 +259,6 @@ class TestContexts:
             CondContext((1,), (0, 1))
         with pytest.raises(DomainError):
             CondContext((0,), (0,))
-
-    def test_value_range_checked_against_target(self):
-        with pytest.raises(DomainError):
-            conditional(HAND, (2,), CondContext((1,), (5,)))
 
     def test_product_of_marginals_matches_factors(self, rng):
         t = random_small_target(rng)
