@@ -38,19 +38,15 @@ from .bounds import (
     telescope_verify,
 )
 from .cube_corner import (
-    CondSlack,
     CornerGapBound,
-    CornerState,
     GapEstimate,
     OrthoBasis,
     TvCheck,
-    conditional_density,
     contraction_metric,
     corner_gap_lower_bound,
     correlation_coefficient_bound,
     coupling_sample,
     empirical_gap_estimate,
-    nested_conditional_density,
     poly_eigenvalue,
     run_corner_chain,
     stationary_corner_sample,

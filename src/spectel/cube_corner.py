@@ -5,10 +5,11 @@ Conditioning any subset of coordinates at values with remaining budget
 ``R = 1 - sum(fixed)`` leaves ``m`` free coordinates whose one-coordinate
 conditional has density ``m (R - x)^(m-1) / R^m`` on (0, R); conditioning one
 more coordinate at ``x`` gives ``(m-1) (R - x - z)^(m-2) / (R - x)^(m-1)`` on
-``(0, R - x)``.  Everything in this module is built from these two densities:
+``(0, R - x)``; :func:`_density` evaluates both.  Everything in this module
+is built from these two densities and serves ``verify-cube`` or ``sample``:
 
-* an exact stationary draw and the single-site Gibbs chain, whose update
-  is the uniform full conditional on (0, R), drawn inline;
+* an exact stationary draw and the single-site Gibbs chain that starts from
+  it, whose update is the uniform full conditional on (0, R), drawn inline;
 * the scaled eigenvalues ``zeta_k`` of the cross-coordinate conditional
   expectation acting on orthonormal polynomials, verified by quadrature;
 * the closed-form ceiling on the summation correlation coefficient and the
@@ -31,10 +32,9 @@ allocate (:func:`_chain_bytes`, :func:`_estimate_bytes`).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,69 +65,11 @@ def _gl_rule(a: float, b, points: int = _QUAD_POINTS) -> tuple[np.ndarray, np.nd
     return a + half * (t + 1.0), half * w
 
 
-@dataclass(frozen=True)
-class CornerState:
-    """A point strictly inside the corner: every x_i > 0 and sum(x) < 1."""
-
-    n: int
-    x: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise DomainError(f"need n >= 2 coordinates, got {self.n}")
-        x = tuple(float(v) for v in self.x)
-        if len(x) != self.n:
-            raise DomainError(f"state has {len(x)} coordinates, expected {self.n}")
-        if not all(v > 0.0 for v in x):
-            raise DomainError(f"all coordinates must be strictly positive, got {x}")
-        if not sum(x) < 1.0:
-            raise DomainError(f"coordinates must sum below 1, got {sum(x)!r}")
-        object.__setattr__(self, "x", x)
-
-
-@dataclass(frozen=True)
-class CondSlack:
-    """Conditioning data of a one-coordinate conditional: budget R, free count m.
-
-    ``m >= 2`` is the regime the pair analysis uses; ``m == 1`` is allowed and
-    degenerates to the uniform full conditional on (0, R).
-    """
-
-    R: float
-    m: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.R <= 1.0:
-            raise DomainError(f"budget R must lie in (0, 1], got {self.R}")
-        if self.m < 1:
-            raise DomainError(f"free-coordinate count m must be >= 1, got {self.m}")
-
-
 def _density(m: int, R, x) -> np.ndarray:
     """m (R - x)^(m-1) / R^m where 0 < x < R, else 0, elementwise in ``R`` and ``x``."""
     inside = (x > 0.0) & (x < R)
     gap = np.where(inside, R - x, 0.0)
     return np.where(inside, m * gap ** (m - 1) / R**m, 0.0)
-
-
-def conditional_density(slack: CondSlack, x) -> np.ndarray | float:
-    """Density m (R - x)^(m-1) / R^m on (0, R), zero outside."""
-    vals = _density(slack.m, slack.R, np.asarray(x, dtype=float))
-    return float(vals) if np.isscalar(x) else vals
-
-
-def nested_conditional_density(m: int, R: float, x: float, z) -> np.ndarray | float:
-    """Density of one free coordinate given another fixed at ``x``.
-
-    Equals (m-1) (R - x - z)^(m-2) / (R - x)^(m-1) on (0, R - x), zero
-    outside; requires m >= 2 free coordinates before conditioning.
-    """
-    if m < 2:
-        raise DomainError(f"pair conditional needs m >= 2, got {m}")
-    if not 0.0 < x < R:
-        raise DomainError(f"conditioned value {x} outside (0, {R})")
-    vals = _density(m - 1, R - x, np.asarray(z, dtype=float))
-    return float(vals) if np.isscalar(z) else vals
 
 
 def stationary_corner_sample(n: int, rng: np.random.Generator) -> tuple[float, ...]:
@@ -154,18 +96,17 @@ def run_corner_chain(
     n: int,
     steps: int,
     rng: np.random.Generator,
-    x0: Sequence[float] | None = None,
     trace_coord: int | None = None,
 ) -> np.ndarray:
-    """Run the single-site Gibbs chain; stationary start unless ``x0`` is given.
+    """Run the single-site Gibbs chain from a :func:`stationary_corner_sample` start.
 
     Returns the full (steps, n) trajectory, or just one coordinate's trace
     when ``trace_coord`` is set (memory-light for long runs).  Per block of
     65,536 steps the loop only updates the state; the block's rows are then
     forward-filled from the values it drew.  The output is a deterministic
-    function of the RNG stream and the start.  A run that would need more
-    than :data:`spectel.kernels.MEMORY_CAP` bytes (:func:`_chain_bytes`)
-    raises :class:`ResourceLimitError` before anything is allocated.
+    function of the RNG stream.  A run that would need more than
+    :data:`spectel.kernels.MEMORY_CAP` bytes (:func:`_chain_bytes`) raises
+    :class:`ResourceLimitError` before anything is allocated.
     """
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
@@ -174,11 +115,7 @@ def run_corner_chain(
     if trace_coord is not None and not 0 <= trace_coord < n:
         raise DomainError(f"trace_coord must lie in 0..{n - 1}, got {trace_coord}")
     _check_memory(_chain_bytes(n, steps, n if trace_coord is None else 1), "the chain")
-    if x0 is None:
-        x = list(stationary_corner_sample(n, rng))
-    else:
-        x = [float(v) for v in x0]
-        CornerState(n, tuple(x))
+    x = list(stationary_corner_sample(n, rng))
     total = sum(x)
     cols = np.arange(n) if trace_coord is None else np.asarray(trace_coord)
     out = np.empty((steps, *cols.shape))
@@ -280,31 +217,28 @@ def coupling_sample(
     x: float,
     x_other: float,
     rng: np.random.Generator,
-    size: int | None = None,
-):
-    """Draws from the monotone coupling of the two pair conditionals.
+    size: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``size`` draws from the monotone coupling of the two pair conditionals.
 
     A single fraction X with density (m-1)(1-X)^(m-2) on (0,1) is drawn by
     inverse CDF and scaled by both remaining budgets, giving a pair whose
     marginals are the conditionals given ``x`` and ``x_other``.  The expected
     output distance is at most 1/(m-2) times the input distance, which is why
-    m >= 3 is required.  With ``size=None`` one pair of floats is returned;
-    with an integer ``size`` the uniforms are drawn in one call and a pair of
-    arrays is returned, equal to ``size`` scalar draws from the same stream
-    unless a uniform is exactly 0.  One loop redraws zeros in both modes.
+    m >= 3 is required.  The uniforms are drawn in one call, exact zeros are
+    redrawn, and the pair comes back as two arrays of length ``size``.
     """
     if m < 3:
         raise DomainError(f"the coupling contraction constant needs m >= 3, got {m}")
     if not (0.0 < x < R and 0.0 < x_other < R):
         raise DomainError(f"both points must lie in (0, {R})")
-    u = np.array(rng.random(size))
+    u = rng.random(size)
     zero = u <= 0.0
     while zero.any():
         u[zero] = rng.random(int(zero.sum()))
         zero = u <= 0.0
     fraction = 1.0 - (1.0 - u) ** (1.0 / (m - 1))
-    a, b = (R - x) * fraction, (R - x_other) * fraction
-    return (float(a), float(b)) if size is None else (a, b)
+    return (R - x) * fraction, (R - x_other) * fraction
 
 
 def wasserstein_influence(m: int) -> InfluenceMatrix:
@@ -312,17 +246,12 @@ def wasserstein_influence(m: int) -> InfluenceMatrix:
 
     All off-diagonal coefficients equal 1/(m-2), so the spectral radius is
     (m-1)/(m-2).  The coupling argument is stated for m >= 4, where this
-    radius sits below m-1; m = 3 is allowed but flagged with a warning since
-    the radius then equals m-1 and the spectral-independence bound is vacuous.
+    radius sits below m-1; m = 3 is allowed, but there the radius equals m-1
+    and the spectral-independence bound is vacuous (``verify-cube`` reports
+    such a level as ``beyond_stated_hypothesis``).
     """
     if m < 3:
         raise DomainError(f"the coupling coefficient 1/(m-2) needs m >= 3, got {m}")
-    if m == 3:
-        warnings.warn(
-            "m = 3 is beyond the stated hypothesis (m >= 4): the influence "
-            "spectral radius equals m - 1 and yields no usable bound",
-            stacklevel=2,
-        )
     entries = np.full((m, m), 1.0 / (m - 2))
     np.fill_diagonal(entries, 0.0)
     return InfluenceMatrix(m, entries, "wasserstein-corner")
@@ -369,9 +298,7 @@ def tv_contraction_check(m: int, R: float, x: float, x_other: float) -> TvCheck:
     total = 0.0
     for left, right in ((0.0, cross), (cross, b), (b, R - lo)):
         nodes, wts = _gl_rule(left, right, 64)
-        diff = nested_conditional_density(m, R, lo, nodes) - nested_conditional_density(
-            m, R, hi, nodes
-        )
+        diff = _density(m - 1, R - lo, nodes) - _density(m - 1, R - hi, nodes)
         total += float(np.abs(diff) @ wts)
     tv_quadrature = 0.5 * total
 
@@ -384,11 +311,16 @@ class OrthoBasis:
 
     Degree-k coefficient rows are stored in the monomial basis; inner
     products are evaluated with the cached Gauss-Legendre rule weighted by
-    :func:`conditional_density`.  Two orthogonalization passes keep the Gram
-    matrix within 1e-10 of the identity up to the degree cap of 8.
+    the slack density ``m (R - x)^(m-1) / R^m`` (:func:`_density`).  Two
+    orthogonalization passes keep the Gram matrix within 1e-10 of the
+    identity up to the degree cap of 8.
     """
 
     def __init__(self, m: int, R: float, degree: int):
+        if not 0.0 < R <= 1.0:
+            raise DomainError(f"budget R must lie in (0, 1], got {R}")
+        if m < 1:
+            raise DomainError(f"free-coordinate count m must be >= 1, got {m}")
         if degree < 1:
             raise DomainError(f"degree must be >= 1, got {degree}")
         if degree > _MAX_POLY_DEGREE:
@@ -399,8 +331,7 @@ class OrthoBasis:
         self.R = float(R)
         self.degree = int(degree)
         self.nodes, self.gl_weights = _gl_rule(0.0, self.R)
-        self.density = conditional_density(CondSlack(self.R, self.m), self.nodes)
-        self._wq = self.gl_weights * self.density
+        self._wq = self.gl_weights * _density(self.m, self.R, self.nodes)
 
         n_polys = degree + 1
         coeffs = np.zeros((n_polys, n_polys))
@@ -466,13 +397,10 @@ def verify_eigenrelation(basis: OrthoBasis) -> float:
 class GapEstimate:
     """Autocorrelation-based relaxation estimate with a block-bootstrap margin."""
 
-    n: int
-    steps: int
     rho: float
     gap: float
     ci: float
     lags_used: int
-    n_blocks: int
 
 
 def _fit_decay_rate(trace: np.ndarray) -> tuple[float, int]:
@@ -549,12 +477,4 @@ def empirical_gap_estimate(n: int, steps: int, rng: np.random.Generator) -> GapE
     draws = rng.integers(0, _N_BLOCKS, size=(_N_BOOT, _N_BLOCKS))
     boot_means = block_rhos[draws].mean(axis=1)
     ci = 1.96 * float(boot_means.std(ddof=1))
-    return GapEstimate(
-        n=n,
-        steps=steps,
-        rho=rho,
-        gap=1.0 - rho,
-        ci=ci,
-        lags_used=lags_used,
-        n_blocks=_N_BLOCKS,
-    )
+    return GapEstimate(rho=rho, gap=1.0 - rho, ci=ci, lags_used=lags_used)

@@ -4,20 +4,16 @@ import numpy as np
 import pytest
 
 from spectel import (
-    CondSlack,
-    CornerState,
     DomainError,
     MEMORY_CAP,
     OrthoBasis,
     ResourceLimitError,
     StatisticalContractError,
-    conditional_density,
     contraction_metric,
     corner_gap_lower_bound,
     correlation_coefficient_bound,
     coupling_sample,
     empirical_gap_estimate,
-    nested_conditional_density,
     poly_eigenvalue,
     run_corner_chain,
     spectral_radius,
@@ -28,7 +24,13 @@ from spectel import (
     wasserstein_influence,
 )
 from spectel import cube_corner as corner
-from spectel.cube_corner import _chain_bytes, _estimate_bytes, _fit_decay_rate, _gl_rule
+from spectel.cube_corner import (
+    _chain_bytes,
+    _density,
+    _estimate_bytes,
+    _fit_decay_rate,
+    _gl_rule,
+)
 
 from conftest import MemoryChecked, oracle_corner_chain, peak, spy_memory_check
 
@@ -42,59 +44,53 @@ def ks_distance(samples: np.ndarray, cdf) -> float:
 
 class TestConditionalDensity:
     def test_point_values(self):
-        assert conditional_density(CondSlack(1.0, 2), 1e-9) == pytest.approx(2.0, abs=1e-6)
-        assert conditional_density(CondSlack(0.5, 3), 0.25) == pytest.approx(1.5, abs=1e-14)
+        assert float(_density(2, 1.0, 1e-9)) == pytest.approx(2.0, abs=1e-6)
+        assert float(_density(3, 0.5, 0.25)) == pytest.approx(1.5, abs=1e-14)
 
     def test_zero_outside_support(self):
-        slack = CondSlack(0.5, 3)
-        assert conditional_density(slack, -0.1) == 0.0
-        assert conditional_density(slack, 0.6) == 0.0
+        assert float(_density(3, 0.5, -0.1)) == 0.0
+        assert float(_density(3, 0.5, 0.6)) == 0.0
 
     def test_normalization_by_quadrature(self):
         for m in range(2, 9):
             for budget in (0.3, 1.0):
                 nodes, weights = _gl_rule(0.0, budget)
-                integral = conditional_density(CondSlack(budget, m), nodes) @ weights
+                integral = _density(m, budget, nodes) @ weights
                 assert abs(integral - 1.0) <= 1e-10
 
     def test_nested_density_normalizes(self):
+        # Given one more coordinate at x, m - 1 free ones share the budget R - x.
         for m in (3, 5):
             x = 0.2
             nodes, weights = _gl_rule(0.0, 1.0 - x)
-            integral = nested_conditional_density(m, 1.0, x, nodes) @ weights
+            integral = _density(m - 1, 1.0 - x, nodes) @ weights
             assert abs(integral - 1.0) <= 1e-10
 
-    def test_slack_validation(self):
-        with pytest.raises(DomainError):
-            CondSlack(0.0, 2)
-        with pytest.raises(DomainError):
-            CondSlack(1.5, 2)
-        with pytest.raises(DomainError):
-            CondSlack(0.5, 0)
+
+def cdf_by_quadrature(m: int, budget: float, x) -> np.ndarray:
+    """The density integrated over (0, x), one rule per entry of ``x``."""
+    nodes, weights = _gl_rule(0.0, np.asarray(x, dtype=float)[..., None])
+    return (_density(m, budget, nodes) * weights).sum(axis=-1)
 
 
-def cdf_by_quadrature(slack: CondSlack, x: float) -> float:
-    nodes, weights = _gl_rule(0.0, x)
-    return float(conditional_density(slack, nodes) @ weights)
-
-
-class TestSampleConditional:
-    """The inverse-CDF draw ``R (1 - (1 - u)^(1/m))`` from :func:`conditional_density`."""
+class TestConditionalCdf:
+    """The density integrates to the closed-form CDF ``1 - ((R - x)/R)^m``."""
 
     def test_uniform_full_conditional(self):
         # m = 1 is the chain's update: u = 0.5 draws 0.2 on (0, 0.4).
-        assert cdf_by_quadrature(CondSlack(0.4, 1), 0.2) == pytest.approx(0.5, abs=1e-14)
+        assert cdf_by_quadrature(1, 0.4, 0.2) == pytest.approx(0.5, abs=1e-14)
 
     def test_inverse_cdf_value(self):
         # u = 0.75 draws 1 - 0.25^(1/2) = 0.5.
-        assert cdf_by_quadrature(CondSlack(1.0, 2), 0.5) == pytest.approx(0.75, abs=1e-14)
+        assert cdf_by_quadrature(2, 1.0, 0.5) == pytest.approx(0.75, abs=1e-14)
 
-    def test_kolmogorov_smirnov(self):
-        rng = np.random.default_rng(2024)
-        m, budget = 3, 0.8
-        u = rng.random(1_000_000)
-        samples = budget * (1.0 - (1.0 - u) ** (1.0 / m))
-        assert ks_distance(samples, lambda x: 1 - ((budget - x) / budget) ** m) < 0.002
+    def test_closed_form(self):
+        for budget in (0.3, 1.0):
+            x = np.linspace(budget / 40, budget, 40)
+            for m in range(1, 9):
+                want = 1.0 - ((budget - x) / budget) ** m
+                error = np.abs(cdf_by_quadrature(m, budget, x) - want).max()
+                assert error <= 1e-13, (budget, m, error)
 
 
 class TestPolyEigenvalue:
@@ -132,6 +128,11 @@ class TestOrthoBasis:
     def test_degree_cap(self):
         with pytest.raises(DomainError):
             OrthoBasis(3, 1.0, 9)
+
+    @pytest.mark.parametrize("m, budget", [(2, 0.0), (2, 1.5), (0, 0.5)])
+    def test_budget_and_count_checked(self, m, budget):
+        with pytest.raises(DomainError):
+            OrthoBasis(m, budget, 2)
 
     def test_first_polynomial_is_affine(self):
         basis = OrthoBasis(3, 1.0, 2)
@@ -222,8 +223,9 @@ class TestContractionMetric:
 
 class TestCoupling:
     def test_equal_inputs_give_equal_outputs(self, rng):
-        a, b = coupling_sample(1.0, 4, 0.3, 0.3, rng)
-        assert a == b
+        a, b = coupling_sample(1.0, 4, 0.3, 0.3, rng, size=5)
+        assert a.shape == (5,)
+        np.testing.assert_array_equal(a, b)
 
     def test_marginal_kolmogorov_smirnov(self):
         rng = np.random.default_rng(77)
@@ -249,35 +251,25 @@ class TestCoupling:
 
     def test_needs_m_at_least_three(self, rng):
         with pytest.raises(DomainError):
-            coupling_sample(1.0, 2, 0.2, 0.4, rng)
+            coupling_sample(1.0, 2, 0.2, 0.4, rng, size=1)
 
-    def test_size_matches_scalar_draws(self):
-        a, b = coupling_sample(0.9, 5, 0.18, 0.54, np.random.default_rng(3), size=5)
-        rng = np.random.default_rng(3)
-        scalar = [coupling_sample(0.9, 5, 0.18, 0.54, rng) for _ in range(5)]
-        assert a.shape == b.shape == (5,)
-        assert all(type(v) is float for pair in scalar for v in pair)
-        assert a.tolist() == [pair[0] for pair in scalar]
-        assert b.tolist() == [pair[1] for pair in scalar]
-
-    @pytest.mark.parametrize("size", [None, 3])
+    @pytest.mark.parametrize("size", [3])
     def test_exact_zero_uniforms_redrawn(self, size):
         class ZerosFirst:
             """Exact zeros on the first call, then 0.5 for every uniform."""
 
             calls = 0
 
-            def random(self, size=None):
+            def random(self, size):
                 self.calls += 1
-                value = 0.0 if self.calls == 1 else 0.5
-                return value if size is None else np.full(size, value)
+                return np.full(size, 0.0 if self.calls == 1 else 0.5)
 
         rng = ZerosFirst()
         a, b = coupling_sample(1.0, 3, 0.2, 0.4, rng, size=size)
         fraction = 1.0 - 0.5**0.5
         assert rng.calls == 2
-        np.testing.assert_array_equal(a, np.full(size or (), 0.8 * fraction))
-        np.testing.assert_array_equal(b, np.full(size or (), 0.6 * fraction))
+        np.testing.assert_array_equal(a, np.full(size, 0.8 * fraction))
+        np.testing.assert_array_equal(b, np.full(size, 0.6 * fraction))
 
 
 class TestWassersteinInfluence:
@@ -292,9 +284,8 @@ class TestWassersteinInfluence:
         )
 
     def test_m3_flagged(self):
-        with pytest.warns(UserWarning):
-            matrix = wasserstein_influence(3)
-        assert spectral_radius(matrix.entries) == pytest.approx(2.0, abs=1e-14)
+        # The radius reaches m - 1: verify-cube reports m = 3 as beyond the hypothesis.
+        assert spectral_radius(wasserstein_influence(3).entries) == pytest.approx(2.0, abs=1e-14)
 
     def test_m2_rejected(self):
         with pytest.raises(DomainError):
@@ -373,35 +364,30 @@ class TestTvContraction:
         assert result.tv_quadrature <= result.bound
 
 
-class TestCornerChain:
-    def test_state_validation(self):
-        with pytest.raises(DomainError):
-            CornerState(3, (0.2, 0.3, 0.5))
-        with pytest.raises(DomainError):
-            CornerState(3, (0.2, -0.1, 0.3))
-        for bad in (np.nan, np.inf, -np.inf):
-            with pytest.raises(DomainError):
-                CornerState(2, (bad, 0.1))
-            with pytest.raises(DomainError):
-                run_corner_chain(2, 5, np.random.default_rng(0), x0=(bad, 0.1))
-        CornerState(3, (0.2, 0.3, 0.4))
+def start_at(monkeypatch, x0) -> None:
+    """Start the chain at ``x0``, drawing no randomness for the start."""
+    monkeypatch.setattr(corner, "stationary_corner_sample", lambda n, rng: tuple(x0))
 
+
+class TestCornerChain:
     def test_step_preserves_support(self, rng):
         trajectory = run_corner_chain(4, 500, rng)
         assert (trajectory > 0.0).all() and (trajectory.sum(axis=1) < 1.0).all()
 
-    def test_determinism(self):
-        x0 = (0.1, 0.2, 0.3)
-        a = run_corner_chain(3, 100, np.random.default_rng(8), x0=x0)
-        b = run_corner_chain(3, 100, np.random.default_rng(8), x0=x0)
+    def test_determinism(self, monkeypatch):
+        start_at(monkeypatch, (0.1, 0.2, 0.3))
+        a = run_corner_chain(3, 100, np.random.default_rng(8))
+        b = run_corner_chain(3, 100, np.random.default_rng(8))
         np.testing.assert_array_equal(a, b)
 
-    def test_two_starts_coalesce_under_shared_randomness(self):
+    def test_two_starts_coalesce_under_shared_randomness(self, monkeypatch):
         # The update is multiplicatively contracting, so two chains driven by
         # the same stream become bitwise identical after enough steps.
         burn, tail = 20_000, 100
-        a = run_corner_chain(3, burn + tail, np.random.default_rng(4), x0=(0.01, 0.01, 0.01))
-        b = run_corner_chain(3, burn + tail, np.random.default_rng(4), x0=(0.3, 0.3, 0.3))
+        start_at(monkeypatch, (0.01, 0.01, 0.01))
+        a = run_corner_chain(3, burn + tail, np.random.default_rng(4))
+        start_at(monkeypatch, (0.3, 0.3, 0.3))
+        b = run_corner_chain(3, burn + tail, np.random.default_rng(4))
         np.testing.assert_array_equal(a[burn:], b[burn:])
 
     def test_long_run_coordinate_mean(self):
@@ -421,17 +407,17 @@ class TestCornerChain:
             pytest.param(5, 140_000, (0.1, 0.2, 0.05, 0.3, 0.01), id="5-140000-x0"),
         ],
     )
-    def test_matches_stream_oracle(self, n, steps, x0):
+    def test_matches_stream_oracle(self, monkeypatch, n, steps, x0):
         # Crossing the 65,536-step block boundary checks that a coordinate not
         # yet drawn in a block keeps its value from the block start.
         want = oracle_corner_chain(n, steps, np.random.default_rng(steps + n), x0)
-        full = run_corner_chain(n, steps, np.random.default_rng(steps + n), x0)
+        if x0 is not None:
+            start_at(monkeypatch, x0)
+        full = run_corner_chain(n, steps, np.random.default_rng(steps + n))
         assert full.shape == (steps, n)
         np.testing.assert_array_equal(full, want)
         for j in range(n):
-            trace = run_corner_chain(
-                n, steps, np.random.default_rng(steps + n), x0, trace_coord=j
-            )
+            trace = run_corner_chain(n, steps, np.random.default_rng(steps + n), trace_coord=j)
             assert trace.shape == (steps,)
             np.testing.assert_array_equal(trace, want[:, j])
 
