@@ -33,7 +33,6 @@ from .bounds import (
     InfluenceMatrix,
     TelescopeReport,
     assemble_bounds,
-    gap_profile,
     spectral_radius,
     telescope_verify,
 )

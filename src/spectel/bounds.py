@@ -17,7 +17,7 @@ Three routes produce lower bounds on ``Gap(m, m-1)``:
   at level ``m`` has spectral radius at most ``eta < m-1``.
 
 Everything here is exact enumeration over supported contexts, never sampling.
-:func:`gap_profile` and :func:`assemble_bounds` share one pass over the
+:func:`assemble_bounds` solves the profile and routes in one pass over the
 levels that enumerates each level's contexts once, from the top level down,
 in stacks that gather the contexts of one free shape, whatever index set
 they fix.  The scan cuts each stack so that a slice of Gibbs kernels holds
@@ -62,6 +62,9 @@ from .kernels import (
 )
 from .target import FiniteTarget, _supported_level
 
+# The tolerances of assemble_bounds' checks; verify-finite reports them, --tol overrides.
+FINITE_TOLERANCES = {"telescope": 1e-9, "bound_slack": 1e-9, "lemma": 1e-8, "psd": 1e-10}
+
 
 @dataclass(frozen=True)
 class GapEntry:
@@ -99,27 +102,24 @@ class InfluenceMatrix:
     """Nonnegative square matrix of pairwise contraction coefficients.
 
     Entry (i, j) bounds how much the conditional law of free coordinate j can
-    move, in the metric named by ``metric_tag``, when the conditioned value of
-    free coordinate i changes.  The diagonal is exactly zero.
+    move, in the metric of the route that builds the matrix, when the
+    conditioned value of free coordinate i changes.  The diagonal is exactly
+    zero.
     """
 
-    dim: int
     entries: np.ndarray
-    metric_tag: str
 
-    def __init__(self, dim: int, entries, metric_tag: str) -> None:
+    def __init__(self, entries) -> None:
         arr = np.asarray(entries, dtype=float)
-        if arr.shape != (dim, dim):
-            raise DomainError(f"influence matrix shape {arr.shape} != ({dim}, {dim})")
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise DomainError(f"influence matrix must be square, got shape {arr.shape}")
         if not ((arr >= 0).all() and np.isfinite(arr).all()):
             raise DomainError("influence coefficients must be finite and nonnegative")
         if np.any(np.diag(arr) != 0.0):
             raise DomainError("influence matrix diagonal must be exactly zero")
         arr = arr.copy()
         arr.setflags(write=False)
-        object.__setattr__(self, "dim", int(dim))
         object.__setattr__(self, "entries", arr)
-        object.__setattr__(self, "metric_tag", str(metric_tag))
 
 
 @dataclass(frozen=True)
@@ -145,19 +145,9 @@ class TelescopeReport:
         }
 
 
-def gap_profile(target: FiniteTarget) -> GapProfile:
-    """Exact Gap(m, l) for every 1 <= l <= m <= n.
-
-    For each level ``m`` the minimum runs over all index sets of size
-    ``n - m`` and all supported assignments, in canonical enumeration order
-    (ties keep the first context encountered, for reproducibility).  Each
-    level is enumerated once; the contexts that share a free shape are
-    solved as stacks, one stacked eigensolve per block size and route.
-    """
-    return _scan(target, target.n)[0]
-
-
-def telescope_verify(profile: GapProfile, tol: float = 1e-9) -> TelescopeReport:
+def telescope_verify(
+    profile: GapProfile, tol: float = FINITE_TOLERANCES["telescope"]
+) -> TelescopeReport:
     """Residuals of Gap(m,l) >= Gap(m,m-1) Gap(m-1,l) plus the chained product form."""
     n = profile.n
     residuals: dict[tuple[int, int], float] = {}
@@ -437,23 +427,20 @@ def _scan(
 
 
 def assemble_bounds(
-    target: FiniteTarget,
-    l: int,
-    slack: float = 1e-9,
-    lemma_tol: float = 1e-8,
-    psd_tol: float = 1e-10,
-    telescope_tol: float = 1e-9,
+    target: FiniteTarget, l: int, tols: dict[str, float] = FINITE_TOLERANCES
 ) -> BoundReport:
-    """Compute the full bound report for block size ``l``.
+    """Compute the full bound report, gap profile included, for block size ``l``.
 
     ``S(m)``, ``G(m)`` and ``eta(m)`` are exact extrema over all supported
     contexts leaving ``m`` coordinates free: S from the Rayleigh-quotient
     correlation coefficient, G from the random-walk gap (two independent
     routes, whose exact relation G = 1 - S is one of the recorded checks),
     eta from the discrete-metric influence matrices.  Lower bounds multiply
-    per-level factors down to ``l``; every bound is checked against the exact
-    gap and the l/n ceiling with ``slack``.  The telescope residuals are
-    checked with ``telescope_tol``.
+    per-level factors down to ``l``.  ``tols`` holds the keys of
+    :data:`FINITE_TOLERANCES`: every bound is checked against the exact gap
+    and the l/n ceiling with ``bound_slack``, G = 1 - S with ``lemma``, the
+    telescope residuals with ``telescope`` and the Gibbs kernels' bottom
+    eigenvalue with ``psd``.
 
     A point mass has no non-constant function, so its gap and ceiling are 1;
     any other target has ``f(x) = g(x_i)`` for a non-constant coordinate
@@ -463,7 +450,8 @@ def assemble_bounds(
     if not 1 <= l <= n:
         raise DomainError(f"block size {l} out of range 1..{n}")
     profile, values, extremal = _scan(target, l)
-    telescope = telescope_verify(profile, tol=telescope_tol)
+    telescope = telescope_verify(profile, tol=tols["telescope"])
+    slack = tols["bound_slack"]
     s_profile, g_profile, eta_profile = values["S"], values["G"], values["eta"]
 
     levels = range(l + 1, n + 1)
@@ -493,7 +481,7 @@ def assemble_bounds(
         or specind_bound <= exact_gap + slack,
         "gap_le_upper": exact_gap <= upper_bound + slack,
         "walk_gap_equals_one_minus_s": all(
-            abs(g_profile[m] - (1.0 - s_profile[m])) <= lemma_tol for m in levels
+            abs(g_profile[m] - (1.0 - s_profile[m])) <= tols["lemma"] for m in levels
         ),
         "per_level_corr_le_gap": all(
             1.0 - s_profile[m] <= profile.gap(m, m - 1) + slack for m in levels
@@ -506,7 +494,7 @@ def assemble_bounds(
             or specind_factors[m] <= profile.gap(m, m - 1) + slack
             for m in levels
         ),
-        "gibbs_psd": profile.min_psd_eigenvalue >= -psd_tol,
+        "gibbs_psd": profile.min_psd_eigenvalue >= -tols["psd"],
     }
     return BoundReport(
         n=n,

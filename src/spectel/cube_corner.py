@@ -22,8 +22,8 @@ is built from these two densities and serves ``verify-cube`` or ``sample``:
 
 Quadrature is Gauss-Legendre with 256 nodes: the integrands are polynomials
 of degree far below 511, so residual tolerances reflect conditioning, not
-truncation.  Orthonormal polynomials are built by modified Gram-Schmidt on
-monomials (two passes) and capped at degree 8 where conditioning is safe.
+truncation.  Orthonormal polynomials, to the degree 6 that ``verify-cube``
+checks, are built by modified Gram-Schmidt on monomials (two passes).
 
 The chain and the gap estimate check the bytes they will hold, measured
 under tracemalloc, against :data:`spectel.kernels.MEMORY_CAP` before they
@@ -42,7 +42,8 @@ from .bounds import InfluenceMatrix
 from .errors import DomainError, NumericalContractError, StatisticalContractError
 from .kernels import _check_memory
 
-_MAX_POLY_DEGREE = 8
+# Degree of the orthonormal polynomials whose eigenrelation verify-cube checks.
+_BASIS_DEGREE = 6
 _QUAD_POINTS = 256
 # Empirical gap estimate: fewest usable lags, bootstrap blocks, resamples.
 _MIN_LAGS = 5
@@ -254,7 +255,7 @@ def wasserstein_influence(m: int) -> InfluenceMatrix:
         raise DomainError(f"the coupling coefficient 1/(m-2) needs m >= 3, got {m}")
     entries = np.full((m, m), 1.0 / (m - 2))
     np.fill_diagonal(entries, 0.0)
-    return InfluenceMatrix(m, entries, "wasserstein-corner")
+    return InfluenceMatrix(entries)
 
 
 class TvCheck(NamedTuple):
@@ -307,33 +308,26 @@ def tv_contraction_check(m: int, R: float, x: float, x_other: float) -> TvCheck:
 
 
 class OrthoBasis:
-    """Orthonormal polynomials for the slack density, by modified Gram-Schmidt.
+    """Orthonormal polynomials of degree 0..``_BASIS_DEGREE`` for the slack density.
 
-    Degree-k coefficient rows are stored in the monomial basis; inner
-    products are evaluated with the cached Gauss-Legendre rule weighted by
-    the slack density ``m (R - x)^(m-1) / R^m`` (:func:`_density`).  Two
-    orthogonalization passes keep the Gram matrix within 1e-10 of the
-    identity up to the degree cap of 8.
+    Built by modified Gram-Schmidt in two passes, which keep the Gram matrix
+    within 1e-10 of the identity.  Degree-k coefficient rows are stored in the
+    monomial basis; inner products use the cached Gauss-Legendre rule weighted
+    by the slack density ``m (R - x)^(m-1) / R^m`` (:func:`_density`).
     """
 
-    def __init__(self, m: int, R: float, degree: int):
+    def __init__(self, m: int, R: float):
         if not 0.0 < R <= 1.0:
             raise DomainError(f"budget R must lie in (0, 1], got {R}")
         if m < 1:
             raise DomainError(f"free-coordinate count m must be >= 1, got {m}")
-        if degree < 1:
-            raise DomainError(f"degree must be >= 1, got {degree}")
-        if degree > _MAX_POLY_DEGREE:
-            raise DomainError(
-                f"degree {degree} above the conditioning-safe cap {_MAX_POLY_DEGREE}"
-            )
         self.m = int(m)
         self.R = float(R)
-        self.degree = int(degree)
+        self.degree = _BASIS_DEGREE
         self.nodes, self.gl_weights = _gl_rule(0.0, self.R)
         self._wq = self.gl_weights * _density(self.m, self.R, self.nodes)
 
-        n_polys = degree + 1
+        n_polys = _BASIS_DEGREE + 1
         coeffs = np.zeros((n_polys, n_polys))
         vals = np.empty((n_polys, _QUAD_POINTS))
         for k in range(n_polys):

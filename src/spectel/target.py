@@ -87,8 +87,6 @@ class FiniteTarget:
             raise DomainError(
                 f"tensor shape {arr.shape} does not match the {len(axes_t)} alphabet sizes"
             )
-        else:
-            arr = arr.copy()
         if not np.all(np.isfinite(arr)):
             raise DomainError("probability tensor has non-finite entries (NaN or inf)")
         if np.any(arr < 0):

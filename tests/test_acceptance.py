@@ -17,6 +17,7 @@ from conftest import (
     altered_random_walk_kernel,
     correlation_coefficient,
     correlation_via_walk,
+    gap_profile,
     gibbs_kernel,
     indexed_states,
     product_target,
@@ -154,7 +155,7 @@ def test_criterion_5_bound_sandwich(sweep):
         n = int(rng.choice((3, 4)))
         marginals = [rng.dirichlet(np.ones(int(rng.integers(2, 5)))) for _ in range(n)]
         product = product_target(marginals)
-        profile = sp.gap_profile(product)
+        profile = gap_profile(product)
         for l in range(1, n + 1):
             assert profile.gap(n, l) == pytest.approx(l / n, abs=1e-9)
     print("\nACCEPTANCE 5: bound sandwich and product-target ceiling: PASS")
@@ -188,7 +189,7 @@ def test_criterion_8_eigenrelation():
     worst = 0.0
     for m in range(2, 7):
         for budget in (0.3, 1.0):
-            worst = max(worst, sp.verify_eigenrelation(sp.OrthoBasis(m, budget, 6)))
+            worst = max(worst, sp.verify_eigenrelation(sp.OrthoBasis(m, budget)))
     assert worst <= 1e-8
     print(f"\nACCEPTANCE 8: eigenrelation residual {worst:.2e}: PASS")
 

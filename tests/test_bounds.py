@@ -14,7 +14,6 @@ from spectel import (
     InfluenceMatrix,
     ResourceLimitError,
     assemble_bounds,
-    gap_profile,
     random_target,
     spectral_radius,
     telescope_verify,
@@ -26,6 +25,7 @@ from conftest import (
     correlation_coefficient,
     correlation_via_walk,
     coupled_pair_target,
+    gap_profile,
     influence_matrix_tv,
     oracle_gap,
     oracle_gibbs_matrix,
@@ -204,13 +204,16 @@ class TestInfluenceTv:
         assert phi.entries[1, 0] == pytest.approx(abs(0.25 - 1 / 3), abs=1e-14)
 
     def test_validation(self):
+        for bad_shape in (np.zeros((2, 3)), np.zeros(4), np.zeros((2, 2, 2))):
+            with pytest.raises(DomainError, match="square"):
+                InfluenceMatrix(bad_shape)
         with pytest.raises(DomainError):
-            InfluenceMatrix(2, np.array([[0.0, -0.1], [0.1, 0.0]]), "tv-discrete")
+            InfluenceMatrix(np.array([[0.0, -0.1], [0.1, 0.0]]))
         with pytest.raises(DomainError):
-            InfluenceMatrix(2, np.array([[0.5, 0.1], [0.1, 0.0]]), "tv-discrete")
+            InfluenceMatrix(np.array([[0.5, 0.1], [0.1, 0.0]]))
         for bad in (np.nan, np.inf):
             with pytest.raises(DomainError):
-                InfluenceMatrix(2, np.array([[0.0, bad], [1.0, 0.0]]), "tv-discrete")
+                InfluenceMatrix(np.array([[0.0, bad], [1.0, 0.0]]))
 
 
 class TestSpectralRadius:

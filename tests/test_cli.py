@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spectel
+from spectel import bounds
 from spectel import cube_corner as corner
 from spectel import (
     NumericalContractError,
@@ -31,7 +32,6 @@ from spectel.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_STATISTICAL,
-    FINITE_TOLERANCES,
     _check_eigenrelation,
     _write_report,
     build_parser,
@@ -61,8 +61,13 @@ class TestVerifyFinite:
         assert report["tool"] == "spectel"
         assert "version" in report and "seed" in report
         assert "wallclock_s" in report
-        assert set(report["tolerances"]) == {"telescope", "bound_slack", "lemma", "psd"}
+        # One table owns the finite tolerances: the report's are the engine's defaults.
+        assert report["tolerances"] == bounds.FINITE_TOLERANCES
         target_entry = report["targets"][0]
+        # The entry is the engine's report as JSON writes it (integer keys become strings).
+        expected = bounds.assemble_bounds(load_target(product3_path), 1).to_json_dict()
+        entry = {k: v for k, v in target_entry.items() if k not in ("name", "axes")}
+        assert entry == json.loads(json.dumps(expected))
         for residual in target_entry["residuals"]["telescope"].values():
             assert residual >= -1e-9
         assert target_entry["bounds"]["upper"] == pytest.approx(1 / 3)
@@ -152,8 +157,8 @@ class TestVerifyFinite:
         # Each command takes only the keys it reads, so the other's keys are unknown.
         finite = ["verify-finite", "--target", product3_path]
         for argv, keys in (
-            (finite + ["--tol", "nonsense=1e-3"], FINITE_TOLERANCES),
-            (finite + ["--tol", "tv_match=5"], FINITE_TOLERANCES),
+            (finite + ["--tol", "nonsense=1e-3"], bounds.FINITE_TOLERANCES),
+            (finite + ["--tol", "tv_match=5"], bounds.FINITE_TOLERANCES),
             (["verify-cube", "--tol", "psd=1e-3"], CUBE_TOLERANCES),
             (["verify-cube", "--tol", "bound_slack=1e-3"], CUBE_TOLERANCES),
         ):

@@ -5,10 +5,12 @@ import pytest
 
 from spectel import (
     DomainError,
+    FiniteTarget,
     MEMORY_CAP,
     OrthoBasis,
     ResourceLimitError,
     StatisticalContractError,
+    assemble_bounds,
     contraction_metric,
     corner_gap_lower_bound,
     correlation_coefficient_bound,
@@ -122,36 +124,30 @@ class TestOrthoBasis:
     def test_orthonormality(self):
         for m in (2, 4, 6):
             for budget in (0.3, 1.0):
-                basis = OrthoBasis(m, budget, 6)
+                basis = OrthoBasis(m, budget)
+                assert basis.degree == 6
                 assert basis.orthonormality_residual() <= 1e-10
-
-    def test_degree_cap(self):
-        with pytest.raises(DomainError):
-            OrthoBasis(3, 1.0, 9)
 
     @pytest.mark.parametrize("m, budget", [(2, 0.0), (2, 1.5), (0, 0.5)])
     def test_budget_and_count_checked(self, m, budget):
         with pytest.raises(DomainError):
-            OrthoBasis(m, budget, 2)
+            OrthoBasis(m, budget)
 
     def test_first_polynomial_is_affine(self):
-        basis = OrthoBasis(3, 1.0, 2)
+        basis = OrthoBasis(3, 1.0)
         assert np.abs(basis.coeffs[1, 2:]).max() <= 1e-12
 
 
 class TestEigenrelation:
-    def test_degree_one_residual_tiny(self):
-        assert verify_eigenrelation(OrthoBasis(4, 1.0, 1)) <= 1e-10
-
     def test_all_degrees_up_to_six(self):
         for m in range(2, 7):
             for budget in (0.3, 1.0):
-                assert verify_eigenrelation(OrthoBasis(m, budget, 6)) <= 1e-8
+                assert verify_eigenrelation(OrthoBasis(m, budget)) <= 1e-8
 
     def test_nan_residual_is_returned(self, monkeypatch):
         # A residual is returned, never compared here, and a NaN at one
         # degree is not dropped by the maximum over degrees.
-        basis = OrthoBasis(4, 1.0, 3)
+        basis = OrthoBasis(4, 1.0)
         evaluate = basis.evaluate
         monkeypatch.setattr(
             basis, "evaluate", lambda k, x: evaluate(k, x) * (np.nan if k == 2 else 1.0)
@@ -172,6 +168,22 @@ class TestCorrelationBound:
                 abs(correlation_coefficient_bound(m) * m - sum_square_constant(m))
                 <= 1e-14
             )
+
+
+class TestDiscreteSimplex:
+    # On a regular grid the cube corner becomes the uniform law on
+    # Delta(n, K) = {i in {0..K}^n : sum(i) <= K}, a finite target the exact
+    # engine solves.  Its S(m) is the corner's closed-form ceiling, and
+    # f = x_1 - x_2 is an eigenfunction of the single-site chain with
+    # eigenvalue 1 - 1/(2n), which sets Gap(n, 1).
+    @pytest.mark.parametrize("n, K", [(3, 2), (4, 2), (5, 2), (4, 3)])
+    def test_exact_engine_meets_the_closed_forms(self, n, K):
+        grid = np.indices((K + 1,) * n).sum(axis=0) <= K
+        report = assemble_bounds(FiniteTarget((K + 1,) * n, grid / grid.sum()), 1)
+        assert report.passed
+        for m in range(2, n + 1):
+            assert abs(report.s_profile[m] - correlation_coefficient_bound(m)) <= 1e-12
+        assert abs(report.profile.gap(n, 1) - 1 / (2 * n)) <= 1e-12
 
 
 class TestCornerGapLowerBound:

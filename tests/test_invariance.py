@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     correlation_coefficient,
+    gap_profile,
     influence_matrix_tv,
     oracle_gap,
     oracle_rw_matrix,
@@ -33,7 +34,6 @@ from conftest import (
 from spectel import (
     FiniteTarget,
     assemble_bounds,
-    gap_profile,
     spectral_radius,
     telescope_verify,
 )

@@ -240,6 +240,16 @@ class TestIngestion:
         with pytest.raises(ValueError):
             HAND.probs[0, 0] = 0.9
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 2)])
+    def test_caller_array_is_not_shared(self, shape):
+        # The stored tensor is a copy, flat or shaped, so a later change to
+        # the caller's array does not reach the target.
+        probs = np.array([0.1, 0.2, 0.3, 0.4]).reshape(shape)
+        t = FiniteTarget([2, 2], probs)
+        stored = t.probs.copy()
+        probs[...] = 0.25
+        np.testing.assert_array_equal(t.probs, stored)
+
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "t.json"
         path.write_text(json.dumps(target_to_dict(HAND)))
