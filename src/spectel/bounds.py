@@ -328,7 +328,7 @@ def _route_values(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     and shared by the three routes.
     """
     marginals, pairs, rows = _coordinate_tables(weights)
-    g = _spectral_stack(*_walk_stack(marginals, rows))[1]
+    g = _spectral_stack(*_walk_stack(marginals, rows))[0]
     s = _correlation_stack(marginals, pairs)
     eta = np.abs(np.linalg.eigvals(_influence_stack(marginals, rows))).max(axis=-1)
     return s, g, eta
@@ -403,7 +403,7 @@ def _scan(
                         # takes its exact value: 1 pi^T is 0 on mean-zero functions.
                         gaps[size - 1, pos], bottom = 1.0, 0.0
                     else:
-                        _, gaps[size - 1, pos], bottoms = _gibbs_spectra(weights, size)
+                        gaps[size - 1, pos], bottoms = _gibbs_spectra(weights, size)
                         bottom = float(bottoms.min())
                     low = min(low, bottom)
                 if m > l:

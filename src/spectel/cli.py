@@ -119,6 +119,8 @@ def _parse_axes(raw: str | None, n: int | None) -> tuple[int, ...]:
         n = 1
     elif n is None:
         raise DomainError("--axes SIZE without commas needs --n for the coordinate count")
+    elif n < 2:
+        raise DomainError(f"need at least 2 coordinates, got --n {n}")
     # Checked on at most two copies of the sizes, and in bytes on at most 128
     # of them, so a huge --n or list builds no tuple or product that takes
     # long: 2^128 floats are over any cap.
@@ -138,9 +140,14 @@ def _check_out_dir(out: str | None) -> None:
         raise DomainError(f"--out {out}: directory {parent} does not exist")
 
 
+def _opened(out: str | None):
+    """The ``--out`` file opened for writing, or stdout left open, as a context manager."""
+    return open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout)
+
+
 def _write_report(report: dict, out: str | None) -> None:
     """Stream the report as indented JSON, the bytes of ``json.dumps`` without its chunk list."""
-    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
+    with _opened(out) as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
 
@@ -352,14 +359,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
             raise DomainError("--n sets the cube dimension; a target file sets its own")
         target = load_target(args.target)
         states = sample_gibbs_chain(target, args.steps, rng, l=1 if args.l is None else args.l)
-    stream = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
+    with _opened(args.out) as stream:
         # Python's list repr of ints and finite floats is byte-for-byte what json.dumps writes.
-        for row in states:
-            stream.write(f"{row.tolist()}\n")
-    finally:
-        if args.out:
-            stream.close()
+        stream.writelines(f"{row.tolist()}\n" for row in states)
     return EXIT_OK
 
 
@@ -472,9 +474,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (DomainError, OSError) as exc:
         print(f"spectel: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except json.JSONDecodeError as exc:
-        print(f"spectel: malformed JSON: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except ResourceLimitError as exc:
         print(f"spectel: {exc}", file=sys.stderr)

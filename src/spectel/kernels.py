@@ -267,7 +267,7 @@ def _solve_order(shape: tuple[int, ...], l: int) -> int:
 
 
 def _gram_stack(weights: np.ndarray, l: int) -> np.ndarray:
-    """Norms, gaps and bottoms (3, B) of the block-``l`` Gibbs kernels of a stack (B, *shape).
+    """Gaps and bottoms (2, B) of the block-``l`` Gibbs kernels of a stack (B, *shape).
 
     The kernel is an average of projections, ``(1/k) sum_R J_R J_R*``, where
     ``R`` runs over the ``k`` kept sets of size ``m - l`` in the order of
@@ -286,7 +286,7 @@ def _gram_stack(weights: np.ndarray, l: int) -> np.ndarray:
     ``pi(x_R' | x_R)`` is checked row-stochastic within ``_ROW_TOL`` by
     summing the joint tables in place, and the rows are normalized and
     deflated of the constant direction ``u = sqrt(pi_R(a) / k)`` in place,
-    so no temporary outgrows a slice.  One eigensolve gives the norm and
+    so no temporary outgrows a slice.  One eigensolve gives the gap and
     ``min(lambda_min, 0)``.
     Every weight must be positive, so no marginal is zero; ``l`` must be
     below ``m``.
@@ -342,7 +342,7 @@ def _gram_stack(weights: np.ndarray, l: int) -> np.ndarray:
 
 
 def _gibbs_spectra(weights: np.ndarray, l: int) -> np.ndarray:
-    """Norms, gaps and bottoms (3, B) of the block-``l`` Gibbs kernels of a stack (B, *shape).
+    """Gaps and bottoms (2, B) of the block-``l`` Gibbs kernels of a stack (B, *shape).
 
     A context takes the Gram route (:func:`_gram_stack`) when its
     :func:`_solve_order` is below ``N`` (so ``l < m`` and the Gram order is
@@ -358,7 +358,7 @@ def _gibbs_spectra(weights: np.ndarray, l: int) -> np.ndarray:
     shape = weights.shape[1:]
     flat = weights.reshape(len(weights), -1)
     on_gram = (flat > 0).all(axis=1) & (_solve_order(shape, l) < flat.shape[1])
-    out = np.empty((3, len(flat)))
+    out = np.empty((2, len(flat)))
     if on_gram.any():
         out[:, on_gram] = _gram_stack(weights[on_gram], l)
     if not on_gram.all():
@@ -395,17 +395,16 @@ def _walk_stack(
 
 
 def _solve(mat: np.ndarray) -> np.ndarray:
-    """Norms ``max|lambda|``, gaps ``1 - norm`` and bottoms ``min(lambda_min, 0)`` (3, B).
+    """Gaps ``1 - max|lambda|`` and bottoms ``min(lambda_min, 0)`` (2, B).
 
     A gap below -1e-10 raises :class:`NumericalContractError`.
     """
     spectrum = np.linalg.eigvalsh(mat)
-    norm = np.maximum(np.abs(spectrum[:, 0]), np.abs(spectrum[:, -1]))
-    # norm >= 0, so the gap can leave [0, 1] only from below.
-    gap = 1.0 - norm
+    # max|lambda| >= 0, so the gap can leave [0, 1] only from below.
+    gap = 1.0 - np.maximum(np.abs(spectrum[:, 0]), np.abs(spectrum[:, -1]))
     if not (gap >= -1e-10).all():
         raise NumericalContractError(f"gap {float(gap.min())!r} fell below 0")
-    return np.stack((norm, np.maximum(gap, 0.0), np.minimum(spectrum[:, 0], 0.0)))
+    return np.stack((np.maximum(gap, 0.0), np.minimum(spectrum[:, 0], 0.0)))
 
 
 def _balance_error(matrices: np.ndarray, weights: np.ndarray) -> float:
@@ -422,12 +421,12 @@ def _balance_error(matrices: np.ndarray, weights: np.ndarray) -> float:
 
 
 def _spectral_stack(matrices: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Norms, gaps and bottoms (3, B) of a stack (B, N, N) with weights (B, N).
+    """Gaps and bottoms (2, B) of a stack (B, N, N) with weights (B, N).
 
     Each value is taken on mean-zero functions: states with zero stationary
     weight are dropped (the similarity transform is singular there), the
     kernel is symmetrized as D^{1/2} K D^{-1/2} and the constant direction
-    is deflated, so one eigensolve gives both the norm and the bottom
+    is deflated, so one eigensolve gives both the gap and the bottom
     ``min(lambda_min, 0)`` (:func:`_solve`).  Kernels whose zero-weight
     states differ are solved in separate sub-stacks, one per support mask.
     Each sub-stack goes in slices of at most ``_SLICE_FLOATS`` floats, one
@@ -437,7 +436,7 @@ def _spectral_stack(matrices: np.ndarray, weights: np.ndarray) -> np.ndarray:
     full-support stack is symmetrized in its own buffer, so it must be a
     temporary.
     """
-    out = np.empty((3, len(matrices)))
+    out = np.empty((2, len(matrices)))
     for sel, keep in _support_groups(weights > 0.0):
         whole = len(sel) == len(matrices) and len(keep) == weights.shape[1]
         step = max(1, _SLICE_FLOATS // len(keep) ** 2)

@@ -1,10 +1,10 @@
 """Finite product-space distributions: ingest, random draws, and context enumeration.
 
 A :class:`FiniteTarget` stores the full joint probability tensor of a random
-vector (X_1, ..., X_n) over a product of finite alphabets.  Targets come from
-the JSON wire format or from a Dirichlet(1) draw.  :func:`_supported_level`
-enumerates the conditioning contexts of one level and divides each context's
-slice of the tensor by its mass, exactly; contexts with zero marginal mass
+vector (X_1, ..., X_n) over a product of finite alphabets, read from the JSON
+wire format (any malformed file raises :class:`DomainError`) or drawn from
+Dirichlet(1).  :func:`_supported_level` takes each context's slice as a view
+of the tensor and divides it by its mass, exactly; contexts with zero mass
 are skipped, since every gap and bound minimizes over supported contexts.
 
 Conventions, normative throughout the package:
@@ -143,19 +143,6 @@ class CondContext:
         return len(self.lam)
 
 
-def _free(target: FiniteTarget, lam: tuple[int, ...]) -> tuple[int, ...]:
-    fixed = set(lam)
-    return tuple(i for i in range(1, target.n + 1) if i not in fixed)
-
-
-def _context_slice(target: FiniteTarget, lam: tuple[int, ...], y: tuple[int, ...]) -> np.ndarray:
-    """Unnormalized tensor over the free axes with the assignment ``y`` to ``lam`` plugged in."""
-    index: list = [slice(None)] * target.n
-    for i, v in zip(lam, y):
-        index[i - 1] = v
-    return target.probs[tuple(index)]
-
-
 def _supported_level(target: FiniteTarget, m: int):
     """Supported contexts leaving ``m`` coordinates free, and their conditionals by free shape.
 
@@ -165,19 +152,20 @@ def _supported_level(target: FiniteTarget, m: int):
     so the top level's one context is ``((), ())``.  Each stack
     ``(positions, weights)`` holds the conditionals (B, *shape) of every
     context with one free shape, from any index set, uncut: row ``k`` is the
-    conditional tensor given ``contexts[positions[k]]``.  Each context's
-    slice is summed once, and that mass decides support (``> 0``) and
+    conditional tensor given ``contexts[positions[k]]``.  A context's slice
+    is a view of the tensor, its index set's axes moved to the front, at
+    ``y``; it is summed once, and that mass decides support (``> 0``) and
     divides it, so each row is bit for bit ``block / float(block.sum())``.
     """
     contexts: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     blocks: dict[tuple[int, ...], list] = {}
     for lam in itertools.combinations(range(1, target.n + 1), target.n - m):
-        shape = tuple(target.axes[i - 1] for i in _free(target, lam))
-        for y in np.ndindex(*(target.axes[i - 1] for i in lam)):
-            block = _context_slice(target, lam, y)
+        slab = np.moveaxis(target.probs, [i - 1 for i in lam], range(len(lam)))
+        for y in np.ndindex(*slab.shape[: len(lam)]):
+            block = slab[y]
             mass = float(block.sum())
             if mass > 0.0:
-                blocks.setdefault(shape, []).append((len(contexts), block, mass))
+                blocks.setdefault(block.shape, []).append((len(contexts), block, mass))
                 contexts.append((lam, y))
     stacks = []
     for shape, shape_blocks in blocks.items():
@@ -188,9 +176,7 @@ def _supported_level(target: FiniteTarget, m: int):
     return contexts, stacks
 
 
-def random_target(
-    axes: Sequence[int], rng: np.random.Generator
-) -> FiniteTarget:
+def random_target(axes: Sequence[int], rng: np.random.Generator) -> FiniteTarget:
     """Full-support target with Dirichlet(1)-distributed joint tensor."""
     axes_t = _check_axes(axes)
     flat = rng.dirichlet(np.ones(math.prod(axes_t)))
@@ -223,14 +209,14 @@ def _has_bool(value) -> bool:
 
 
 def _read_json(path: str):
-    """Parse a JSON file; nesting too deep for the decoder is bad input, not a crash."""
+    """Parse a JSON file; malformed JSON, or nesting too deep to decode, is bad input."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except RecursionError:
             raise DomainError(f"{path}: JSON nests too deeply to decode") from None
-        except json.JSONDecodeError:
-            raise
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"malformed JSON: {exc}") from None
         except ValueError:
             # int() converts at most 4,300 digits.
             raise DomainError(f"{path}: JSON holds an integer too long to read") from None

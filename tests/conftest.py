@@ -42,7 +42,6 @@ import pytest
 from spectel import CondContext, FiniteTarget, InfluenceMatrix, WeightedKernel, random_target
 from spectel.bounds import GapProfile, _correlation_stack, _influence_stack, _scan
 from spectel.kernels import _coordinate_tables, _gibbs_stack, _spectral_stack, _walk_stack
-from spectel.target import _context_slice
 
 
 @pytest.fixture
@@ -140,6 +139,18 @@ def marginal(target: FiniteTarget, gamma) -> np.ndarray:
     return target.probs.sum(axis=tuple(i - 1 for i in range(1, target.n + 1) if i not in gamma))
 
 
+def _context_slice(target: FiniteTarget, ctx: CondContext) -> np.ndarray:
+    """The tensor with the context's values plugged in, free axes in increasing order.
+
+    Built by its own index tuple, not by the engine's level view, so the
+    engine's enumeration is compared bit for bit with an independent one.
+    """
+    index: list = [slice(None)] * target.n
+    for i, v in zip(ctx.lam, ctx.y):
+        index[i - 1] = v
+    return target.probs[tuple(index)]
+
+
 def conditional(target: FiniteTarget, gamma, ctx: CondContext) -> np.ndarray:
     """Conditional tensor of ``gamma`` (disjoint from the context) over its sorted axes.
 
@@ -147,7 +158,7 @@ def conditional(target: FiniteTarget, gamma, ctx: CondContext) -> np.ndarray:
     distribution on the ``gamma`` block where it has none.
     """
     free = free_indices(target, ctx)
-    block = _context_slice(target, ctx.lam, ctx.y)
+    block = _context_slice(target, ctx)
     joint = block.sum(axis=tuple(pos for pos, i in enumerate(free) if i not in gamma))
     mass = float(block.sum())
     if mass > 0.0:
@@ -157,7 +168,7 @@ def conditional(target: FiniteTarget, gamma, ctx: CondContext) -> np.ndarray:
 
 def supported_conditional(target: FiniteTarget, ctx: CondContext) -> np.ndarray:
     """Conditional tensor of every free coordinate given a context with positive mass."""
-    block = _context_slice(target, ctx.lam, ctx.y)
+    block = _context_slice(target, ctx)
     return block / float(block.sum())
 
 
@@ -459,13 +470,12 @@ def random_walk_kernel(target: FiniteTarget, ctx: CondContext) -> WeightedKernel
 
 
 class SpectralSummary(NamedTuple):
-    norm: float
     gap: float
     min_eigenvalue: float
 
 
 def spectral_summary(kernel: WeightedKernel) -> SpectralSummary:
-    """View: the engine's norm, gap and bottom ``min(lambda_min, 0)`` of one kernel."""
+    """View: the engine's gap and bottom ``min(lambda_min, 0)`` of one kernel."""
     values = _spectral_stack(kernel.matrix[None].copy(), kernel.weights[None])
     return SpectralSummary(*(float(v[0]) for v in values))
 

@@ -106,9 +106,13 @@ class TestVerifyFinite:
         assert report["all_passed"] is True
 
     def test_truncated_json_exit_two(self, tmp_path, capsys):
+        text = '{"axes": [2, 2], "probs": [0.1,'
         bad = tmp_path / "bad.json"
-        bad.write_text('{"axes": [2, 2], "probs": [0.1,')
+        bad.write_text(text)
         assert main(["verify-finite", "--target", str(bad)]) == EXIT_BAD_INPUT
+        with pytest.raises(json.JSONDecodeError) as decode:
+            json.loads(text)
+        assert capsys.readouterr().err == f"spectel: malformed JSON: {decode.value}\n"
 
     def test_missing_arguments_exit_two(self):
         assert main(["verify-finite"]) == EXIT_BAD_INPUT
@@ -323,6 +327,15 @@ class TestVerifyFinite:
         assert err.startswith("spectel: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("n", ["-3", "0", "1"])
+    def test_coordinate_count_reported_as_given(self, capsys, n):
+        assert main(["verify-finite", "--random", "1", "--axes", "2", "--n", n]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err == f"spectel: need at least 2 coordinates, got --n {n}\n"
+
+    @pytest.mark.parametrize("l", ["0", "4"])
+    def test_block_size_out_of_range_exit_two(self, product3_path, capsys, l):
+        assert main(["verify-finite", "--target", product3_path, "--l", l]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err == f"spectel: block size {l} out of range 1..3\n"
 
     @pytest.mark.parametrize(
         "source",
@@ -441,6 +454,10 @@ class TestSample:
     def test_missing_file(self, tmp_path):
         assert main(["sample", "--target", str(tmp_path / "nope.json")]) == EXIT_BAD_INPUT
 
+    def test_block_size_out_of_range_exit_two(self, product3_path, capsys):
+        assert main(["sample", "--target", product3_path, "--l", "0"]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err == "spectel: block size 0 out of range 1..3\n"
+
     def test_cube_start_state_counts_toward_storage(self, capsys):
         # With no step, the start draw alone would hold 10^12 values (7.28 TiB).
         argv = ["sample", "--target", "cube", "--n", "1000000000000", "--steps", "0"]
@@ -525,6 +542,19 @@ class TestVerifyCube:
         assert math.isnan(checks["tv_contraction"]["worst_formula_mismatch"])
         details = checks["eigenrelation"]["details"].values()
         assert all(math.isnan(d["max_residual"]) for d in details)
+
+    def test_numerical_contract_exit_one(self, tmp_path, capsys, monkeypatch):
+        # Unlike verify-finite, verify-cube writes no report on a contract violation.
+        def violated(basis):
+            raise NumericalContractError("eigenrelation residual is not finite")
+
+        monkeypatch.setattr(corner, "verify_eigenrelation", violated)
+        out = tmp_path / "cube.json"
+        code = main(["verify-cube", "--n", "3", "--steps", "1000000", "--out", str(out)])
+        assert code == EXIT_CHECKS_FAILED
+        err = capsys.readouterr().err
+        assert err.startswith("spectel: numerical contract violated: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_tight_tolerances_record_measured_residuals(self, tmp_path):
         out = tmp_path / "cube.json"

@@ -504,6 +504,12 @@ class TestEmpiricalGapEstimate:
         assert lower - estimate.ci <= estimate.gap <= 1 / 3 + estimate.ci
         assert estimate.lags_used >= 5
 
+    def test_white_noise_has_too_few_lags(self):
+        # Independent draws decorrelate at lag 1, so no lag lies in (0.05, 0.9).
+        trace = np.random.default_rng(0).normal(size=100_000)
+        with pytest.raises(StatisticalContractError, match="only 0 usable autocorrelation lags"):
+            _fit_decay_rate(trace)
+
     def test_insufficient_steps_rejected(self):
         with pytest.raises(StatisticalContractError):
             empirical_gap_estimate(4, 1000, np.random.default_rng(0))

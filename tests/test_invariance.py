@@ -125,7 +125,7 @@ def first_extremum(values, better):
 def context_gap(target: FiniteTarget, ctx, l: int) -> float:
     """One context's block-``l`` gap, by the route the engine takes for it, as a stack of one."""
     weights = supported_conditional(target, ctx)
-    return float(_gibbs_spectra(weights[None], l)[1][0])
+    return float(_gibbs_spectra(weights[None], l)[0][0])
 
 
 def assert_stacked_engine_equals_context_scan(tensor: np.ndarray) -> None:

@@ -26,6 +26,7 @@ from spectel.kernels import (
     _gibbs_stack,
     _gram_order,
     _gram_stack,
+    _solve,
     _solve_order,
     _spectral_stack,
 )
@@ -206,7 +207,7 @@ class TestAlteredRandomWalk:
         t = product_target([np.array([0.4, 0.6]), np.array([0.3, 0.7]), np.array([0.2, 0.8])])
         k = altered_random_walk_kernel(t, EMPTY_CONTEXT)
         np.testing.assert_allclose(k.matrix, np.tile(k.weights, (k.order, 1)), atol=1e-14)
-        assert spectral_summary(k).norm == pytest.approx(0.0, abs=1e-12)
+        assert spectral_summary(k).gap == pytest.approx(1.0, abs=1e-12)
 
     def test_identity_on_componentwise_mean_zero(self, rng):
         for _ in range(5):
@@ -252,7 +253,7 @@ class TestSpectralSummary:
         matrix = np.array([[1 - a, a], [b, 1 - b]])
         weights = np.array([b, a]) / (a + b)
         s = spectral_summary(WeightedKernel(matrix, weights))
-        assert s.norm == pytest.approx(abs(1 - a - b), abs=1e-14)
+        assert s.gap == pytest.approx(1 - abs(1 - a - b), abs=1e-14)
         assert s.gap == pytest.approx(0.9, abs=1e-14)
 
     def test_non_reversible_kernel_rejected(self):
@@ -266,7 +267,20 @@ class TestSpectralSummary:
         matrix = np.array([[0.6, 0.4, 0.0], [0.4, 0.6, 0.0], [0.3, 0.3, 0.4]])
         weights = np.array([0.5, 0.5, 0.0])
         s = spectral_summary(WeightedKernel(matrix, weights))
-        assert s.norm == pytest.approx(0.2, abs=1e-14)
+        assert s.gap == pytest.approx(0.8, abs=1e-14)
+
+
+class TestSolve:
+    @pytest.mark.parametrize("top", [1.5, -1.5])
+    def test_eigenvalue_beyond_one_raises(self, top):
+        stack = np.diag([top, 0.2])[None]
+        with pytest.raises(NumericalContractError, match="fell below 0"):
+            _solve(stack)
+
+    def test_roundoff_above_one_reads_gap_zero(self):
+        # 1 - (1 + 5e-11) lies within the 1e-10 the contract allows.
+        gaps, bottoms = _solve(np.diag([1 + 5e-11, 0.3])[None])
+        assert gaps.tolist() == [0.0] and bottoms.tolist() == [0.0]
 
 
 class TestPsdCheck:
@@ -315,11 +329,10 @@ class TestGramStack:
     def test_matches_dense_route(self, shape, rng):
         weights = dirichlet_stack(rng, shape)
         for l in range(1, len(shape)):
-            norm, gap, bottom = _gram_stack(weights, l)
-            dense_norm, dense_gap, _ = _spectral_stack(
+            gap, bottom = _gram_stack(weights, l)
+            dense_gap, _ = _spectral_stack(
                 _gibbs_stack(weights, l), weights.reshape(len(weights), -1)
             )
-            assert np.abs(norm - dense_norm).max() <= 1e-12, l
             assert np.abs(gap - dense_gap).max() <= 1e-12, l
             assert ((bottom <= 0.0) & (bottom >= -1e-12)).all(), l
 
@@ -345,11 +358,11 @@ class TestGramStack:
         assert _gram_order(shape, l) < np.prod(shape)
         weights = dirichlet_stack(rng, shape, size=1)
         flat = weights.reshape(1, -1)
-        gram_peak, (norm, _, _) = peak(lambda: _gibbs_spectra(weights, l))
-        dense_peak, (dense_norm, _, _) = peak(
+        gram_peak, (gap, _) = peak(lambda: _gibbs_spectra(weights, l))
+        dense_peak, (dense_gap, _) = peak(
             lambda: _spectral_stack(_gibbs_stack(weights, l), flat)
         )
-        assert abs(norm[0] - dense_norm[0]) <= 1e-12
+        assert abs(gap[0] - dense_gap[0]) <= 1e-12
         assert gram_peak <= dense_peak, (gram_peak, dense_peak)
 
     def test_full_block_rejected(self, rng):

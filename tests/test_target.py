@@ -256,6 +256,12 @@ class TestIngestion:
         back = load_target(str(path))
         np.testing.assert_array_equal(back.probs, HAND.probs)
 
+    def test_malformed_json_is_a_domain_error(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text('{"axes": [2, 2], "probs": [0.1,')
+        with pytest.raises(DomainError, match="^malformed JSON: Expecting value: line 1"):
+            load_target(str(path))
+
     def test_bad_schema_rejected(self):
         with pytest.raises(DomainError):
             target_from_dict({"axes": [2, 2]})
