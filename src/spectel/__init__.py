@@ -27,11 +27,7 @@ from .kernels import (
     sample_gibbs_chain,
 )
 from .bounds import (
-    BoundReport,
-    GapEntry,
-    GapProfile,
     InfluenceMatrix,
-    TelescopeReport,
     assemble_bounds,
     spectral_radius,
     telescope_verify,

@@ -17,7 +17,12 @@ Three routes produce lower bounds on ``Gap(m, m-1)``:
   at level ``m`` has spectral radius at most ``eta < m-1``.
 
 Everything here is exact enumeration over supported contexts, never sampling.
-:func:`assemble_bounds` solves the profile and routes in one pass over the
+:func:`assemble_bounds` returns the target's entry of the ``verify-finite``
+report as a plain dict: the gap profile, S, G and eta, the bounds, the
+telescope residuals of :func:`telescope_verify`, the context attaining every
+extremum, and the checks.
+
+:func:`_scan` solves the profile and routes in one pass over the
 levels that enumerates each level's contexts once, from the top level down,
 in stacks that gather the contexts of one free shape, whatever index set
 they fix.  The scan cuts each stack so that a slice of Gibbs kernels holds
@@ -45,7 +50,7 @@ context of a stack is computed bit for bit as in a stack of one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,37 +69,6 @@ from .target import FiniteTarget, _supported_level
 
 # The tolerances of assemble_bounds' checks; verify-finite reports them, --tol overrides.
 FINITE_TOLERANCES = {"telescope": 1e-9, "bound_slack": 1e-9, "lemma": 1e-8, "psd": 1e-10}
-
-
-@dataclass(frozen=True)
-class GapEntry:
-    """Exact Gap(m, l) together with the context attaining the minimum."""
-
-    gap: float
-    lam: tuple[int, ...]
-    y: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class GapProfile:
-    """Exact gaps for all 1 <= l <= m <= n, plus the worst PSD bottom eigenvalue.
-
-    ``min_psd_eigenvalue`` is the smallest bottom eigenvalue
-    (``min(lambda_min, 0)`` of the symmetrized operator) seen across every
-    Gibbs kernel built during profiling, and the exact bottom 0 of the top
-    level's full-block kernel, which is not built; Gibbs operators are
-    positive semi-definite, so it must not fall below -1e-10.
-    """
-
-    n: int
-    entries: dict[tuple[int, int], GapEntry]
-    min_psd_eigenvalue: float
-
-    def gap(self, m: int, l: int) -> float:
-        try:
-            return self.entries[(m, l)].gap
-        except KeyError:
-            raise DomainError(f"profile has no entry for (m={m}, l={l})") from None
 
 
 @dataclass(frozen=True)
@@ -122,49 +96,28 @@ class InfluenceMatrix:
         object.__setattr__(self, "entries", arr)
 
 
-@dataclass(frozen=True)
-class TelescopeReport:
-    """Residuals of the telescope inequality; nonnegative within tolerance means pass.
-
-    ``residuals[(m, l)]`` is ``Gap(m,l) - Gap(m,m-1) * Gap(m-1,l)``;
-    ``chained[l]`` is ``Gap(n,l)`` minus the full product of one-step-down
-    gaps.  Violations are recorded, never thrown.
-    """
-
-    residuals: dict[tuple[int, int], float]
-    chained: dict[int, float]
-    tol: float
-    passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "tol": self.tol,
-            "passed": self.passed,
-            "telescope": {f"{m},{l}": r for (m, l), r in sorted(self.residuals.items())},
-            "chained": {str(l): r for l, r in sorted(self.chained.items())},
-        }
-
-
 def telescope_verify(
-    profile: GapProfile, tol: float = FINITE_TOLERANCES["telescope"]
-) -> TelescopeReport:
-    """Residuals of Gap(m,l) >= Gap(m,m-1) Gap(m-1,l) plus the chained product form."""
-    n = profile.n
-    residuals: dict[tuple[int, int], float] = {}
-    chained: dict[int, float] = {}
-    for l in range(1, n):
-        for m in range(l + 1, n + 1):
-            residuals[(m, l)] = profile.gap(m, l) - profile.gap(m, m - 1) * profile.gap(
-                m - 1, l
-            )
-        product = 1.0
-        for m in range(l + 1, n + 1):
-            product *= profile.gap(m, m - 1)
-        chained[l] = profile.gap(n, l) - product
-    passed = all(r >= -tol for r in residuals.values()) and all(
-        r >= -tol for r in chained.values()
-    )
-    return TelescopeReport(residuals=residuals, chained=chained, tol=tol, passed=passed)
+    gaps: dict[tuple[int, int], float], tol: float = FINITE_TOLERANCES["telescope"]
+) -> dict:
+    """The report's ``residuals`` block for the gap profile ``gaps``, keyed by ``(m, l)``.
+
+    ``telescope["m,l"]`` is ``Gap(m,l) - Gap(m,m-1) * Gap(m-1,l)`` and
+    ``chained["l"]`` is ``Gap(n,l)`` minus the full product of one-step-down
+    gaps; ``passed`` says every residual is at least ``-tol``.  Violations
+    are recorded, never thrown.
+    """
+    n = max(m for m, _ in gaps)
+    telescope = {
+        f"{m},{l}": gaps[m, l] - gaps[m, m - 1] * gaps[m - 1, l]
+        for m in range(2, n + 1)
+        for l in range(1, m)
+    }
+    chained = {
+        str(l): gaps[n, l] - math.prod(gaps[m, m - 1] for m in range(l + 1, n + 1))
+        for l in range(1, n)
+    }
+    passed = all(r >= -tol for r in (*telescope.values(), *chained.values()))
+    return {"tol": tol, "passed": passed, "telescope": telescope, "chained": chained}
 
 
 def _correlation_stack(
@@ -262,65 +215,6 @@ def spectral_radius(matrix) -> float:
     return float(np.abs(np.linalg.eigvals(arr)).max())
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Per-target assembly of exact gaps, profiles, and the three lower bounds.
-
-    ``specind_bound`` is ``None`` when some level has influence spectral
-    radius >= m - 1, mirroring the hypothesis of the spectral-independence
-    bound rather than clamping to zero.  ``checks`` records every verified
-    inequality; ``passed`` is their conjunction.
-    """
-
-    n: int
-    l: int
-    profile: GapProfile
-    telescope: TelescopeReport
-    s_profile: dict[int, float]
-    g_profile: dict[int, float]
-    eta_profile: dict[int, float]
-    corr_bound: float
-    rw_bound: float
-    specind_bound: float | None
-    upper_bound: float
-    exact_gap: float
-    checks: dict[str, bool]
-    extremal_contexts: dict[str, dict[int, dict]] = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return all(self.checks.values())
-
-    def to_json_dict(self) -> dict:
-        entries = sorted(self.profile.entries.items())
-        argmin = {
-            "gap": {f"{m},{l}": {"lambda": list(e.lam), "y": list(e.y)} for (m, l), e in entries}
-        }
-        argmin.update(self.extremal_contexts)
-        return {
-            "n": self.n,
-            "l": self.l,
-            "gap": {f"{m},{l}": e.gap for (m, l), e in entries},
-            "S": {str(m): v for m, v in sorted(self.s_profile.items())},
-            "G": {str(m): v for m, v in sorted(self.g_profile.items())},
-            "eta": {str(m): v for m, v in sorted(self.eta_profile.items())},
-            "bounds": {
-                "corr": self.corr_bound,
-                "rw": self.rw_bound,
-                "specind": self.specind_bound
-                if self.specind_bound is not None
-                else "inapplicable",
-                "upper": self.upper_bound,
-            },
-            "residuals": self.telescope.to_json_dict(),
-            "argmin": argmin,
-            "exact_gap": self.exact_gap,
-            "min_psd_eigenvalue": self.profile.min_psd_eigenvalue,
-            "checks": dict(self.checks),
-            "passed": self.passed,
-        }
-
-
 def _route_values(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """S, G and eta of every context in a stack of conditionals (B, *shape).
 
@@ -366,10 +260,14 @@ def _scan_bytes(order: int) -> int:
     return 8 * 8 * order**2
 
 
-def _scan(
-    target: FiniteTarget, l: int
-) -> tuple[GapProfile, dict[str, dict[int, float]], dict[str, dict[int, dict]]]:
-    """The gap profile, then S, G and eta with their extremal contexts above level ``l``.
+def _scan(target: FiniteTarget, l: int) -> tuple[dict[str, dict], float]:
+    """Each extremum the scan picks, as ``(value, lam, y)``, and the worst Gibbs bottom eigenvalue.
+
+    ``"gap"`` holds Gap(m, l) keyed by ``(m, l)`` for every ``1 <= l <= m``;
+    ``"S"``, ``"G"`` and ``"eta"`` hold the routes' extrema keyed by level
+    ``m > l``.  The bottom eigenvalue is the least ``min(lambda_min, 0)`` of
+    the symmetrized operator over every Gibbs kernel solved, and the exact 0
+    of the top level's full-block kernel, which is not built.
 
     Each level's supported contexts are enumerated once; every stack is
     solved for each block size ``1..m`` and, when ``m > l``, run through the
@@ -384,10 +282,8 @@ def _scan(
     """
     order = _largest_solve(target.axes)
     _check_memory(_scan_bytes(order), f"the exact scan, whose largest solve has order {order},")
-    entries: dict[tuple[int, int], GapEntry] = {}
+    extrema: dict[str, dict] = {"gap": {}, **{name: {} for name, _ in _ROUTES}}
     level_psd: dict[int, float] = {}
-    values: dict[str, dict[int, float]] = {name: {} for name, _ in _ROUTES}
-    extremal: dict[str, dict[int, dict]] = {name: {} for name, _ in _ROUTES}
     for m in range(target.n, 0, -1):
         contexts, stacks = _supported_level(target, m)
         gaps = np.empty((m, len(contexts)))
@@ -410,26 +306,25 @@ def _scan(
                     routes[:, pos] = _route_values(weights)
         level_psd[m] = low
         for size, row in enumerate(gaps, start=1):
-            entries[(m, size)] = GapEntry(*_extremum(np.argmin, row, contexts))
+            extrema["gap"][m, size] = _extremum(np.argmin, row, contexts)
         for (name, pick), row in zip(_ROUTES, routes if m > l else ()):
-            values[name][m], lam, y = _extremum(pick, row, contexts)
-            extremal[name][m] = {"lambda": list(lam), "y": list(y)}
+            extrema[name][m] = _extremum(pick, row, contexts)
     # min keeps the first of equal values, 0.0 or -0.0, so the levels are
     # taken in ascending order and the reported bottom does not depend on
     # the order in which they were solved.
     min_psd = min(level_psd[m] for m in sorted(level_psd))
-    profile = GapProfile(
-        n=target.n, entries=dict(sorted(entries.items())), min_psd_eigenvalue=float(min_psd)
-    )
-    values = {name: dict(sorted(levels.items())) for name, levels in values.items()}
-    extremal = {name: dict(sorted(levels.items())) for name, levels in extremal.items()}
-    return profile, values, extremal
+    return {name: dict(sorted(levels.items())) for name, levels in extrema.items()}, float(min_psd)
+
+
+def _report_key(key: int | tuple[int, int]) -> str:
+    """A level's key as the report writes it: ``"m"`` or ``"m,l"``."""
+    return ",".join(map(str, key)) if isinstance(key, tuple) else str(key)
 
 
 def assemble_bounds(
     target: FiniteTarget, l: int, tols: dict[str, float] = FINITE_TOLERANCES
-) -> BoundReport:
-    """Compute the full bound report, gap profile included, for block size ``l``.
+) -> dict:
+    """The target's ``verify-finite`` report entry for block size ``l``, less its name and axes.
 
     ``S(m)``, ``G(m)`` and ``eta(m)`` are exact extrema over all supported
     contexts leaving ``m`` coordinates free: S from the Rayleigh-quotient
@@ -445,70 +340,82 @@ def assemble_bounds(
     A point mass has no non-constant function, so its gap and ceiling are 1;
     any other target has ``f(x) = g(x_i)`` for a non-constant coordinate
     ``i``, which moves only in the ``l/n`` share of blocks, so Gap <= l/n.
+
+    The entry holds, in this order: ``n`` and ``l``; ``gap`` keyed ``"m,l"``
+    and ``S``, ``G`` and ``eta`` keyed ``"m"``; ``bounds`` (``corr``, ``rw``,
+    ``specind``, which is ``"inapplicable"`` when some level has
+    ``eta >= m - 1``, and the ``upper`` ceiling); the ``residuals`` block of
+    :func:`telescope_verify`; ``argmin``, the ``lambda`` and ``y`` of the
+    context attaining each value of ``gap``, ``S``, ``G`` and ``eta``;
+    ``exact_gap``, which is Gap(n, l); ``min_psd_eigenvalue``, the worst
+    Gibbs bottom eigenvalue; ``checks``, every verified inequality by name;
+    and ``passed``, their conjunction.
     """
     n = target.n
     if not 1 <= l <= n:
         raise DomainError(f"block size {l} out of range 1..{n}")
-    profile, values, extremal = _scan(target, l)
-    telescope = telescope_verify(profile, tol=tols["telescope"])
+    extrema, min_psd = _scan(target, l)
+    values = {name: {key: e[0] for key, e in keyed.items()} for name, keyed in extrema.items()}
+    gap, s, g, eta = values["gap"], values["S"], values["G"], values["eta"]
+    residuals = telescope_verify(gap, tol=tols["telescope"])
     slack = tols["bound_slack"]
-    s_profile, g_profile, eta_profile = values["S"], values["G"], values["eta"]
 
     levels = range(l + 1, n + 1)
-    corr_bound = float(np.prod([1.0 - s_profile[m] for m in levels]))
-    rw_bound = float(np.prod([g_profile[m] for m in levels]))
+    corr_bound = float(np.prod([1.0 - s[m] for m in levels]))
+    rw_bound = float(np.prod([g[m] for m in levels]))
     # Applicability needs eta strictly below m-1; a 1e-12 margin keeps
     # eigenvalue roundoff at the boundary from producing a noise-level bound.
     specind_factors = {
-        m: ((m - 1) / m - eta_profile[m] / m)
-        if eta_profile[m] < m - 1 - 1e-12
-        else None
-        for m in levels
+        m: ((m - 1) / m - eta[m] / m) if eta[m] < m - 1 - 1e-12 else None for m in levels
     }
     if all(f is not None for f in specind_factors.values()):
         specind_bound: float | None = float(np.prod([specind_factors[m] for m in levels]))
     else:
         specind_bound = None
 
-    exact_gap = profile.gap(n, l)
+    exact_gap = gap[n, l]
     upper_bound = 1.0 if np.count_nonzero(target.probs) == 1 else l / n
 
     checks = {
-        "telescope": telescope.passed,
+        "telescope": residuals["passed"],
         "corr_bound_le_gap": corr_bound <= exact_gap + slack,
         "rw_bound_le_gap": rw_bound <= exact_gap + slack,
-        "specind_bound_le_gap": specind_bound is None
-        or specind_bound <= exact_gap + slack,
+        "specind_bound_le_gap": specind_bound is None or specind_bound <= exact_gap + slack,
         "gap_le_upper": exact_gap <= upper_bound + slack,
         "walk_gap_equals_one_minus_s": all(
-            abs(g_profile[m] - (1.0 - s_profile[m])) <= tols["lemma"] for m in levels
+            abs(g[m] - (1.0 - s[m])) <= tols["lemma"] for m in levels
         ),
-        "per_level_corr_le_gap": all(
-            1.0 - s_profile[m] <= profile.gap(m, m - 1) + slack for m in levels
-        ),
-        "per_level_rw_le_gap": all(
-            g_profile[m] <= profile.gap(m, m - 1) + slack for m in levels
-        ),
+        "per_level_corr_le_gap": all(1.0 - s[m] <= gap[m, m - 1] + slack for m in levels),
+        "per_level_rw_le_gap": all(g[m] <= gap[m, m - 1] + slack for m in levels),
         "per_level_specind_le_gap": all(
-            specind_factors[m] is None
-            or specind_factors[m] <= profile.gap(m, m - 1) + slack
+            specind_factors[m] is None or specind_factors[m] <= gap[m, m - 1] + slack
             for m in levels
         ),
-        "gibbs_psd": profile.min_psd_eigenvalue >= -tols["psd"],
+        "gibbs_psd": min_psd >= -tols["psd"],
     }
-    return BoundReport(
-        n=n,
-        l=l,
-        profile=profile,
-        telescope=telescope,
-        s_profile=s_profile,
-        g_profile=g_profile,
-        eta_profile=eta_profile,
-        corr_bound=corr_bound,
-        rw_bound=rw_bound,
-        specind_bound=specind_bound,
-        upper_bound=upper_bound,
-        exact_gap=exact_gap,
-        checks=checks,
-        extremal_contexts=extremal,
-    )
+    return {
+        "n": n,
+        "l": l,
+        **{
+            name: {_report_key(key): v for key, v in keyed.items()}
+            for name, keyed in values.items()
+        },
+        "bounds": {
+            "corr": corr_bound,
+            "rw": rw_bound,
+            "specind": "inapplicable" if specind_bound is None else specind_bound,
+            "upper": upper_bound,
+        },
+        "residuals": residuals,
+        "argmin": {
+            name: {
+                _report_key(key): {"lambda": list(lam), "y": list(y)}
+                for key, (_, lam, y) in keyed.items()
+            }
+            for name, keyed in extrema.items()
+        },
+        "exact_gap": exact_gap,
+        "min_psd_eigenvalue": min_psd,
+        "checks": checks,
+        "passed": all(checks.values()),
+    }

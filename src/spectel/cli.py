@@ -25,7 +25,7 @@ polynomial basis degenerated: one line on stderr, no report), 2 malformed
 input or bad arguments, one line on stderr (including an argument the parser
 rejects, such as a negative ``--seed``, a ``true`` or ``false`` in a target's
 ``probs``, an input path that cannot be opened, such as a directory, an
-``--out`` path that is a directory or whose directory does not exist,
+``--out`` path that is empty, a directory or whose directory does not exist,
 checked before any work starts, a ``--random`` COUNT below 1, a negative
 ``--steps``, a ``--tol`` key or flag the command does not read and a
 ``report-merge`` input that is not a JSON object or whose pass flag is not a
@@ -130,9 +130,11 @@ def _parse_axes(raw: str | None, n: int | None) -> tuple[int, ...]:
 
 
 def _check_out_dir(out: str | None) -> None:
-    """Reject an output path that is a directory or lies in a missing one, before any work."""
-    if not out:
+    """Reject an output path that is empty, a directory or in a missing one, before any work."""
+    if out is None:
         return
+    if not out:
+        raise DomainError("--out needs a path; leave it out to write to stdout")
     if os.path.isdir(out):
         raise DomainError(f"--out {out} is a directory")
     parent = os.path.dirname(os.path.abspath(out))
@@ -142,7 +144,7 @@ def _check_out_dir(out: str | None) -> None:
 
 def _opened(out: str | None):
     """The ``--out`` file opened for writing, or stdout left open, as a context manager."""
-    return open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout)
+    return contextlib.nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8")
 
 
 def _write_report(report: dict, out: str | None) -> None:
@@ -186,12 +188,10 @@ def cmd_verify_finite(args: argparse.Namespace) -> int:
     for name, target in targets:
         entry = {"name": name, "axes": list(target.axes)}
         try:
-            bound_report = assemble_bounds(target, args.l, tols)
+            entry.update(assemble_bounds(target, args.l, tols))
         except NumericalContractError as exc:
             # One target's failure is a failed check; the other targets keep their entries.
             entry.update(checks={"numerical_contract": False}, error=str(exc), passed=False)
-        else:
-            entry.update(bound_report.to_json_dict())
         entries.append(entry)
 
     report["l"] = args.l

@@ -209,14 +209,16 @@ def _has_bool(value) -> bool:
 
 
 def _read_json(path: str):
-    """Parse a JSON file; malformed JSON, or nesting too deep to decode, is bad input."""
+    """Parse a JSON file; text not UTF-8, malformed JSON or too deep nesting is bad input."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except RecursionError:
             raise DomainError(f"{path}: JSON nests too deeply to decode") from None
         except json.JSONDecodeError as exc:
-            raise DomainError(f"malformed JSON: {exc}") from None
+            raise DomainError(f"{path}: malformed JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"{path}: not UTF-8 text: {exc.reason}") from None
         except ValueError:
             # int() converts at most 4,300 digits.
             raise DomainError(f"{path}: JSON holds an integer too long to read") from None

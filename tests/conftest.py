@@ -22,9 +22,10 @@ The views (``gibbs_kernel``, ``random_walk_kernel``, ``spectral_summary``,
 engine's private stack builders on a stack of one context, so a test can
 hold a single context's kernel or value against an oracle, a closed form, or
 another route.  ``gap_profile`` is the view of the whole scan with no route
-run: the profile that ``assemble_bounds(t, l).profile`` holds for every
-``l``.  No test uses a view as the reference for the builder it wraps,
-except to check that stacking moves no bit.
+run: ``Gap(m, l)`` keyed by ``(m, l)``, the values that
+``assemble_bounds(t, l)["gap"]`` holds, keyed ``"m,l"``, for every ``l``.
+No test uses a view as the reference for the builder it wraps, except to
+check that stacking moves no bit.
 ``supported_contexts`` is brute-force enumeration over ``marginal``, so the
 engine's own context enumeration is checked against it.
 """
@@ -40,7 +41,7 @@ import numpy as np
 import pytest
 
 from spectel import CondContext, FiniteTarget, InfluenceMatrix, WeightedKernel, random_target
-from spectel.bounds import GapProfile, _correlation_stack, _influence_stack, _scan
+from spectel.bounds import _correlation_stack, _influence_stack, _scan
 from spectel.kernels import _coordinate_tables, _gibbs_stack, _spectral_stack, _walk_stack
 
 
@@ -492,9 +493,9 @@ def influence_matrix_tv(target: FiniteTarget, ctx: CondContext) -> InfluenceMatr
     return InfluenceMatrix(_influence_stack(marginals, rows)[0])
 
 
-def gap_profile(target: FiniteTarget) -> GapProfile:
-    """View: the engine's exact Gap(m, l) for every 1 <= l <= m <= n, no route run."""
-    return _scan(target, target.n)[0]
+def gap_profile(target: FiniteTarget) -> dict[tuple[int, int], float]:
+    """View: the engine's exact Gap(m, l), keyed by (m, l), for every 1 <= l <= m <= n."""
+    return {key: gap for key, (gap, _, _) in _scan(target, target.n)[0]["gap"].items()}
 
 
 def correlation_via_walk(target: FiniteTarget, ctx: CondContext) -> float:

@@ -51,9 +51,9 @@ def test_criterion_1_telescope_inequality(sweep):
     targets, reports, elapsed = sweep
     assert len(targets) >= 200
     for report in reports:
-        for residual in report.telescope.residuals.values():
+        for residual in report["residuals"]["telescope"].values():
             assert residual >= -1e-9
-        for residual in report.telescope.chained.values():
+        for residual in report["residuals"]["chained"].values():
             assert residual >= -1e-9
     assert elapsed < 120.0, f"sweep took {elapsed:.1f}s, budget is 2 minutes"
     print(f"\nACCEPTANCE 1: telescope inequality on {len(targets)} targets "
@@ -135,20 +135,25 @@ def test_criterion_5_bound_sandwich(sweep):
     product targets attain the l/n ceiling."""
     targets, reports, _ = sweep
     for report in reports:
-        assert report.corr_bound <= report.exact_gap + 1e-9
-        assert report.rw_bound <= report.exact_gap + 1e-9
-        if report.specind_bound is not None:
-            assert report.specind_bound <= report.exact_gap + 1e-9
-        for m in report.g_profile:
-            level_gap = report.profile.gap(m, m - 1)
-            assert 1.0 - report.s_profile[m] <= level_gap + 1e-9
-            assert report.g_profile[m] <= level_gap + 1e-9
-            if report.eta_profile[m] < m - 1 - 1e-12:
-                assert (m - 1) / m - report.eta_profile[m] / m <= level_gap + 1e-9
+        bound, exact = report["bounds"], report["exact_gap"]
+        assert bound["corr"] <= exact + 1e-9
+        assert bound["rw"] <= exact + 1e-9
+        if bound["specind"] != "inapplicable":
+            assert bound["specind"] <= exact + 1e-9
+        for key, g in report["G"].items():
+            m = int(key)
+            level_gap = report["gap"][f"{m},{m - 1}"]
+            s, eta = report["S"][key], report["eta"][key]
+            assert 1.0 - s <= level_gap + 1e-9
+            assert g <= level_gap + 1e-9
+            if eta < m - 1 - 1e-12:
+                assert (m - 1) / m - eta / m <= level_gap + 1e-9
         # Ceiling for every block size, not just the reported one.
-        for (m, l), entry in report.profile.entries.items():
-            if m == report.n:
-                assert entry.gap <= l / report.n + 1e-9
+        n = report["n"]
+        for key, gap in report["gap"].items():
+            m, l = map(int, key.split(","))
+            if m == n:
+                assert gap <= l / n + 1e-9
 
     rng = np.random.default_rng(SWEEP_SEED + 3)
     for _ in range(10):
@@ -157,14 +162,14 @@ def test_criterion_5_bound_sandwich(sweep):
         product = product_target(marginals)
         profile = gap_profile(product)
         for l in range(1, n + 1):
-            assert profile.gap(n, l) == pytest.approx(l / n, abs=1e-9)
+            assert profile[n, l] == pytest.approx(l / n, abs=1e-9)
     print("\nACCEPTANCE 5: bound sandwich and product-target ceiling: PASS")
 
 
 def test_criterion_6_gibbs_operators_psd(sweep):
     """Min symmetrized eigenvalue >= -1e-10 for every constructed Gibbs kernel."""
     _, reports, _ = sweep
-    worst = min(report.profile.min_psd_eigenvalue for report in reports)
+    worst = min(report["min_psd_eigenvalue"] for report in reports)
     assert worst >= -1e-10
     print(f"\nACCEPTANCE 6: Gibbs operators PSD, worst bottom eigenvalue {worst:.2e}: PASS")
 

@@ -1,6 +1,7 @@
 """Gap profiles, telescope residuals, correlation routes, and bound assembly."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -44,14 +45,14 @@ class TestGapProfile:
         t = product_target([[0.5, 0.5]] * 3)
         profile = gap_profile(t)
         # Independence gives Gap(m, l) = l/m for every level.
-        for (m, l), entry in profile.entries.items():
-            assert entry.gap == pytest.approx(l / m, abs=1e-9)
+        for (m, l), gap in profile.items():
+            assert gap == pytest.approx(l / m, abs=1e-9)
 
     def test_full_block_gap_is_one(self, rng):
         t = random_small_target(rng)
         profile = gap_profile(t)
         for m in range(1, t.n + 1):
-            assert profile.gap(m, m) == pytest.approx(1.0, abs=1e-12)
+            assert profile[m, m] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("kind", ["dirichlet", "zeroed", "product", "point-mass"])
     def test_top_full_block_gap_is_exact(self, rng, kind):
@@ -69,8 +70,8 @@ class TestGapProfile:
             probs = np.zeros(8)
             probs[5] = 1.0
             t = FiniteTarget((2, 2, 2), probs)
-        entry = assemble_bounds(t, 1).profile.entries[(t.n, t.n)]
-        assert entry == bounds.GapEntry(1.0, (), ())
+        report, key = assemble_bounds(t, 1), f"{t.n},{t.n}"
+        assert (report["gap"][key], report["argmin"]["gap"][key]) == (1.0, {"lambda": [], "y": []})
 
     def test_only_the_top_full_block_is_not_solved(self, rng, monkeypatch):
         calls = []
@@ -92,15 +93,15 @@ class TestGapProfile:
 
     def test_fully_coupled_pair_gap_zero(self):
         profile = gap_profile(coupled_pair_target())
-        assert profile.gap(2, 1) == pytest.approx(0.0, abs=1e-12)
+        assert profile[2, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_argmin_recorded(self, rng):
         t = random_small_target(rng, n_choices=(3,))
-        profile = gap_profile(t)
-        entry = profile.entries[(2, 1)]
-        assert len(entry.lam) == 1
-        matrix, weights, _ = oracle_gibbs_matrix(t, entry.lam, entry.y, 1)
-        assert oracle_gap(matrix, weights) == pytest.approx(entry.gap, abs=1e-12)
+        report = assemble_bounds(t, t.n)
+        ctx = report["argmin"]["gap"]["2,1"]
+        assert len(ctx["lambda"]) == 1
+        matrix, weights, _ = oracle_gibbs_matrix(t, tuple(ctx["lambda"]), tuple(ctx["y"]), 1)
+        assert oracle_gap(matrix, weights) == pytest.approx(report["gap"]["2,1"], abs=1e-12)
 
     @pytest.mark.parametrize("axes", [(2, 3, 4), (3, 3, 3), (2, 2, 2, 2), (3, 2, 3, 2)])
     def test_one_step_down_gap_equals_walk_gap(self, axes, rng):
@@ -108,17 +109,17 @@ class TestGapProfile:
         # matrix (1/m) J*J is the index/value walk: Gap(m, m-1) = G(m).
         report = assemble_bounds(random_target(axes, rng), 1)
         for m in range(2, len(axes) + 1):
-            assert abs(report.profile.gap(m, m - 1) - report.g_profile[m]) <= 1e-12, m
+            assert abs(report["gap"][f"{m},{m - 1}"] - report["G"][str(m)]) <= 1e-12, m
 
 
 class TestTelescope:
     def test_product_target_residuals_vanish(self):
         t = product_target([[0.3, 0.7], [0.5, 0.5], [0.2, 0.8]])
         report = telescope_verify(gap_profile(t))
-        assert report.passed
-        for residual in report.residuals.values():
+        assert report["passed"]
+        for residual in report["telescope"].values():
             assert abs(residual) <= 1e-12
-        for residual in report.chained.values():
+        for residual in report["chained"].values():
             assert abs(residual) <= 1e-12
 
     def test_random_sweep(self):
@@ -127,13 +128,13 @@ class TestTelescope:
             n = int(rng.integers(3, 5))
             t = random_target([int(rng.integers(2, 4)) for _ in range(n)], rng)
             report = telescope_verify(gap_profile(t))
-            assert report.passed
-            assert min(report.residuals.values()) >= -1e-9
+            assert report["passed"]
+            assert min(report["telescope"].values()) >= -1e-9
 
     def test_zero_factor_is_trivially_satisfied(self):
         report = telescope_verify(gap_profile(coupled_pair_target()))
-        assert report.passed
-        assert report.residuals[(2, 1)] == pytest.approx(0.0, abs=1e-12)
+        assert report["passed"]
+        assert report["telescope"]["2,1"] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestCorrelation:
@@ -241,13 +242,13 @@ class TestAssembleBounds:
     def test_product_three_site_bound_is_exact(self):
         t = product_target([[0.5, 0.5]] * 3)
         report = assemble_bounds(t, 1)
-        assert report.passed
-        assert report.corr_bound == pytest.approx(1 / 3, abs=1e-9)
-        assert report.rw_bound == pytest.approx(1 / 3, abs=1e-9)
-        assert report.exact_gap == pytest.approx(1 / 3, abs=1e-9)
-        assert report.upper_bound == pytest.approx(1 / 3, abs=1e-12)
+        assert report["passed"]
+        assert report["bounds"]["corr"] == pytest.approx(1 / 3, abs=1e-9)
+        assert report["bounds"]["rw"] == pytest.approx(1 / 3, abs=1e-9)
+        assert report["exact_gap"] == pytest.approx(1 / 3, abs=1e-9)
+        assert report["bounds"]["upper"] == pytest.approx(1 / 3, abs=1e-12)
         # Independence: every influence matrix vanishes, eta = 0.
-        assert report.specind_bound == pytest.approx(1 / 3, abs=1e-9)
+        assert report["bounds"]["specind"] == pytest.approx(1 / 3, abs=1e-9)
 
     @pytest.mark.parametrize("axes", [(2, 2), (2, 2, 2)])
     def test_point_mass_ceiling_is_one(self, axes):
@@ -257,48 +258,49 @@ class TestAssembleBounds:
         t = FiniteTarget(axes, probs)
         for l in range(1, len(axes) + 1):
             report = assemble_bounds(t, l)
-            assert report.upper_bound == 1.0
-            assert report.checks["gap_le_upper"] and report.passed, l
+            assert report["bounds"]["upper"] == 1.0
+            assert report["checks"]["gap_le_upper"] and report["passed"], l
 
     def test_two_state_support_keeps_ceiling(self):
         t = FiniteTarget((2, 2), [0.5, 0.5, 0.0, 0.0])
         for l in (1, 2):
-            assert assemble_bounds(t, l).upper_bound == l / 2
+            assert assemble_bounds(t, l)["bounds"]["upper"] == l / 2
 
     def test_walk_gap_equals_one_minus_s(self, rng):
         for _ in range(5):
             t = random_small_target(rng)
             report = assemble_bounds(t, 1)
-            assert report.checks["walk_gap_equals_one_minus_s"]
-            for m in report.g_profile:
-                assert abs(report.g_profile[m] - (1 - report.s_profile[m])) <= 1e-8
+            assert report["checks"]["walk_gap_equals_one_minus_s"]
+            for m, g in report["G"].items():
+                assert abs(g - (1 - report["S"][m])) <= 1e-8
 
     def test_fully_coupled_pair_degenerate(self):
         report = assemble_bounds(coupled_pair_target(), 1)
-        assert report.exact_gap == pytest.approx(0.0, abs=1e-12)
-        assert report.corr_bound == pytest.approx(0.0, abs=1e-12)
-        assert report.rw_bound == pytest.approx(0.0, abs=1e-12)
+        assert report["exact_gap"] == pytest.approx(0.0, abs=1e-12)
+        assert report["bounds"]["corr"] == pytest.approx(0.0, abs=1e-12)
+        assert report["bounds"]["rw"] == pytest.approx(0.0, abs=1e-12)
         # eta = 1 = m - 1 for the coupled pair: bound inapplicable, not clamped.
-        assert report.specind_bound is None
-        assert report.passed
+        assert report["bounds"]["specind"] == "inapplicable"
+        assert report["passed"]
 
     def test_random_targets_sandwich(self, rng):
         for _ in range(8):
             t = random_small_target(rng)
             report = assemble_bounds(t, 1)
-            assert report.passed
-            for bound in (report.corr_bound, report.rw_bound):
-                assert bound <= report.exact_gap + 1e-9
-            if report.specind_bound is not None:
-                assert report.specind_bound <= report.exact_gap + 1e-9
-            assert report.exact_gap <= report.upper_bound + 1e-9
+            assert report["passed"]
+            bound, exact = report["bounds"], report["exact_gap"]
+            for value in (bound["corr"], bound["rw"]):
+                assert value <= exact + 1e-9
+            if bound["specind"] != "inapplicable":
+                assert bound["specind"] <= exact + 1e-9
+            assert exact <= bound["upper"] + 1e-9
 
     def test_product_of_marginals_attains_ceiling(self, rng):
         t = random_small_target(rng)
         prod = product_of_marginals(t)
         profile = gap_profile(prod)
         for l in range(1, prod.n + 1):
-            assert profile.gap(prod.n, l) == pytest.approx(l / prod.n, abs=1e-9)
+            assert profile[prod.n, l] == pytest.approx(l / prod.n, abs=1e-9)
 
     @pytest.mark.parametrize("l", [1, 2, 4])
     def test_each_level_enumerated_once(self, rng, monkeypatch, l):
@@ -351,7 +353,7 @@ class TestAssembleBounds:
 
         monkeypatch.setattr(bounds, "_gibbs_spectra", gibbs_spy)
         monkeypatch.setattr(bounds, "_route_values", route_spy)
-        assert assemble_bounds(t, 1).passed
+        assert assemble_bounds(t, 1)["passed"]
         expected = {}
         for m in range(1, t.n + 1):
             for ctx in supported_contexts(t, t.n - m):
@@ -402,7 +404,7 @@ class TestAssembleBounds:
         # once at 8.35 MiB.
         t = random_target((6, 6, 6, 6), np.random.default_rng(0))
         used, report = peak(lambda: assemble_bounds(t, 1))
-        assert report.passed
+        assert report["passed"]
         assert used <= 8 * 2**20, used / 2**20
         order = bounds._largest_solve(t.axes)
         assert used + 8 * order**2 <= bounds._scan_bytes(order)
@@ -417,7 +419,7 @@ class TestAssembleBounds:
         # on (150,150)): the correlation route's basis and moment matrices.
         t = random_target(axes, np.random.default_rng(0))
         used, report = peak(lambda: assemble_bounds(t, 1))
-        assert report.passed
+        assert report["passed"]
         order = bounds._largest_solve(axes)
         assert used + 8 * order**2 <= bounds._scan_bytes(order), used / (8 * order**2)
 
@@ -434,18 +436,28 @@ class TestAssembleBounds:
     def test_block_size_two(self, rng):
         t = random_small_target(rng, n_choices=(4,), axes_choices=(2, 3))
         report = assemble_bounds(t, 2)
-        assert report.passed
-        assert report.upper_bound == pytest.approx(0.5, abs=1e-15)
+        assert report["passed"]
+        assert report["bounds"]["upper"] == pytest.approx(0.5, abs=1e-15)
 
     def test_json_schema(self, rng):
         t = random_small_target(rng, n_choices=(3,))
-        data = assemble_bounds(t, 1).to_json_dict()
-        for key in ("n", "l", "gap", "S", "G", "eta", "bounds", "residuals", "argmin"):
-            assert key in data
+        data = assemble_bounds(t, 1)
+        assert list(data) == [
+            "n", "l", "gap", "S", "G", "eta", "bounds", "residuals", "argmin",
+            "exact_gap", "min_psd_eigenvalue", "checks", "passed",
+        ]
+        assert list(data["argmin"]) == ["gap", "S", "G", "eta"]
+        assert list(data["checks"]) == [
+            "telescope", "corr_bound_le_gap", "rw_bound_le_gap", "specind_bound_le_gap",
+            "gap_le_upper", "walk_gap_equals_one_minus_s", "per_level_corr_le_gap",
+            "per_level_rw_le_gap", "per_level_specind_le_gap", "gibbs_psd",
+        ]
         assert set(data["bounds"]) == {"corr", "rw", "specind", "upper"}
         assert "3,1" in data["gap"]
         assert data["residuals"]["passed"] is True
+        # Every key is a string, so the entry is what JSON reads back.
+        assert data == json.loads(json.dumps(data))
 
     def test_specind_inapplicable_serialization(self):
-        data = assemble_bounds(coupled_pair_target(), 1).to_json_dict()
+        data = assemble_bounds(coupled_pair_target(), 1)
         assert data["bounds"]["specind"] == "inapplicable"

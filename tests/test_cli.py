@@ -64,10 +64,10 @@ class TestVerifyFinite:
         # One table owns the finite tolerances: the report's are the engine's defaults.
         assert report["tolerances"] == bounds.FINITE_TOLERANCES
         target_entry = report["targets"][0]
-        # The entry is the engine's report as JSON writes it (integer keys become strings).
-        expected = bounds.assemble_bounds(load_target(product3_path), 1).to_json_dict()
+        # The entry is the engine's own, with the target's name and axes.
+        expected = bounds.assemble_bounds(load_target(product3_path), 1)
         entry = {k: v for k, v in target_entry.items() if k not in ("name", "axes")}
-        assert entry == json.loads(json.dumps(expected))
+        assert entry == expected
         for residual in target_entry["residuals"]["telescope"].values():
             assert residual >= -1e-9
         assert target_entry["bounds"]["upper"] == pytest.approx(1 / 3)
@@ -112,7 +112,7 @@ class TestVerifyFinite:
         assert main(["verify-finite", "--target", str(bad)]) == EXIT_BAD_INPUT
         with pytest.raises(json.JSONDecodeError) as decode:
             json.loads(text)
-        assert capsys.readouterr().err == f"spectel: malformed JSON: {decode.value}\n"
+        assert capsys.readouterr().err == f"spectel: {bad}: malformed JSON: {decode.value}\n"
 
     def test_missing_arguments_exit_two(self):
         assert main(["verify-finite"]) == EXIT_BAD_INPUT
@@ -293,8 +293,8 @@ class TestVerifyFinite:
             raise AssertionError("the target was verified before --out was checked")
 
         monkeypatch.setattr("spectel.cli.assemble_bounds", verified)
-        # A path in a missing directory, and a path that is a directory.
-        for out in (tmp_path / "missing" / "x.json", tmp_path):
+        # A path in a missing directory, a path that is a directory, and no path.
+        for out in (tmp_path / "missing" / "x.json", tmp_path, ""):
             code = main(["verify-finite", "--target", product3_path, "--out", str(out)])
             assert code == EXIT_BAD_INPUT
             err = capsys.readouterr().err
@@ -657,7 +657,8 @@ class TestReportMerge:
             bad.write_text(text)
             assert main(["report-merge", str(bad)]) == EXIT_BAD_INPUT, text
             err = capsys.readouterr().err
-            assert err.startswith("spectel: ") and err.count("\n") == 1
+            # The line names the input at fault, malformed JSON included.
+            assert err.startswith(f"spectel: {bad}: ") and err.count("\n") == 1
             assert "Traceback" not in err
 
 
@@ -740,6 +741,21 @@ def test_directory_input_exit_two(tmp_path, argv):
     assert result.returncode == EXIT_BAD_INPUT
     assert result.stderr.startswith("spectel: ") and result.stderr.count("\n") == 1
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, body",
+    [
+        (["verify-finite", "--target", "{path}"], b'{"axes": [2, 2], "probs": [1, 0, 0, "\xff"]}'),
+        (["report-merge", "{path}"], b'{"all_passed": true, "x": "\xff"}'),
+    ],
+    ids=["verify-finite", "report-merge"],
+)
+def test_non_utf8_input_exit_two(tmp_path, capsys, argv, body):
+    path = tmp_path / "latin.json"
+    path.write_bytes(body)
+    assert main([a.format(path=path) for a in argv]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err == f"spectel: {path}: not UTF-8 text: invalid start byte\n"
 
 
 DEEP_TARGET = '{"axes": [2, 2], "probs": ' + "[" * 990 + "]" * 990 + "}"

@@ -180,10 +180,10 @@ class TestDiscreteSimplex:
     def test_exact_engine_meets_the_closed_forms(self, n, K):
         grid = np.indices((K + 1,) * n).sum(axis=0) <= K
         report = assemble_bounds(FiniteTarget((K + 1,) * n, grid / grid.sum()), 1)
-        assert report.passed
+        assert report["passed"]
         for m in range(2, n + 1):
-            assert abs(report.s_profile[m] - correlation_coefficient_bound(m)) <= 1e-12
-        assert abs(report.profile.gap(n, 1) - 1 / (2 * n)) <= 1e-12
+            assert abs(report["S"][str(m)] - correlation_coefficient_bound(m)) <= 1e-12
+        assert abs(report["gap"][f"{n},1"] - 1 / (2 * n)) <= 1e-12
 
 
 class TestCornerGapLowerBound:

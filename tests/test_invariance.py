@@ -54,7 +54,7 @@ def targets(draw, low: int = 0) -> np.ndarray:
 
 
 def profile_values(tensor: np.ndarray) -> dict:
-    report = assemble_bounds(FiniteTarget(tensor.shape, tensor), 1).to_json_dict()
+    report = assemble_bounds(FiniteTarget(tensor.shape, tensor), 1)
     return {name: report[name] for name in ("gap", "S", "G", "eta")}
 
 
@@ -95,10 +95,10 @@ def assert_matches_recursive_oracle(tensor: np.ndarray) -> None:
                 oracle_gap(kernel.matrix, kernel.weights)
                 for kernel in (recursive_gibbs_kernel(target, ctx, l) for ctx in contexts)
             )
-            assert abs(profile.gap(m, l) - expected) <= 1e-12, (m, l)
-        assert abs(profile.gap(m, m) - 1.0) <= 1e-12
+            assert abs(profile[m, l] - expected) <= 1e-12, (m, l)
+        assert abs(profile[m, m] - 1.0) <= 1e-12
     # Zero weights leave zero-mass contexts, which the Dirichlet sweep never has.
-    assert telescope_verify(profile).passed
+    assert telescope_verify(profile)["passed"]
 
 
 @SETTINGS
@@ -140,23 +140,23 @@ def assert_stacked_engine_equals_context_scan(tensor: np.ndarray) -> None:
     for m in range(1, n + 1):
         contexts = list(supported_contexts(target, n - m))
         for l in range(1, m + 1):
-            entry = report.profile.entries[(m, l)]
+            key = f"{m},{l}"
             if (m, l) == (n, n):
-                expected = (1.0, [], [])
+                expected = (1.0, {"lambda": [], "y": []})
             else:
-                gap, ctx = first_extremum(((context_gap(target, c, l), c) for c in contexts), lt)
-                expected = (gap, ctx["lambda"], ctx["y"])
-            assert (entry.gap, list(entry.lam), list(entry.y)) == expected, (m, l)
+                expected = first_extremum(((context_gap(target, c, l), c) for c in contexts), lt)
+            assert (report["gap"][key], report["argmin"]["gap"][key]) == expected, (m, l)
         if m < 2:
             continue
         routes = {
-            "S": (report.s_profile, gt, lambda c: correlation_coefficient(target, c)),
-            "G": (report.g_profile, lt, lambda c: spectral_summary(random_walk_kernel(target, c)).gap),
-            "eta": (report.eta_profile, gt, lambda c: spectral_radius(influence_matrix_tv(target, c).entries)),
+            "S": (gt, lambda c: correlation_coefficient(target, c)),
+            "G": (lt, lambda c: spectral_summary(random_walk_kernel(target, c)).gap),
+            "eta": (gt, lambda c: spectral_radius(influence_matrix_tv(target, c).entries)),
         }
-        for name, (profile, better, route) in routes.items():
-            value, ctx = first_extremum(((route(c), c) for c in contexts), better)
-            assert (profile[m], report.extremal_contexts[name][m]) == (value, ctx), (name, m)
+        for name, (better, route) in routes.items():
+            expected = first_extremum(((route(c), c) for c in contexts), better)
+            key = str(m)
+            assert (report[name][key], report["argmin"][name][key]) == expected, (name, m)
 
 
 @SETTINGS
@@ -176,8 +176,9 @@ def test_stacked_engine_equals_context_scan_on_full_support(data):
 def test_walk_gap_matches_enumeration_oracle(data):
     tensor = data.draw(targets())
     target = FiniteTarget(tensor.shape, tensor)
-    g_profile = assemble_bounds(target, 1).g_profile
-    for m, g in g_profile.items():
+    g_profile = assemble_bounds(target, 1)["G"]
+    for key, g in g_profile.items():
+        m = int(key)
         expected = min(
             oracle_gap(*oracle_rw_matrix(target, ctx.lam, ctx.y)[:2])
             for ctx in supported_contexts(target, target.n - m)
@@ -197,12 +198,12 @@ def test_product_target_gap_is_l_over_n(data):
     report = assemble_bounds(target, 1)
     n = target.n
     for l in range(1, n + 1):
-        assert abs(report.profile.gap(n, l) - l / n) <= 1e-12, l
+        assert abs(report["gap"][f"{n},{l}"] - l / n) <= 1e-12, l
     # Independent coordinates: S(m) = 1/m, G(m) = (m-1)/m and eta(m) = 0.
     for m in range(2, n + 1):
-        assert abs(report.s_profile[m] - 1 / m) <= 1e-12, m
-        assert abs(report.g_profile[m] - (m - 1) / m) <= 1e-12, m
-        assert abs(report.eta_profile[m]) <= 1e-12, m
+        assert abs(report["S"][str(m)] - 1 / m) <= 1e-12, m
+        assert abs(report["G"][str(m)] - (m - 1) / m) <= 1e-12, m
+        assert abs(report["eta"][str(m)]) <= 1e-12, m
 
 
 @SETTINGS
@@ -221,6 +222,6 @@ def test_product_target_gap_is_l_over_m_at_every_level(data):
         marginals.append(np.array(weights, dtype=float) / sum(weights))
     profile = gap_profile(product_target(marginals))
     varied = any(np.count_nonzero(w) >= 2 for w in marginals)
-    for (m, l), entry in profile.entries.items():
+    for (m, l), gap in profile.items():
         expected = l / m if varied else 1.0
-        assert abs(entry.gap - expected) <= 1e-12, (m, l, entry.gap)
+        assert abs(gap - expected) <= 1e-12, (m, l, gap)
