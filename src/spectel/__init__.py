@@ -29,14 +29,10 @@ from .kernels import (
 from .bounds import (
     InfluenceMatrix,
     assemble_bounds,
-    spectral_radius,
     telescope_verify,
 )
 from .cube_corner import (
-    CornerGapBound,
-    GapEstimate,
     OrthoBasis,
-    TvCheck,
     contraction_metric,
     corner_gap_lower_bound,
     correlation_coefficient_bound,

@@ -71,6 +71,7 @@ from .target import FiniteTarget, _supported_level
 FINITE_TOLERANCES = {"telescope": 1e-9, "bound_slack": 1e-9, "lemma": 1e-8, "psd": 1e-10}
 
 
+# No command builds one; kept while perf/spans.py hooks it (ROADMAP items 3 and 9).
 @dataclass(frozen=True)
 class InfluenceMatrix:
     """Nonnegative square matrix of pairwise contraction coefficients.
@@ -201,18 +202,6 @@ def _influence_stack(
                     worst = np.where(both, pair_tv, 0.0).max(axis=(1, 2))
                     np.maximum(phi[:, a, b], worst, out=phi[:, a, b])
     return phi
-
-
-def spectral_radius(matrix) -> float:
-    """Perron root of a nonnegative square matrix (max |eigenvalue|)."""
-    arr = np.asarray(matrix, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DomainError(f"matrix must be square, got shape {arr.shape}")
-    if not ((arr >= 0).all() and np.isfinite(arr).all()):
-        raise DomainError("spectral radius is defined here for finite nonnegative matrices")
-    if arr.size == 0:
-        return 0.0
-    return float(np.abs(np.linalg.eigvals(arr)).max())
 
 
 def _route_values(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

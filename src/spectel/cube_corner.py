@@ -32,13 +32,10 @@ allocate (:func:`_chain_bytes`, :func:`_estimate_bytes`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import InfluenceMatrix
 from .errors import DomainError, NumericalContractError, StatisticalContractError
 from .kernels import _check_memory
 
@@ -180,19 +177,12 @@ def correlation_coefficient_bound(m: int) -> float:
     return 1.0 / m + 2.0 * (m - 1) / ((m + 1) * m * m)
 
 
-class CornerGapBound(NamedTuple):
-    """Product-form lower bound on Gap(n, 1) and its simplified floor (n >= 4)."""
-
-    product_form: float
-    simplified_floor: float | None
-
-
-def corner_gap_lower_bound(n: int) -> CornerGapBound:
+def corner_gap_lower_bound(n: int) -> tuple[float, float | None]:
     """Correlation-route lower bound on the single-site chain's spectral gap.
 
-    The product form is (1/4) prod_{m=3..n} (1 - ceiling(m)); for n >= 4 the
-    telescoping floor 5 / (36 (n-2)) is also returned and never exceeds the
-    product form.
+    Returns ``(product_form, simplified_floor)``.  The product form is
+    (1/4) prod_{m=3..n} (1 - ceiling(m)); the telescoping floor
+    5 / (36 (n-2)) is None for n = 3 and never exceeds the product form.
     """
     if n < 3:
         raise DomainError(f"the product bound needs n >= 3, got {n}")
@@ -200,7 +190,7 @@ def corner_gap_lower_bound(n: int) -> CornerGapBound:
     for m in range(3, n + 1):
         product *= 1.0 - correlation_coefficient_bound(m)
     floor = 5.0 / (36.0 * (n - 2)) if n >= 4 else None
-    return CornerGapBound(product_form=product, simplified_floor=floor)
+    return product, floor
 
 
 def contraction_metric(R: float, x: float, x_other: float) -> float:
@@ -242,8 +232,8 @@ def coupling_sample(
     return (R - x) * fraction, (R - x_other) * fraction
 
 
-def wasserstein_influence(m: int) -> InfluenceMatrix:
-    """Influence matrix of the corner under the rescaling metric.
+def wasserstein_influence(m: int) -> np.ndarray:
+    """Influence matrix of the corner under the rescaling metric, as an (m, m) array.
 
     All off-diagonal coefficients equal 1/(m-2), so the spectral radius is
     (m-1)/(m-2).  The coupling argument is stated for m >= 4, where this
@@ -255,22 +245,17 @@ def wasserstein_influence(m: int) -> InfluenceMatrix:
         raise DomainError(f"the coupling coefficient 1/(m-2) needs m >= 3, got {m}")
     entries = np.full((m, m), 1.0 / (m - 2))
     np.fill_diagonal(entries, 0.0)
-    return InfluenceMatrix(entries)
+    return entries
 
 
-class TvCheck(NamedTuple):
-    tv_quadrature: float
-    tv_formula: float
-    bound: float
-
-
-def tv_contraction_check(m: int, R: float, x: float, x_other: float) -> TvCheck:
+def tv_contraction_check(m: int, R: float, x: float, x_other: float) -> tuple[float, float, float]:
     """Total variation between two pair conditionals, three ways.
 
-    ``tv_quadrature`` integrates half the absolute density difference with
-    the integration range split at the support edge ``b`` and at the single
-    density crossing, so every piece is a smooth polynomial and
-    Gauss-Legendre is exact.  With a, b the two remaining budgets,
+    Returns ``(tv_quadrature, tv_formula, bound)``.  ``tv_quadrature``
+    integrates half the absolute density difference with the integration
+    range split at the support edge ``b`` and at the single density
+    crossing, so every piece is a smooth polynomial and Gauss-Legendre is
+    exact.  With a, b the two remaining budgets,
     d = a - b = |x - x'| and p = (m-1)/(m-2), the crossing solves
     ((a - z)/(b - z))^(m-2) = (a/b)^(m-1) and is taken in closed form,
     z = b - d / ((a/b)^p - 1).  ``tv_formula`` is the closed form
@@ -287,7 +272,7 @@ def tv_contraction_check(m: int, R: float, x: float, x_other: float) -> TvCheck:
     if not (0.0 < x < R and 0.0 < x_other < R):
         raise DomainError(f"both points must lie in (0, {R})")
     if x == x_other:
-        return TvCheck(0.0, 0.0, 0.0)
+        return 0.0, 0.0, 0.0
     lo, hi = min(x, x_other), max(x, x_other)
     d, b = hi - lo, R - hi
 
@@ -304,7 +289,7 @@ def tv_contraction_check(m: int, R: float, x: float, x_other: float) -> TvCheck:
     tv_quadrature = 0.5 * total
 
     bound = ((m - 2) / (m - 1)) ** (m - 2) * contraction_metric(R, x, x_other)
-    return TvCheck(tv_quadrature, tv_formula, bound)
+    return tv_quadrature, tv_formula, bound
 
 
 class OrthoBasis:
@@ -387,16 +372,6 @@ def verify_eigenrelation(basis: OrthoBasis) -> float:
     return float(np.max(residuals))
 
 
-@dataclass(frozen=True)
-class GapEstimate:
-    """Autocorrelation-based relaxation estimate with a block-bootstrap margin."""
-
-    rho: float
-    gap: float
-    ci: float
-    lags_used: int
-
-
 def _fit_decay_rate(trace: np.ndarray) -> tuple[float, int]:
     """Log-linear fit of the autocorrelation over lags with values in (0.05, 0.9)."""
     x = trace - trace.mean()
@@ -446,7 +421,7 @@ def _check_estimate_steps(n: int, steps: int) -> None:
     _check_memory(_estimate_bytes(n, steps), "the gap estimate")
 
 
-def empirical_gap_estimate(n: int, steps: int, rng: np.random.Generator) -> GapEstimate:
+def empirical_gap_estimate(n: int, steps: int, rng: np.random.Generator) -> dict:
     """Estimate the relaxation rate of the single-site corner chain.
 
     Runs a stationary chain, fits the decay rate rho of the first
@@ -455,7 +430,8 @@ def empirical_gap_estimate(n: int, steps: int, rng: np.random.Generator) -> GapE
     chain's operator is positive semi-definite, so 1 - rho over-estimates the
     spectral gap up to the test-function gap; the confidence margin is 1.96
     standard deviations of ``_N_BOOT`` bootstrap means over the decay rates of
-    ``_N_BLOCKS`` equal blocks of the trace.
+    ``_N_BLOCKS`` equal blocks of the trace.  Returns the ``gap_estimate``
+    (1 - rho), ``rho``, ``ci`` and ``lags_used`` that ``verify-cube`` reports.
     """
     if not 3 <= n <= 8:
         raise DomainError(f"n must lie in 3..8, got {n}")
@@ -471,4 +447,4 @@ def empirical_gap_estimate(n: int, steps: int, rng: np.random.Generator) -> GapE
     draws = rng.integers(0, _N_BLOCKS, size=(_N_BOOT, _N_BLOCKS))
     boot_means = block_rhos[draws].mean(axis=1)
     ci = 1.96 * float(boot_means.std(ddof=1))
-    return GapEstimate(rho=rho, gap=1.0 - rho, ci=ci, lags_used=lags_used)
+    return {"gap_estimate": 1.0 - rho, "rho": rho, "ci": ci, "lags_used": lags_used}

@@ -78,7 +78,7 @@ _BALANCE_TOL = 1e-10
 _SLICE_FLOATS = 2**16
 
 
-# No command builds one; kept while perf/spans.py hooks it (ROADMAP items 3 and 7).
+# No command builds one; kept while perf/spans.py hooks it (ROADMAP items 3 and 9).
 @dataclass(frozen=True, eq=False)
 class WeightedKernel:
     """Row-stochastic matrix with its stationary weight vector.

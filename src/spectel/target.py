@@ -110,7 +110,7 @@ class FiniteTarget:
         return f"FiniteTarget(axes={self.axes})"
 
 
-# No command builds one; kept while perf/spans.py hooks it (ROADMAP items 3 and 7).
+# No command builds one; kept while perf/spans.py hooks it (ROADMAP items 3 and 9).
 @dataclass(frozen=True)
 class CondContext:
     """An index set with a fixed assignment: the pair (Lambda, y).

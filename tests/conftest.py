@@ -27,7 +27,8 @@ run: ``Gap(m, l)`` keyed by ``(m, l)``, the values that
 No test uses a view as the reference for the builder it wraps, except to
 check that stacking moves no bit.
 ``supported_contexts`` is brute-force enumeration over ``marginal``, so the
-engine's own context enumeration is checked against it.
+engine's own context enumeration is checked against it.  ``spectral_radius``
+is ``max |eigenvalue|``, the arithmetic of the eta route and ``verify-cube``.
 """
 
 from __future__ import annotations
@@ -491,6 +492,11 @@ def influence_matrix_tv(target: FiniteTarget, ctx: CondContext) -> InfluenceMatr
     """View: the engine's discrete-metric influence matrix of one context."""
     marginals, _, rows = _context_tables(target, ctx)
     return InfluenceMatrix(_influence_stack(marginals, rows)[0])
+
+
+def spectral_radius(matrix) -> float:
+    """max |eigenvalue| of a square matrix, as the eta route and ``verify-cube`` take it."""
+    return float(np.abs(np.linalg.eigvals(matrix)).max())
 
 
 def gap_profile(target: FiniteTarget) -> dict[tuple[int, int], float]:

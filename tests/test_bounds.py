@@ -16,7 +16,6 @@ from spectel import (
     ResourceLimitError,
     assemble_bounds,
     random_target,
-    spectral_radius,
     telescope_verify,
 )
 from spectel import bounds, kernels
@@ -217,27 +216,6 @@ class TestInfluenceTv:
                 InfluenceMatrix(np.array([[0.0, bad], [1.0, 0.0]]))
 
 
-class TestSpectralRadius:
-    def test_zero_matrix(self):
-        assert spectral_radius(np.zeros((3, 3))) == 0.0
-
-    def test_constant_off_diagonal_circulant(self):
-        for m, c in [(3, 0.25), (5, 0.1)]:
-            mat = np.full((m, m), c)
-            np.fill_diagonal(mat, 0.0)
-            assert spectral_radius(mat) == pytest.approx(c * (m - 1), abs=1e-12)
-
-    def test_half_off_diagonal_m4(self):
-        mat = np.full((4, 4), 0.5)
-        np.fill_diagonal(mat, 0.0)
-        assert spectral_radius(mat) == pytest.approx(1.5, abs=1e-12)
-
-    def test_negative_entry_rejected(self):
-        for bad in (-1.0, np.nan, np.inf):
-            with pytest.raises(DomainError):
-                spectral_radius(np.array([[0.0, bad], [1.0, 0.0]]))
-
-
 class TestAssembleBounds:
     def test_product_three_site_bound_is_exact(self):
         t = product_target([[0.5, 0.5]] * 3)
@@ -281,6 +259,19 @@ class TestAssembleBounds:
         assert report["bounds"]["rw"] == pytest.approx(0.0, abs=1e-12)
         # eta = 1 = m - 1 for the coupled pair: bound inapplicable, not clamped.
         assert report["bounds"]["specind"] == "inapplicable"
+        assert report["passed"]
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_hardcore_cycle_gap(self, n):
+        # Uniform independent sets of the n-cycle (hardcore model, fugacity 1):
+        # the single-site gap is (1 - 1/sqrt(2)) / n at n = 4 and 6.  A measured
+        # pattern, not a proven one, so only these two cycles are pinned.
+        weights = np.zeros((2,) * n)
+        for x in itertools.product((0, 1), repeat=n):
+            if not any(x[i] and x[(i + 1) % n] for i in range(n)):
+                weights[x] = 1.0
+        report = assemble_bounds(FiniteTarget((2,) * n, weights / weights.sum()), 1)
+        assert abs(n * report["exact_gap"] - (1 - 1 / math.sqrt(2))) <= 1e-12
         assert report["passed"]
 
     def test_random_targets_sandwich(self, rng):

@@ -338,14 +338,18 @@ class TestVerifyFinite:
         assert capsys.readouterr().err == f"spectel: block size {l} out of range 1..3\n"
 
     @pytest.mark.parametrize(
-        "source",
-        [["--target", "{sparse}"], ["--random", "2", "--axes", "2,3,4", "--seed", "5"]],
-        ids=["sparse-file", "random"],
+        "argv",
+        [
+            ["verify-finite", "--target", "{sparse}"],
+            ["verify-finite", "--random", "2", "--axes", "2,3,4", "--seed", "5"],
+            ["verify-cube", "--n", "3", "--steps", "1000000", "--seed", "1"],
+        ],
+        ids=["sparse-file", "random", "cube"],
     )
-    def test_reports_repeat_byte_for_byte(self, tmp_path, source):
+    def test_reports_repeat_byte_for_byte(self, tmp_path, argv):
         sparse = tmp_path / "sparse.json"
         sparse.write_text(json.dumps(target_to_dict(sparse_mixed_target())))
-        argv = ["verify-finite", *(a.format(sparse=sparse) for a in source)]
+        argv = [a.format(sparse=sparse) for a in argv]
         texts = []
         for run in range(2):
             out = tmp_path / f"report{run}.json"
@@ -508,6 +512,10 @@ class TestVerifyCube:
         }
         checks = report["checks"]
         sandwich = checks["empirical_sandwich"]
+        assert list(sandwich) == [
+            "passed", "gap_estimate", "rho", "ci", "lags_used",
+            "lower_bound", "lower_bound_kind", "product_form", "upper_bound",
+        ]
         assert sandwich["lower_bound"] == pytest.approx(5 / 36)
         assert sandwich["lower_bound_kind"] == "product_form"
         # At n = 3 the influence analysis sits outside its stated hypothesis.
@@ -528,9 +536,7 @@ class TestVerifyCube:
         # A NaN residual compares false with every tolerance, so it fails.
         nan = float("nan")
         monkeypatch.setattr(corner, "verify_eigenrelation", lambda basis: nan)
-        monkeypatch.setattr(
-            corner, "tv_contraction_check", lambda m, R, x, xp: corner.TvCheck(nan, 0.0, 1.0)
-        )
+        monkeypatch.setattr(corner, "tv_contraction_check", lambda m, R, x, xp: (nan, 0.0, 1.0))
         out = tmp_path / "cube.json"
         code = main(
             ["verify-cube", "--n", "3", "--steps", "1000000", "--seed", "1", "--out", str(out)]

@@ -18,7 +18,6 @@ from spectel import (
     empirical_gap_estimate,
     poly_eigenvalue,
     run_corner_chain,
-    spectral_radius,
     stationary_corner_sample,
     sum_square_constant,
     tv_contraction_check,
@@ -34,7 +33,7 @@ from spectel.cube_corner import (
     _gl_rule,
 )
 
-from conftest import MemoryChecked, oracle_corner_chain, peak, spy_memory_check
+from conftest import MemoryChecked, oracle_corner_chain, peak, spectral_radius, spy_memory_check
 
 
 def ks_distance(samples: np.ndarray, cdf) -> float:
@@ -188,23 +187,21 @@ class TestDiscreteSimplex:
 
 class TestCornerGapLowerBound:
     def test_simplified_floor_at_four(self):
-        assert corner_gap_lower_bound(4).simplified_floor == pytest.approx(
-            5 / 72, abs=1e-16
-        )
+        assert corner_gap_lower_bound(4)[1] == pytest.approx(5 / 72, abs=1e-16)
 
     def test_product_form_at_three(self):
-        bound = corner_gap_lower_bound(3)
-        assert bound.product_form == pytest.approx(5 / 36, abs=1e-15)
-        assert bound.simplified_floor is None
+        product, floor = corner_gap_lower_bound(3)
+        assert product == pytest.approx(5 / 36, abs=1e-15)
+        assert floor is None
 
     def test_product_dominates_floor(self):
         for n in range(4, 21):
-            bound = corner_gap_lower_bound(n)
-            assert bound.product_form >= bound.simplified_floor
+            product, floor = corner_gap_lower_bound(n)
+            assert product >= floor
 
     def test_never_crosses_block_ceiling(self):
         for n in range(3, 21):
-            assert corner_gap_lower_bound(n).product_form <= 1.0 / n
+            assert corner_gap_lower_bound(n)[0] <= 1.0 / n
 
     def test_needs_three_coordinates(self):
         with pytest.raises(DomainError):
@@ -287,17 +284,15 @@ class TestCoupling:
 class TestWassersteinInfluence:
     def test_m4(self):
         matrix = wasserstein_influence(4)
-        assert matrix.entries[0, 1] == pytest.approx(0.5, abs=1e-16)
-        assert spectral_radius(matrix.entries) == pytest.approx(1.5, abs=1e-14)
+        assert matrix[0, 1] == pytest.approx(0.5, abs=1e-16)
+        assert spectral_radius(matrix) == pytest.approx(1.5, abs=1e-14)
 
     def test_m10(self):
-        assert spectral_radius(wasserstein_influence(10).entries) == pytest.approx(
-            9 / 8, abs=1e-14
-        )
+        assert spectral_radius(wasserstein_influence(10)) == pytest.approx(9 / 8, abs=1e-14)
 
     def test_m3_flagged(self):
         # The radius reaches m - 1: verify-cube reports m = 3 as beyond the hypothesis.
-        assert spectral_radius(wasserstein_influence(3).entries) == pytest.approx(2.0, abs=1e-14)
+        assert spectral_radius(wasserstein_influence(3)) == pytest.approx(2.0, abs=1e-14)
 
     def test_m2_rejected(self):
         with pytest.raises(DomainError):
@@ -319,15 +314,15 @@ class TestTvContraction:
         assert tv_contraction_check(4, 1.0, 0.3, 0.3) == (0.0, 0.0, 0.0)
 
     def test_m4_formula_matches_quadrature(self):
-        result = tv_contraction_check(4, 1.0, 0.1, 0.3)
-        assert abs(result.tv_quadrature - result.tv_formula) <= 1e-8
-        assert result.tv_quadrature <= result.bound + 1e-10
+        tv_quadrature, tv_formula, bound = tv_contraction_check(4, 1.0, 0.1, 0.3)
+        assert abs(tv_quadrature - tv_formula) <= 1e-8
+        assert tv_quadrature <= bound + 1e-10
 
     def test_m3_closed_form_value(self):
         # Direct single-crossing computation gives 1/3 for these inputs.
-        result = tv_contraction_check(3, 1.0, 1e-9, 0.5)
-        assert result.tv_formula == pytest.approx(1 / 3, abs=1e-6)
-        assert result.tv_quadrature == pytest.approx(result.tv_formula, abs=1e-10)
+        tv_quadrature, tv_formula, _ = tv_contraction_check(3, 1.0, 1e-9, 0.5)
+        assert tv_formula == pytest.approx(1 / 3, abs=1e-6)
+        assert tv_quadrature == pytest.approx(tv_formula, abs=1e-10)
 
     def test_random_sweep(self):
         rng = np.random.default_rng(31)
@@ -337,8 +332,8 @@ class TestTvContraction:
             x, xp = np.sort(rng.uniform(0.0, budget, 2))
             if not 0 < x < xp < budget:
                 continue
-            result = tv_contraction_check(m, budget, float(x), float(xp))
-            assert result.tv_quadrature <= result.bound + 1e-10
+            tv_quadrature, _, bound = tv_contraction_check(m, budget, float(x), float(xp))
+            assert tv_quadrature <= bound + 1e-10
 
     @pytest.mark.parametrize("m", range(3, 9))
     def test_edge_points_match_formula(self, m):
@@ -353,8 +348,8 @@ class TestTvContraction:
         ]
         for budget in (0.3, 1.0):
             for u, v in pairs:
-                result = tv_contraction_check(m, budget, u * budget, v * budget)
-                mismatch = abs(result.tv_quadrature - result.tv_formula)
+                tv_quadrature, tv_formula, _ = tv_contraction_check(m, budget, u * budget, v * budget)
+                mismatch = abs(tv_quadrature - tv_formula)
                 assert mismatch <= 1e-13, (budget, u, v, mismatch)
 
     @pytest.mark.parametrize(
@@ -370,10 +365,10 @@ class TestTvContraction:
         # Distinct valid points whose remaining budgets round to equal or
         # nearly equal values: both densities coincide, the quadrature is 0,
         # and the closed form is a tiny finite number.
-        result = tv_contraction_check(m, budget, x, xp)
-        assert result.tv_quadrature == 0.0
-        assert np.isfinite(result.tv_formula) and 0.0 < result.tv_formula <= 1e-14
-        assert result.tv_quadrature <= result.bound
+        tv_quadrature, tv_formula, bound = tv_contraction_check(m, budget, x, xp)
+        assert tv_quadrature == 0.0
+        assert np.isfinite(tv_formula) and 0.0 < tv_formula <= 1e-14
+        assert tv_quadrature <= bound
 
 
 def start_at(monkeypatch, x0) -> None:
@@ -500,9 +495,11 @@ class TestEmpiricalGapEstimate:
 
     def test_sandwich_n3(self):
         estimate = empirical_gap_estimate(3, 1_000_000, np.random.default_rng(6))
-        lower = corner_gap_lower_bound(3).product_form
-        assert lower - estimate.ci <= estimate.gap <= 1 / 3 + estimate.ci
-        assert estimate.lags_used >= 5
+        lower, _ = corner_gap_lower_bound(3)
+        ci = estimate["ci"]
+        assert lower - ci <= estimate["gap_estimate"] <= 1 / 3 + ci
+        assert estimate["gap_estimate"] == 1.0 - estimate["rho"]
+        assert estimate["lags_used"] >= 5
 
     def test_white_noise_has_too_few_lags(self):
         # Independent draws decorrelate at lag 1, so no lag lies in (0.05, 0.9).
@@ -521,4 +518,4 @@ class TestEmpiricalGapEstimate:
     def test_more_steps_shrink_margin(self):
         small = empirical_gap_estimate(4, 1_000_000, np.random.default_rng(9))
         large = empirical_gap_estimate(4, 2_000_000, np.random.default_rng(9))
-        assert large.ci < small.ci
+        assert large["ci"] < small["ci"]

@@ -27,6 +27,7 @@ from conftest import (
     product_target,
     random_walk_kernel,
     recursive_gibbs_kernel,
+    spectral_radius,
     spectral_summary,
     supported_conditional,
     supported_contexts,
@@ -34,7 +35,6 @@ from conftest import (
 from spectel import (
     FiniteTarget,
     assemble_bounds,
-    spectral_radius,
     telescope_verify,
 )
 from spectel.kernels import _gibbs_spectra
