@@ -57,6 +57,7 @@ import numpy as np
 from .errors import DomainError
 from .kernels import (
     _SLICE_FLOATS,
+    _check_block_size,
     _check_memory,
     _coordinate_tables,
     _gibbs_spectra,
@@ -66,10 +67,7 @@ from .kernels import (
     _walk_stack,
 )
 from .target import FiniteTarget, _supported_level
-
-# The tolerances of assemble_bounds' checks; verify-finite reports them, --tol overrides.
-FINITE_TOLERANCES = {"telescope": 1e-9, "bound_slack": 1e-9, "lemma": 1e-8, "psd": 1e-10}
-
+from .wire import FINITE_TOLERANCES
 
 # No command builds one; kept while perf/spans.py hooks it (ROADMAP items 3 and 9).
 @dataclass(frozen=True)
@@ -341,8 +339,7 @@ def assemble_bounds(
     and ``passed``, their conjunction.
     """
     n = target.n
-    if not 1 <= l <= n:
-        raise DomainError(f"block size {l} out of range 1..{n}")
+    _check_block_size(l, n)
     extrema, min_psd = _scan(target, l)
     values = {name: {key: e[0] for key, e in keyed.items()} for name, keyed in extrema.items()}
     gap, s, g, eta = values["gap"], values["S"], values["G"], values["eta"]

@@ -36,6 +36,10 @@ largest matrix a scan solves; with ``--random`` also the joint tensor and
 the report's entries; a chain's steps) and checks them once, before it
 allocates: verify-finite ``--random`` before its first draw, verify-cube
 before any of its checks runs.
+
+Only verify-finite, verify-cube and sample load numpy, with the engine
+modules they run, once dispatched; ``--version``, ``--help``, an argument the
+parser rejects and report-merge do not.
 """
 
 from __future__ import annotations
@@ -48,19 +52,14 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
-from . import cube_corner as corner
-from .bounds import FINITE_TOLERANCES, _largest_solve, _scan_bytes, assemble_bounds
 from .errors import (
     DomainError,
     NumericalContractError,
     ResourceLimitError,
     StatisticalContractError,
 )
-from .kernels import _check_memory, sample_gibbs_chain
-from .target import _check_axes, _read_json, load_target, random_target
+from .wire import FINITE_TOLERANCES, _read_json
 
 EXIT_OK = 0
 EXIT_CHECKS_FAILED = 1
@@ -80,9 +79,6 @@ CUBE_TOLERANCES = {
 # tracemalloc, --random runs of 11 to 301 entries on 2 to 7 coordinates
 # added at most 2,002.
 _ENTRY_BYTES_PER_N2 = 2_100
-# Random point pairs in the TV sweep and coupling draws per m in the Monte Carlo check.
-TV_DRAWS = 100
-MC_DRAWS = 100_000
 
 
 def _parse_tolerances(pairs: list[str] | None, defaults: dict[str, float]) -> dict[str, float]:
@@ -107,6 +103,9 @@ def _parse_tolerances(pairs: list[str] | None, defaults: dict[str, float]) -> di
 
 def _parse_axes(raw: str | None, n: int | None) -> tuple[int, ...]:
     """The sizes of ``--axes`` (times ``--n``), validated, their joint tensor checked in bytes."""
+    from .kernels import _check_memory
+    from .target import _check_axes
+
     if raw is None:
         raise DomainError("--random requires --axes (and --n for a uniform size)")
     try:
@@ -159,6 +158,12 @@ def _base_report(command: str, **fields) -> dict:
 
 
 def cmd_verify_finite(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .bounds import _largest_solve, _scan_bytes, assemble_bounds
+    from .kernels import _check_block_size, _check_memory
+    from .target import load_target, random_target
+
     tols = _parse_tolerances(args.tol, FINITE_TOLERANCES)
     started = time.monotonic()
     report = _base_report("verify-finite", seed=args.seed, tolerances=tols)
@@ -179,6 +184,7 @@ def cmd_verify_finite(args: argparse.Namespace) -> int:
             + args.random * _ENTRY_BYTES_PER_N2 * len(axes) ** 2,
             f"verify-finite --random with {len(axes)} coordinates",
         )
+        _check_block_size(args.l, len(axes))
         rng = np.random.default_rng(args.seed)
         targets = ((f"random[{k}]", random_target(axes, rng)) for k in range(args.random))
     else:
@@ -202,104 +208,11 @@ def cmd_verify_finite(args: argparse.Namespace) -> int:
     return EXIT_OK if report["all_passed"] else EXIT_CHECKS_FAILED
 
 
-def _check_closed_forms(tol: float) -> dict:
-    """Exact-arithmetic identities among the corner's closed forms."""
-    ok = True
-    details: dict = {}
-    for m in range(2, 9):
-        z1 = corner.poly_eigenvalue(1, m)
-        consistency = abs(
-            corner.correlation_coefficient_bound(m) * m - corner.sum_square_constant(m)
-        )
-        ok &= abs(z1 + 1.0 / m) <= tol and consistency <= tol
-        details[str(m)] = {
-            "zeta1": z1,
-            "s_bound": corner.correlation_coefficient_bound(m),
-            "constant_consistency": consistency,
-        }
-    ok &= abs(corner.correlation_coefficient_bound(2) - 0.75) <= tol
-    floor4 = corner.corner_gap_lower_bound(4)[1]
-    ok &= abs(floor4 - 5.0 / 72.0) <= tol
-    for n in range(3, 21):
-        product, floor = corner.corner_gap_lower_bound(n)
-        ok &= product <= 1.0 / n
-        if floor is not None:
-            ok &= floor - product <= tol
-    return {"passed": bool(ok), "details": details}
-
-
-def _check_influence(n: int, tol: float) -> dict:
-    """Influence radii at m = 4, 5 and n, which the caller has checked lies in 3..8."""
-    details = {}
-    ok = True
-    for m in sorted({4, 5, n}):
-        radius = float(np.abs(np.linalg.eigvals(corner.wasserstein_influence(m))).max())
-        expected = (m - 1) / (m - 2)
-        ok &= abs(radius - expected) <= tol
-        details[str(m)] = {
-            "spectral_radius": radius,
-            "expected": expected,
-            "beyond_stated_hypothesis": m < 4,
-        }
-    return {"passed": bool(ok), "details": details}
-
-
-def _check_eigenrelation(tols: dict) -> dict:
-    details = {}
-    ok = True
-    for m in range(2, 7):
-        for budget in (0.3, 1.0):
-            basis = corner.OrthoBasis(m, budget)
-            residual = corner.verify_eigenrelation(basis)
-            ortho = basis.orthonormality_residual()
-            ok &= residual <= tols["eigenrelation"] and ortho <= tols["orthonormality"]
-            details[f"m={m},R={budget}"] = {
-                "max_residual": residual,
-                "orthonormality_residual": ortho,
-            }
-    return {"passed": bool(ok), "details": details}
-
-
-def _check_tv_sweep(rng: np.random.Generator, tols: dict) -> dict:
-    mismatches = []
-    ok = True
-    for _ in range(TV_DRAWS):
-        m = int(rng.integers(3, 9))
-        budget = float(rng.uniform(0.3, 1.0))
-        x, xp = sorted(float(v) for v in rng.uniform(0.0, budget, 2))
-        if not 0.0 < x < xp < budget:
-            continue
-        tv_quadrature, tv_formula, bound = corner.tv_contraction_check(m, budget, x, xp)
-        mismatch = abs(tv_quadrature - tv_formula)
-        ok &= mismatch <= tols["tv_match"] and tv_quadrature <= bound + tols["tv_bound_slack"]
-        mismatches.append(mismatch)
-    # np.max keeps a NaN that the builtin max would drop.
-    return {"passed": bool(ok), "worst_formula_mismatch": float(np.max(mismatches, initial=0.0))}
-
-
-def _check_contraction_mc(rng: np.random.Generator) -> dict:
-    """Monte Carlo mean of the coupling's contraction ratio against 1/(m-2), m = 4, 5.
-
-    The coupling fraction and the rescaling metric are scale-free, so the
-    budget only fixes units: the check tests one point pair, (0.2R, 0.6R).
-    """
-    details = {}
-    ok = True
-    for m in (4, 5):
-        budget = 0.9
-        x, xp = 0.2 * budget, 0.6 * budget
-        d_in = corner.contraction_metric(budget, x, xp)
-        out_a, out_b = corner.coupling_sample(budget, m, x, xp, rng, size=MC_DRAWS)
-        d_out = np.abs(out_a - out_b) / (budget - np.maximum(out_a, out_b))
-        ratios = d_out / d_in
-        mean = float(ratios.mean())
-        se = float(ratios.std(ddof=1) / np.sqrt(MC_DRAWS))
-        ok &= mean <= 1.0 / (m - 2) + 3.0 * se
-        details[str(m)] = {"mean_ratio": mean, "se": se, "ceiling": 1.0 / (m - 2)}
-    return {"passed": bool(ok), "details": details}
-
-
 def cmd_verify_cube(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from . import cube_corner as corner
+
     if not 3 <= args.n <= 8:
         raise DomainError(f"--n must lie in 3..8, got {args.n}")
     tols = _parse_tolerances(args.tol, CUBE_TOLERANCES)
@@ -311,11 +224,11 @@ def cmd_verify_cube(args: argparse.Namespace) -> int:
     report["steps"] = args.steps
 
     checks = {
-        "closed_forms": _check_closed_forms(tols["exact"]),
-        "influence_matrix": _check_influence(args.n, tols["exact"]),
-        "eigenrelation": _check_eigenrelation(tols),
-        "tv_contraction": _check_tv_sweep(rng, tols),
-        "coupling_contraction_mc": _check_contraction_mc(rng),
+        "closed_forms": corner._check_closed_forms(tols["exact"]),
+        "influence_matrix": corner._check_influence(args.n, tols["exact"]),
+        "eigenrelation": corner._check_eigenrelation(tols),
+        "tv_contraction": corner._check_tv_sweep(rng, tols),
+        "coupling_contraction_mc": corner._check_contraction_mc(rng),
     }
 
     product, floor = corner.corner_gap_lower_bound(args.n)
@@ -339,14 +252,21 @@ def cmd_verify_cube(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    import numpy as np
+
     rng = np.random.default_rng(args.seed)
     if args.target == "cube":
+        from .cube_corner import run_corner_chain
+
         if args.n is None:
             raise DomainError("sampling the cube-corner target needs --n")
         if args.l is not None:
             raise DomainError("--l sets the block size of a finite target; the cube takes none")
-        states = corner.run_corner_chain(args.n, args.steps, rng)
+        states = run_corner_chain(args.n, args.steps, rng)
     else:
+        from .kernels import sample_gibbs_chain
+        from .target import load_target
+
         if args.n is not None:
             raise DomainError("--n sets the cube dimension; a target file sets its own")
         target = load_target(args.target)

@@ -19,6 +19,7 @@ is built from these two densities and serves ``verify-cube`` or ``sample``:
   with its quadrature cross-check, and the resulting influence matrices;
 * an autocorrelation-based empirical estimate of the relaxation rate used to
   sandwich the exact gap between the product bound and the block-size ceiling.
+* the checks ``verify-cube`` reports, each a dict with its ``passed`` flag.
 
 Quadrature is Gauss-Legendre with 256 nodes: the integrands are polynomials
 of degree far below 511, so residual tolerances reflect conditioning, not
@@ -448,3 +449,103 @@ def empirical_gap_estimate(n: int, steps: int, rng: np.random.Generator) -> dict
     boot_means = block_rhos[draws].mean(axis=1)
     ci = 1.96 * float(boot_means.std(ddof=1))
     return {"gap_estimate": 1.0 - rho, "rho": rho, "ci": ci, "lags_used": lags_used}
+
+
+# Random point pairs in the TV sweep and coupling draws per m in the Monte Carlo check.
+TV_DRAWS = 100
+MC_DRAWS = 100_000
+
+
+def _check_closed_forms(tol: float) -> dict:
+    """Exact-arithmetic identities among the corner's closed forms."""
+    ok = True
+    details: dict = {}
+    for m in range(2, 9):
+        z1 = poly_eigenvalue(1, m)
+        consistency = abs(correlation_coefficient_bound(m) * m - sum_square_constant(m))
+        ok &= abs(z1 + 1.0 / m) <= tol and consistency <= tol
+        details[str(m)] = {
+            "zeta1": z1,
+            "s_bound": correlation_coefficient_bound(m),
+            "constant_consistency": consistency,
+        }
+    ok &= abs(correlation_coefficient_bound(2) - 0.75) <= tol
+    floor4 = corner_gap_lower_bound(4)[1]
+    ok &= abs(floor4 - 5.0 / 72.0) <= tol
+    for n in range(3, 21):
+        product, floor = corner_gap_lower_bound(n)
+        ok &= product <= 1.0 / n
+        if floor is not None:
+            ok &= floor - product <= tol
+    return {"passed": bool(ok), "details": details}
+
+
+def _check_influence(n: int, tol: float) -> dict:
+    """Influence radii at m = 4, 5 and n, which the caller has checked lies in 3..8."""
+    details = {}
+    ok = True
+    for m in sorted({4, 5, n}):
+        radius = float(np.abs(np.linalg.eigvals(wasserstein_influence(m))).max())
+        expected = (m - 1) / (m - 2)
+        ok &= abs(radius - expected) <= tol
+        details[str(m)] = {
+            "spectral_radius": radius,
+            "expected": expected,
+            "beyond_stated_hypothesis": m < 4,
+        }
+    return {"passed": bool(ok), "details": details}
+
+
+def _check_eigenrelation(tols: dict) -> dict:
+    details = {}
+    ok = True
+    for m in range(2, 7):
+        for budget in (0.3, 1.0):
+            basis = OrthoBasis(m, budget)
+            residual = verify_eigenrelation(basis)
+            ortho = basis.orthonormality_residual()
+            ok &= residual <= tols["eigenrelation"] and ortho <= tols["orthonormality"]
+            details[f"m={m},R={budget}"] = {
+                "max_residual": residual,
+                "orthonormality_residual": ortho,
+            }
+    return {"passed": bool(ok), "details": details}
+
+
+def _check_tv_sweep(rng: np.random.Generator, tols: dict) -> dict:
+    mismatches = []
+    ok = True
+    for _ in range(TV_DRAWS):
+        m = int(rng.integers(3, 9))
+        budget = float(rng.uniform(0.3, 1.0))
+        x, xp = sorted(float(v) for v in rng.uniform(0.0, budget, 2))
+        if not 0.0 < x < xp < budget:
+            continue
+        tv_quadrature, tv_formula, bound = tv_contraction_check(m, budget, x, xp)
+        mismatch = abs(tv_quadrature - tv_formula)
+        ok &= mismatch <= tols["tv_match"] and tv_quadrature <= bound + tols["tv_bound_slack"]
+        mismatches.append(mismatch)
+    # np.max keeps a NaN that the builtin max would drop.
+    return {"passed": bool(ok), "worst_formula_mismatch": float(np.max(mismatches, initial=0.0))}
+
+
+def _check_contraction_mc(rng: np.random.Generator) -> dict:
+    """Monte Carlo mean of the coupling's contraction ratio against 1/(m-2), m = 4, 5.
+
+    The coupling fraction and the rescaling metric are scale-free, so the
+    budget only fixes units: the check tests one point pair, (0.2R, 0.6R).
+    """
+    details = {}
+    ok = True
+    for m in (4, 5):
+        budget = 0.9
+        x, xp = 0.2 * budget, 0.6 * budget
+        d_in = contraction_metric(budget, x, xp)
+        out_a, out_b = coupling_sample(budget, m, x, xp, rng, size=MC_DRAWS)
+        d_out = np.abs(out_a - out_b) / (budget - np.maximum(out_a, out_b))
+        ratios = d_out / d_in
+        mean = float(ratios.mean())
+        se = float(ratios.std(ddof=1) / np.sqrt(MC_DRAWS))
+        ok &= mean <= 1.0 / (m - 2) + 3.0 * se
+        details[str(m)] = {"mean_ratio": mean, "se": se, "ceiling": 1.0 / (m - 2)}
+    return {"passed": bool(ok), "details": details}

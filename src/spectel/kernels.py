@@ -130,6 +130,12 @@ def _check_memory(nbytes: int, what: str) -> None:
         )
 
 
+def _check_block_size(l: int, n: int) -> None:
+    """Refuse a block size ``l`` outside ``1..n`` for ``n`` coordinates."""
+    if not 1 <= l <= n:
+        raise DomainError(f"block size {l} out of range 1..{n}")
+
+
 def _check_stochastic(
     matrices: np.ndarray, weights: np.ndarray, blocks=None, mass=1.0
 ) -> None:
@@ -220,8 +226,7 @@ def _gibbs_stack(weights: np.ndarray, l: int) -> np.ndarray:
     """
     n_ctx, shape = weights.shape[0], weights.shape[1:]
     m = len(shape)
-    if not 1 <= l <= m:
-        raise DomainError(f"block size {l} out of range 1..{m}")
+    _check_block_size(l, m)
     n_states = int(np.prod(shape))
     kernel = np.zeros((n_ctx,) + shape * 2)
     st = kernel.strides
@@ -480,8 +485,7 @@ def sample_gibbs_chain(
     before anything is allocated.
     """
     n = target.n
-    if not 1 <= l <= n:
-        raise DomainError(f"block size {l} out of range 1..{n}")
+    _check_block_size(l, n)
     if steps < 0:
         raise DomainError("steps must be >= 0")
     # Measured: a step holds 7 words as the streams are drawn and 1 + 2n as

@@ -17,7 +17,6 @@ Conventions, normative throughout the package:
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -26,6 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
+from .wire import _read_json
 
 # Largest tolerated deviation of ingested mass from 1 before renormalizing.
 # Anything worse is rejected: silently rescaling badly scaled input hides bugs.
@@ -206,22 +206,6 @@ def _has_bool(value) -> bool:
         if isinstance(item, list):
             pending.extend(item)
     return False
-
-
-def _read_json(path: str):
-    """Parse a JSON file; text not UTF-8, malformed JSON or too deep nesting is bad input."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise DomainError(f"{path}: JSON nests too deeply to decode") from None
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"{path}: malformed JSON: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise DomainError(f"{path}: not UTF-8 text: {exc.reason}") from None
-        except ValueError:
-            # int() converts at most 4,300 digits.
-            raise DomainError(f"{path}: JSON holds an integer too long to read") from None
 
 
 def load_target(path: str) -> FiniteTarget:

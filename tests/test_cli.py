@@ -32,7 +32,6 @@ from spectel.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_STATISTICAL,
-    _check_eigenrelation,
     _write_report,
     build_parser,
     main,
@@ -226,7 +225,7 @@ class TestVerifyFinite:
         # than str() converts), the tuple of 10^24 sizes, and 10^9 report
         # entries: each refused before the first draw, in under 1 MiB.
         monkeypatch.setattr(
-            "spectel.cli.random_target", lambda *args: pytest.fail("a target was drawn")
+            "spectel.target.random_target", lambda *args: pytest.fail("a target was drawn")
         )
         for sizes in (
             ["--axes", "1000,1000,1000"],
@@ -241,11 +240,20 @@ class TestVerifyFinite:
         used, code = peak(lambda: main(["verify-finite", "--random", "1000000000", "--axes", "2,2"]))
         assert code == EXIT_RESOURCE and used < 2**20
 
+    @pytest.mark.parametrize("l", ["0", "3"])
+    def test_random_block_size_checked_before_drawing(self, capsys, monkeypatch, l):
+        monkeypatch.setattr(
+            np.random, "default_rng", lambda *args: pytest.fail("a generator was made")
+        )
+        argv = ["verify-finite", "--random", "1", "--axes", "2,2", "--l", l]
+        assert main(argv) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err == f"spectel: block size {l} out of range 1..2\n"
+
     def test_numerical_contract_exit_one(self, product3_path, capsys, monkeypatch):
         def violated(*args, **kwargs):
             raise NumericalContractError("detailed balance violated by 1.000e-03")
 
-        monkeypatch.setattr("spectel.cli.assemble_bounds", violated)
+        monkeypatch.setattr("spectel.bounds.assemble_bounds", violated)
         code = main(["verify-finite", "--target", product3_path])
         assert code == EXIT_CHECKS_FAILED
         captured = capsys.readouterr()
@@ -266,7 +274,7 @@ class TestVerifyFinite:
         argv = ["verify-finite", "--random", "3", "--axes", "2", "--n", "3", "--seed", "4"]
         assert main(argv) == EXIT_OK
         clean = json.loads(capsys.readouterr().out)["targets"]
-        verify = spectel.cli.assemble_bounds
+        verify = bounds.assemble_bounds
         calls = []
 
         def second_fails(*args, **kwargs):
@@ -275,7 +283,7 @@ class TestVerifyFinite:
                 raise NumericalContractError("gap -0.5 fell below 0")
             return verify(*args, **kwargs)
 
-        monkeypatch.setattr("spectel.cli.assemble_bounds", second_fails)
+        monkeypatch.setattr("spectel.bounds.assemble_bounds", second_fails)
         assert main(argv) == EXIT_CHECKS_FAILED
         targets = json.loads(capsys.readouterr().out)["targets"]
         assert len(calls) == 3
@@ -292,7 +300,7 @@ class TestVerifyFinite:
         def verified(*args, **kwargs):
             raise AssertionError("the target was verified before --out was checked")
 
-        monkeypatch.setattr("spectel.cli.assemble_bounds", verified)
+        monkeypatch.setattr("spectel.bounds.assemble_bounds", verified)
         # A path in a missing directory, a path that is a directory, and no path.
         for out in (tmp_path / "missing" / "x.json", tmp_path, ""):
             code = main(["verify-finite", "--target", product3_path, "--out", str(out)])
@@ -485,7 +493,7 @@ class TestVerifyCube:
         def checked(*args, **kwargs):
             raise AssertionError("a check ran before --steps was checked")
 
-        monkeypatch.setattr("spectel.cli._check_closed_forms", checked)
+        monkeypatch.setattr("spectel.cube_corner._check_closed_forms", checked)
         for steps, code in [
             ("-5", EXIT_BAD_INPUT),
             ("10000000000000", EXIT_RESOURCE),
@@ -586,7 +594,7 @@ class TestVerifyCube:
                 super().__init__(*args)
 
         monkeypatch.setattr(corner, "OrthoBasis", CountingBasis)
-        assert _check_eigenrelation(CUBE_TOLERANCES)["passed"]
+        assert corner._check_eigenrelation(CUBE_TOLERANCES)["passed"]
         assert len(built) == len(set(built)) == 10
 
 
@@ -624,7 +632,9 @@ def test_oversized_steps_exit_three(tmp_path, argv):
 def test_oversized_steps_refused_before_allocating(tmp_path, capsys, monkeypatch, argv):
     # 10^8 steps on (3,3,3,3) at 72 bytes a step; a 3.2 GB trace whose FFT
     # pads it to 2^29 points.  Each passed the value cap.
-    monkeypatch.setattr("spectel.cli._check_closed_forms", lambda *args: pytest.fail("a check ran"))
+    monkeypatch.setattr(
+        "spectel.cube_corner._check_closed_forms", lambda *args: pytest.fail("a check ran")
+    )
     path = tmp_path / "product.json"
     path.write_text(json.dumps(target_to_dict(product_target([[0.2, 0.3, 0.5]] * 4))))
     used, code = peak(lambda: main([a.format(target=path) for a in argv]))
@@ -790,18 +800,37 @@ def test_deeply_nested_json_exit_two(tmp_path, argv, body):
     assert "nests too deeply" in result.stderr
 
 
-def test_import_loads_numpy_only():
-    # scipy serves the tests only; importing the CLI must not load it.
+def test_import_loads_numpy_only(tmp_path):
+    # scipy serves the tests only, and numpy only the commands that compute:
+    # importing the package or the CLI loads neither, and neither does a
+    # process that prints the version or help, rejects an argument or merges
+    # reports.  -X importtime names every module a process imports.
     src = str(Path(spectel.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code = (
-        "import spectel.cli, sys; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert result.stdout.strip() == "[]"
+    report = tmp_path / "report.json"
+    report.write_text('{"all_passed": true}')
+
+    def run(*argv):
+        result = subprocess.run(
+            [sys.executable, "-X", "importtime", *argv], env=env, capture_output=True, text=True
+        )
+        timed, err = [], []
+        for line in result.stderr.splitlines():
+            (timed if line.startswith("import time:") else err).append(line)
+        imported = {line.rpartition("|")[2].strip() for line in timed}
+        heavy = sorted(m for m in imported if m.split(".")[0] in ("numpy", "scipy"))
+        return result.returncode, heavy, err
+
+    for argv in (["-c", "import spectel"], ["-c", "import spectel.cli"]):
+        assert run(*argv) == (0, [], []), argv
+    cli = ["-m", "spectel.cli"]
+    for argv in (["--version"], ["--help"], ["sample", "--help"], ["report-merge", str(report)]):
+        assert run(*cli, *argv) == (EXIT_OK, [], []), argv
+    code, heavy, err = run(*cli, "verify-cube", "--n", "x")
+    assert (code, heavy) == (EXIT_BAD_INPUT, [])
+    assert err == ["spectel: verify-cube: argument --n: invalid int value: 'x'"]
+    code, heavy, err = run(*cli, "verify-finite", "--random", "1", "--axes", "2,2")
+    assert code == EXIT_OK and "numpy" in heavy and err == [], err
 
 
 @st.composite
@@ -879,8 +908,8 @@ def test_malformed_input_refused_in_one_line(tmp_path_factory, case, command):
             "spectel.bounds._supported_level",
             "spectel.kernels._block_rows",
             "spectel.cube_corner.stationary_corner_sample",
-            "spectel.cli.random_target",
-            "spectel.cli._check_closed_forms",
+            "spectel.target.random_target",
+            "spectel.cube_corner._check_closed_forms",
         ):
             patch.setattr(name, work)
         patch.setattr(sys, "stderr", stderr)
