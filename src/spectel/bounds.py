@@ -54,11 +54,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import FINITE_TOLERANCES, DomainError, _check_block_size, _check_memory
 from .kernels import (
     _SLICE_FLOATS,
-    _check_block_size,
-    _check_memory,
     _coordinate_tables,
     _gibbs_spectra,
     _solve_order,
@@ -67,7 +65,6 @@ from .kernels import (
     _walk_stack,
 )
 from .target import FiniteTarget, _supported_level
-from .wire import FINITE_TOLERANCES
 
 # No command builds one; kept while perf/spans.py hooks it (ROADMAP items 3 and 9).
 @dataclass(frozen=True)

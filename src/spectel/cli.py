@@ -54,12 +54,16 @@ import time
 
 from . import __version__
 from .errors import (
+    FINITE_TOLERANCES,
     DomainError,
     NumericalContractError,
     ResourceLimitError,
     StatisticalContractError,
+    _check_axes,
+    _check_block_size,
+    _check_memory,
+    _read_json,
 )
-from .wire import FINITE_TOLERANCES, _read_json
 
 EXIT_OK = 0
 EXIT_CHECKS_FAILED = 1
@@ -103,9 +107,6 @@ def _parse_tolerances(pairs: list[str] | None, defaults: dict[str, float]) -> di
 
 def _parse_axes(raw: str | None, n: int | None) -> tuple[int, ...]:
     """The sizes of ``--axes`` (times ``--n``), validated, their joint tensor checked in bytes."""
-    from .kernels import _check_memory
-    from .target import _check_axes
-
     if raw is None:
         raise DomainError("--random requires --axes (and --n for a uniform size)")
     try:
@@ -136,7 +137,8 @@ def _check_out_dir(out: str | None) -> None:
         raise DomainError("--out needs a path; leave it out to write to stdout")
     if os.path.isdir(out):
         raise DomainError(f"--out {out} is a directory")
-    parent = os.path.dirname(os.path.abspath(out))
+    # On the path as given: abspath drops a trailing separator or "." that open() resolves.
+    parent = os.path.dirname(out) or "."
     if not os.path.isdir(parent):
         raise DomainError(f"--out {out}: directory {parent} does not exist")
 
@@ -161,7 +163,6 @@ def cmd_verify_finite(args: argparse.Namespace) -> int:
     import numpy as np
 
     from .bounds import _largest_solve, _scan_bytes, assemble_bounds
-    from .kernels import _check_block_size, _check_memory
     from .target import load_target, random_target
 
     tols = _parse_tolerances(args.tol, FINITE_TOLERANCES)

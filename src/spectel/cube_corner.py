@@ -27,7 +27,7 @@ truncation.  Orthonormal polynomials, to the degree 6 that ``verify-cube``
 checks, are built by modified Gram-Schmidt on monomials (two passes).
 
 The chain and the gap estimate check the bytes they will hold, measured
-under tracemalloc, against :data:`spectel.kernels.MEMORY_CAP` before they
+under tracemalloc, against :data:`spectel.errors.MEMORY_CAP` before they
 allocate (:func:`_chain_bytes`, :func:`_estimate_bytes`).
 """
 
@@ -37,8 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, NumericalContractError, StatisticalContractError
-from .kernels import _check_memory
+from .errors import DomainError, NumericalContractError, StatisticalContractError, _check_memory
 
 # Degree of the orthonormal polynomials whose eigenrelation verify-cube checks.
 _BASIS_DEGREE = 6
@@ -104,7 +103,7 @@ def run_corner_chain(
     65,536 steps the loop only updates the state; the block's rows are then
     forward-filled from the values it drew.  The output is a deterministic
     function of the RNG stream.  A run that would need more than
-    :data:`spectel.kernels.MEMORY_CAP` bytes (:func:`_chain_bytes`) raises
+    :data:`spectel.errors.MEMORY_CAP` bytes (:func:`_chain_bytes`) raises
     :class:`ResourceLimitError` before anything is allocated.
     """
     if n < 2:

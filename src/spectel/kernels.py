@@ -18,8 +18,9 @@ spectral analysis symmetrizes with D^{1/2} K D^{-1/2} and uses a dense
 symmetric eigensolver: one eigensolve per kernel, of the matrix with the
 constant direction deflated (:func:`_spectral_stack`).  This module is a
 verifier, exactness beats scale: every command checks the bytes it will hold
-against :data:`MEMORY_CAP` once, with :func:`_check_memory`, before it
-allocates, and the builders check nothing themselves.
+against :data:`spectel.errors.MEMORY_CAP` once, with
+:func:`spectel.errors._check_memory`, before it allocates, and the builders
+check nothing themselves.
 
 The exact pipeline solves a block Gibbs kernel by the smaller of two
 eigenproblems (:func:`_gibbs_spectra`).  The kernel is an average of
@@ -63,11 +64,8 @@ from math import comb
 
 import numpy as np
 
-from .errors import DomainError, NumericalContractError, ResourceLimitError
+from .errors import DomainError, NumericalContractError, _check_block_size, _check_memory
 from .target import FiniteTarget
-
-# Bytes a command may plan to hold: the dense order-20,000 kernel, 8 * 20,000^2.
-MEMORY_CAP = 8 * 20_000**2
 
 _ROW_TOL = 1e-12
 # Largest detailed-balance violation |w_i K_ij - w_j K_ji| a spectral solve accepts.
@@ -118,22 +116,6 @@ class WeightedKernel:
 
     def __repr__(self) -> str:
         return f"WeightedKernel(order={self.order})"
-
-
-def _check_memory(nbytes: int, what: str) -> None:
-    """Refuse work that would hold more than :data:`MEMORY_CAP` bytes, before it allocates."""
-    if nbytes > MEMORY_CAP:
-        # nbytes can have more digits than str() converts.
-        size = f"{nbytes / 1e9:.3g} GB" if nbytes < 10**21 else "more than 10^12 GB"
-        raise ResourceLimitError(
-            f"{what} needs {size}, above the memory cap of {MEMORY_CAP / 1e9:g} GB"
-        )
-
-
-def _check_block_size(l: int, n: int) -> None:
-    """Refuse a block size ``l`` outside ``1..n`` for ``n`` coordinates."""
-    if not 1 <= l <= n:
-        raise DomainError(f"block size {l} out of range 1..{n}")
 
 
 def _check_stochastic(
@@ -481,8 +463,8 @@ def sample_gibbs_chain(
     flat row-major index into ``target.probs``; a step looks up its rest row
     in the block's tables and bisects that row's cumulative pmf.  The tables
     grow as C(n, l) * N for N states.  A run whose steps and tables would
-    need more than :data:`MEMORY_CAP` bytes raises :class:`ResourceLimitError`
-    before anything is allocated.
+    need more than :data:`spectel.errors.MEMORY_CAP` bytes raises
+    :class:`ResourceLimitError` before anything is allocated.
     """
     n = target.n
     _check_block_size(l, n)

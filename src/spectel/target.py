@@ -18,35 +18,16 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError
-from .wire import _read_json
+from .errors import DomainError, _check_axes, _read_json
 
 # Largest tolerated deviation of ingested mass from 1 before renormalizing.
 # Anything worse is rejected: silently rescaling badly scaled input hides bugs.
 INGEST_TOL = 1e-9
-
-
-def _check_axes(axes: Sequence[int]) -> tuple[int, ...]:
-    try:
-        sizes = list(axes)
-        axes_t = tuple(operator.index(a) for a in sizes)
-    except TypeError as exc:
-        raise DomainError(f"alphabet sizes must be integers: {exc}") from None
-    # operator.index reads a boolean as 1 or 0.
-    if any(isinstance(a, bool) for a in sizes):
-        raise DomainError("alphabet sizes must be integers, got a boolean")
-    if len(axes_t) < 2:
-        raise DomainError(f"need at least 2 coordinates, got {len(axes_t)}")
-    for i, a in enumerate(axes_t, start=1):
-        if a < 2:
-            raise DomainError(f"every alphabet must have size >= 2; coordinate {i}'s is smaller")
-    return axes_t
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,9 +35,9 @@ class FiniteTarget:
     """Explicit joint pmf over a product of finite alphabets.
 
     ``axes`` lists the alphabet sizes (length >= 2, each >= 2).  ``probs`` is
-    the joint tensor, accepted either flat (row-major, last axis fastest) or
-    already shaped; it must be entrywise finite and nonnegative with total
-    mass within ``INGEST_TOL`` of 1, and is renormalized to sum to exactly 1.
+    the flat joint tensor (row-major, last axis fastest), stored shaped to
+    ``axes``; it must be entrywise finite and nonnegative with total mass
+    within ``INGEST_TOL`` of 1, and is renormalized to sum to exactly 1.
 
     Instances are immutable (the tensor is write-protected) and safe to share
     across threads.
@@ -74,19 +55,16 @@ class FiniteTarget:
         if arr.dtype.kind not in "iuf":
             raise DomainError(f"probabilities must be numeric, got {arr.dtype} entries")
         arr = arr.astype(float, copy=False)
-        if arr.ndim == 1:
-            # An array holds under 2^64 entries, so past 64 sizes no product is
-            # taken (a long list of huge ones takes seconds), nor is it echoed.
-            if len(axes_t) > 64 or arr.size != math.prod(axes_t):
-                raise DomainError(
-                    f"flat tensor has {arr.size} entries, not the product of the "
-                    f"{len(axes_t)} alphabet sizes"
-                )
-            arr = arr.reshape(axes_t)
-        elif arr.shape != axes_t:
+        if arr.ndim != 1:
+            raise DomainError(f"probabilities must be a flat list, got {arr.ndim} dimensions")
+        # An array holds under 2^64 entries, so past 64 sizes no product is
+        # taken (a long list of huge ones takes seconds), nor is it echoed.
+        if len(axes_t) > 64 or arr.size != math.prod(axes_t):
             raise DomainError(
-                f"tensor shape {arr.shape} does not match the {len(axes_t)} alphabet sizes"
+                f"flat tensor has {arr.size} entries, not the product of the "
+                f"{len(axes_t)} alphabet sizes"
             )
+        arr = arr.reshape(axes_t)
         if not np.all(np.isfinite(arr)):
             raise DomainError("probability tensor has non-finite entries (NaN or inf)")
         if np.any(arr < 0):

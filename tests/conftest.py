@@ -41,9 +41,15 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from spectel import CondContext, FiniteTarget, InfluenceMatrix, WeightedKernel, random_target
-from spectel.bounds import _correlation_stack, _influence_stack, _scan
-from spectel.kernels import _coordinate_tables, _gibbs_stack, _spectral_stack, _walk_stack
+from spectel.bounds import InfluenceMatrix, _correlation_stack, _influence_stack, _scan
+from spectel.kernels import (
+    WeightedKernel,
+    _coordinate_tables,
+    _gibbs_stack,
+    _spectral_stack,
+    _walk_stack,
+)
+from spectel.target import CondContext, FiniteTarget, random_target
 
 
 @pytest.fixture
@@ -133,7 +139,7 @@ EMPTY_CONTEXT = CondContext((), ())
 def product_target(marginals) -> FiniteTarget:
     """Target whose coordinates are independent with the given 1-D marginals."""
     tensor = functools.reduce(np.multiply.outer, [np.asarray(m, dtype=float) for m in marginals])
-    return FiniteTarget(tensor.shape, tensor)
+    return FiniteTarget(tensor.shape, tensor.ravel())
 
 
 def marginal(target: FiniteTarget, gamma) -> np.ndarray:
@@ -530,4 +536,4 @@ def sparse_mixed_target() -> FiniteTarget:
     """(2, 3, 2, 3) with 9 of 36 entries zeroed: unsupported contexts and mixed supports."""
     weights = np.random.default_rng(5).dirichlet(np.ones(36))
     weights[[0, 3, 7, 8, 13, 20, 21, 29, 35]] = 0.0
-    return FiniteTarget((2, 3, 2, 3), weights.reshape(2, 3, 2, 3) / weights.sum())
+    return FiniteTarget((2, 3, 2, 3), weights / weights.sum())

@@ -10,7 +10,20 @@ import time
 import numpy as np
 import pytest
 
-import spectel as sp
+from spectel.bounds import assemble_bounds
+from spectel.cube_corner import (
+    OrthoBasis,
+    contraction_metric,
+    corner_gap_lower_bound,
+    correlation_coefficient_bound,
+    empirical_gap_estimate,
+    poly_eigenvalue,
+    sum_square_constant,
+    tv_contraction_check,
+    verify_eigenrelation,
+    wasserstein_influence,
+)
+from spectel.target import random_target
 
 from conftest import (
     EMPTY_CONTEXT,
@@ -40,9 +53,9 @@ def _random_axes(rng, n_choices=(3, 4), axes_max=4):
 def sweep():
     """200 random full-support targets with their full bound reports."""
     rng = np.random.default_rng(SWEEP_SEED)
-    targets = [sp.random_target(_random_axes(rng), rng) for _ in range(SWEEP_SIZE)]
+    targets = [random_target(_random_axes(rng), rng) for _ in range(SWEEP_SIZE)]
     started = time.monotonic()
-    reports = [sp.assemble_bounds(t, l=1) for t in targets]
+    reports = [assemble_bounds(t, l=1) for t in targets]
     elapsed = time.monotonic() - started
     return targets, reports, elapsed
 
@@ -84,7 +97,7 @@ def test_criterion_2_algorithm_equivalence(sweep):
 def lemma_targets():
     rng = np.random.default_rng(SWEEP_SEED + 1)
     return [
-        sp.random_target(_random_axes(rng, axes_max=3), rng) for _ in range(50)
+        random_target(_random_axes(rng, axes_max=3), rng) for _ in range(50)
     ]
 
 
@@ -178,14 +191,14 @@ def test_criterion_6_gibbs_operators_psd(sweep):
 def test_criterion_7_corner_closed_forms():
     """Exact closed-form identities at 1e-14."""
     for m in range(2, 13):
-        assert abs(sp.poly_eigenvalue(1, m) + 1.0 / m) <= 1e-14
+        assert abs(poly_eigenvalue(1, m) + 1.0 / m) <= 1e-14
         assert (
-            abs(sp.sum_square_constant(m) - m * sp.correlation_coefficient_bound(m))
+            abs(sum_square_constant(m) - m * correlation_coefficient_bound(m))
             <= 1e-14
         )
-    assert abs(sp.correlation_coefficient_bound(2) - 0.75) <= 1e-14
-    assert abs(sp.corner_gap_lower_bound(4)[1] - 5.0 / 72.0) <= 1e-14
-    radius = spectral_radius(sp.wasserstein_influence(4))
+    assert abs(correlation_coefficient_bound(2) - 0.75) <= 1e-14
+    assert abs(corner_gap_lower_bound(4)[1] - 5.0 / 72.0) <= 1e-14
+    radius = spectral_radius(wasserstein_influence(4))
     assert abs(radius - 1.5) <= 1e-14
     print("\nACCEPTANCE 7: corner closed forms exact at 1e-14: PASS")
 
@@ -195,7 +208,7 @@ def test_criterion_8_eigenrelation():
     worst = 0.0
     for m in range(2, 7):
         for budget in (0.3, 1.0):
-            worst = max(worst, sp.verify_eigenrelation(sp.OrthoBasis(m, budget)))
+            worst = max(worst, verify_eigenrelation(OrthoBasis(m, budget)))
     assert worst <= 1e-8
     print(f"\nACCEPTANCE 8: eigenrelation residual {worst:.2e}: PASS")
 
@@ -211,14 +224,14 @@ def test_criterion_9_tv_and_coupling_contraction():
         x, xp = np.sort(rng.uniform(0.0, budget, 2))
         if not 0.0 < x < xp < budget:
             continue
-        tv_quadrature, tv_formula, bound = sp.tv_contraction_check(m, budget, float(x), float(xp))
+        tv_quadrature, tv_formula, bound = tv_contraction_check(m, budget, float(x), float(xp))
         assert abs(tv_quadrature - tv_formula) <= 1e-8
         assert tv_quadrature <= bound + 1e-10
         checked += 1
 
     for m in (4, 5):
         budget, x, xp = 1.0, 0.2, 0.5
-        d_in = sp.contraction_metric(budget, x, xp)
+        d_in = contraction_metric(budget, x, xp)
         u = rng.random(100_000)
         fraction = 1.0 - (1.0 - u) ** (1.0 / (m - 1))
         out_a = (budget - x) * fraction
@@ -235,8 +248,8 @@ def test_criterion_10_statistical_sandwich():
     started = time.monotonic()
     for n in (3, 4, 5):
         rng = np.random.default_rng(SWEEP_SEED + n)
-        estimate = sp.empirical_gap_estimate(n, 2_000_000, rng)
-        product, floor = sp.corner_gap_lower_bound(n)
+        estimate = empirical_gap_estimate(n, 2_000_000, rng)
+        product, floor = corner_gap_lower_bound(n)
         lower = product if floor is None else floor
         assert lower - estimate["ci"] <= estimate["gap_estimate"], (n, estimate)
         assert estimate["gap_estimate"] <= 1.0 / n + estimate["ci"], (n, estimate)

@@ -9,16 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectel import (
-    DomainError,
-    FiniteTarget,
-    InfluenceMatrix,
-    ResourceLimitError,
-    assemble_bounds,
-    random_target,
-    telescope_verify,
-)
 from spectel import bounds, kernels
+from spectel.bounds import InfluenceMatrix, assemble_bounds, telescope_verify
+from spectel.errors import DomainError, ResourceLimitError
+from spectel.target import FiniteTarget, random_target
 
 from conftest import (
     EMPTY_CONTEXT,
@@ -270,7 +264,7 @@ class TestAssembleBounds:
         for x in itertools.product((0, 1), repeat=n):
             if not any(x[i] and x[(i + 1) % n] for i in range(n)):
                 weights[x] = 1.0
-        report = assemble_bounds(FiniteTarget((2,) * n, weights / weights.sum()), 1)
+        report = assemble_bounds(FiniteTarget((2,) * n, (weights / weights.sum()).ravel()), 1)
         assert abs(n * report["exact_gap"] - (1 - 1 / math.sqrt(2))) <= 1e-12
         assert report["passed"]
 

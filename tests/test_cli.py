@@ -18,13 +18,6 @@ from hypothesis import strategies as st
 import spectel
 from spectel import bounds
 from spectel import cube_corner as corner
-from spectel import (
-    NumericalContractError,
-    load_target,
-    random_target,
-    run_corner_chain,
-    sample_gibbs_chain,
-)
 from spectel.cli import (
     CUBE_TOLERANCES,
     EXIT_BAD_INPUT,
@@ -36,6 +29,10 @@ from spectel.cli import (
     build_parser,
     main,
 )
+from spectel.cube_corner import run_corner_chain
+from spectel.errors import FINITE_TOLERANCES, NumericalContractError
+from spectel.kernels import sample_gibbs_chain
+from spectel.target import load_target, random_target
 
 from conftest import peak, product_target, sparse_mixed_target, target_to_dict
 
@@ -61,7 +58,7 @@ class TestVerifyFinite:
         assert "version" in report and "seed" in report
         assert "wallclock_s" in report
         # One table owns the finite tolerances: the report's are the engine's defaults.
-        assert report["tolerances"] == bounds.FINITE_TOLERANCES
+        assert report["tolerances"] == FINITE_TOLERANCES
         target_entry = report["targets"][0]
         # The entry is the engine's own, with the target's name and axes.
         expected = bounds.assemble_bounds(load_target(product3_path), 1)
@@ -113,6 +110,14 @@ class TestVerifyFinite:
             json.loads(text)
         assert capsys.readouterr().err == f"spectel: {bad}: malformed JSON: {decode.value}\n"
 
+    def test_nested_probs_exit_two(self, tmp_path, capsys):
+        # probs is the flat tensor; a nested list of the right shape is not read.
+        path = tmp_path / "nested.json"
+        path.write_text('{"axes": [2, 2], "probs": [[0.25, 0.25], [0.25, 0.25]]}')
+        assert main(["verify-finite", "--target", str(path)]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("spectel: ") and err.count("\n") == 1
+
     def test_missing_arguments_exit_two(self):
         assert main(["verify-finite"]) == EXIT_BAD_INPUT
 
@@ -160,8 +165,8 @@ class TestVerifyFinite:
         # Each command takes only the keys it reads, so the other's keys are unknown.
         finite = ["verify-finite", "--target", product3_path]
         for argv, keys in (
-            (finite + ["--tol", "nonsense=1e-3"], bounds.FINITE_TOLERANCES),
-            (finite + ["--tol", "tv_match=5"], bounds.FINITE_TOLERANCES),
+            (finite + ["--tol", "nonsense=1e-3"], FINITE_TOLERANCES),
+            (finite + ["--tol", "tv_match=5"], FINITE_TOLERANCES),
             (["verify-cube", "--tol", "psd=1e-3"], CUBE_TOLERANCES),
             (["verify-cube", "--tol", "bound_slack=1e-3"], CUBE_TOLERANCES),
         ):
@@ -301,8 +306,16 @@ class TestVerifyFinite:
             raise AssertionError("the target was verified before --out was checked")
 
         monkeypatch.setattr("spectel.bounds.assemble_bounds", verified)
-        # A path in a missing directory, a path that is a directory, and no path.
-        for out in (tmp_path / "missing" / "x.json", tmp_path, ""):
+        # A path in a missing directory, a path that is a directory, and no
+        # path; a trailing separator or "." names the missing directory itself.
+        missing = str(tmp_path / "missing")
+        for out in (
+            tmp_path / "missing" / "x.json",
+            tmp_path,
+            "",
+            missing + os.sep,
+            os.path.join(missing, "."),
+        ):
             code = main(["verify-finite", "--target", product3_path, "--out", str(out)])
             assert code == EXIT_BAD_INPUT
             err = capsys.readouterr().err
@@ -722,7 +735,7 @@ def test_help_and_version_exit_zero(argv, capsys):
 
 
 def test_readme_python_quick_start_runs(capsys):
-    # An export renamed or removed from the package must be renamed in README too.
+    # A name renamed, moved or removed must be renamed in README too.
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = readme.split("```python\n")[1:]
     assert blocks
@@ -800,29 +813,43 @@ def test_deeply_nested_json_exit_two(tmp_path, argv, body):
     assert "nests too deeply" in result.stderr
 
 
+def test_version_matches_pyproject():
+    # Reports embed spectel.__version__, and pyproject.toml states it again.
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^version = "(.*)"$', text, re.MULTILINE)[1] == spectel.__version__
+
+
 def test_import_loads_numpy_only(tmp_path):
     # scipy serves the tests only, and numpy only the commands that compute:
     # importing the package or the CLI loads neither, and neither does a
     # process that prints the version or help, rejects an argument or merges
-    # reports.  -X importtime names every module a process imports.
+    # reports.  The package imports no submodule, and the cube corner none of
+    # the finite engine.  -X importtime names every module a process imports.
     src = str(Path(spectel.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     report = tmp_path / "report.json"
     report.write_text('{"all_passed": true}')
 
-    def run(*argv):
+    def imports(*argv):
         result = subprocess.run(
             [sys.executable, "-X", "importtime", *argv], env=env, capture_output=True, text=True
         )
         timed, err = [], []
         for line in result.stderr.splitlines():
             (timed if line.startswith("import time:") else err).append(line)
-        imported = {line.rpartition("|")[2].strip() for line in timed}
-        heavy = sorted(m for m in imported if m.split(".")[0] in ("numpy", "scipy"))
-        return result.returncode, heavy, err
+        return result.returncode, {line.rpartition("|")[2].strip() for line in timed}, err
 
-    for argv in (["-c", "import spectel"], ["-c", "import spectel.cli"]):
-        assert run(*argv) == (0, [], []), argv
+    def run(*argv):
+        code, imported, err = imports(*argv)
+        heavy = sorted(m for m in imported if m.split(".")[0] in ("numpy", "scipy"))
+        return code, heavy, err
+
+    assert run("-c", "import spectel.cli") == (0, [], [])
+    code, imported, err = imports("-c", "import spectel")
+    loaded = sorted(m for m in imported if m.startswith(("spectel.", "numpy", "scipy")))
+    assert (code, loaded, err) == (0, [], [])
+    code, imported, err = imports("-c", "import spectel.cube_corner")
+    assert (code, err) == (0, []) and {"spectel.kernels", "spectel.target"}.isdisjoint(imported)
     cli = ["-m", "spectel.cli"]
     for argv in (["--version"], ["--help"], ["sample", "--help"], ["report-merge", str(report)]):
         assert run(*cli, *argv) == (EXIT_OK, [], []), argv

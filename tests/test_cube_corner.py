@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
-from spectel import (
-    DomainError,
-    FiniteTarget,
-    MEMORY_CAP,
+from spectel import cube_corner as corner
+from spectel.bounds import assemble_bounds
+from spectel.cube_corner import (
     OrthoBasis,
-    ResourceLimitError,
-    StatisticalContractError,
-    assemble_bounds,
+    _chain_bytes,
+    _density,
+    _estimate_bytes,
+    _fit_decay_rate,
+    _gl_rule,
     contraction_metric,
     corner_gap_lower_bound,
     correlation_coefficient_bound,
@@ -24,14 +25,13 @@ from spectel import (
     verify_eigenrelation,
     wasserstein_influence,
 )
-from spectel import cube_corner as corner
-from spectel.cube_corner import (
-    _chain_bytes,
-    _density,
-    _estimate_bytes,
-    _fit_decay_rate,
-    _gl_rule,
+from spectel.errors import (
+    MEMORY_CAP,
+    DomainError,
+    ResourceLimitError,
+    StatisticalContractError,
 )
+from spectel.target import FiniteTarget
 
 from conftest import MemoryChecked, oracle_corner_chain, peak, spectral_radius, spy_memory_check
 
@@ -178,7 +178,7 @@ class TestDiscreteSimplex:
     @pytest.mark.parametrize("n, K", [(3, 2), (4, 2), (5, 2), (4, 3)])
     def test_exact_engine_meets_the_closed_forms(self, n, K):
         grid = np.indices((K + 1,) * n).sum(axis=0) <= K
-        report = assemble_bounds(FiniteTarget((K + 1,) * n, grid / grid.sum()), 1)
+        report = assemble_bounds(FiniteTarget((K + 1,) * n, (grid / grid.sum()).ravel()), 1)
         assert report["passed"]
         for m in range(2, n + 1):
             assert abs(report["S"][str(m)] - correlation_coefficient_bound(m)) <= 1e-12

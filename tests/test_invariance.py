@@ -32,12 +32,9 @@ from conftest import (
     supported_conditional,
     supported_contexts,
 )
-from spectel import (
-    FiniteTarget,
-    assemble_bounds,
-    telescope_verify,
-)
+from spectel.bounds import assemble_bounds, telescope_verify
 from spectel.kernels import _gibbs_spectra
+from spectel.target import FiniteTarget
 
 SETTINGS = settings(max_examples=12, deadline=None, derandomize=True, database=None)
 
@@ -54,7 +51,7 @@ def targets(draw, low: int = 0) -> np.ndarray:
 
 
 def profile_values(tensor: np.ndarray) -> dict:
-    report = assemble_bounds(FiniteTarget(tensor.shape, tensor), 1)
+    report = assemble_bounds(FiniteTarget(tensor.shape, tensor.ravel()), 1)
     return {name: report[name] for name in ("gap", "S", "G", "eta")}
 
 
@@ -85,7 +82,7 @@ def test_value_relabelling_invariance(data):
 
 
 def assert_matches_recursive_oracle(tensor: np.ndarray) -> None:
-    target = FiniteTarget(tensor.shape, tensor)
+    target = FiniteTarget(tensor.shape, tensor.ravel())
     profile = gap_profile(target)
     n = target.n
     for m in range(1, n + 1):
@@ -133,7 +130,7 @@ def assert_stacked_engine_equals_context_scan(tensor: np.ndarray) -> None:
     # context a report names is decided by last-bit rounding; stacking must
     # not move it.  The top level has one context, so its full-block gap
     # takes its exact value instead of a solve's rounding.
-    target = FiniteTarget(tensor.shape, tensor)
+    target = FiniteTarget(tensor.shape, tensor.ravel())
     report = assemble_bounds(target, 1)
     n = target.n
     lt, gt = (lambda a, b: a < b), (lambda a, b: a > b)
@@ -175,7 +172,7 @@ def test_stacked_engine_equals_context_scan_on_full_support(data):
 @given(data=st.data())
 def test_walk_gap_matches_enumeration_oracle(data):
     tensor = data.draw(targets())
-    target = FiniteTarget(tensor.shape, tensor)
+    target = FiniteTarget(tensor.shape, tensor.ravel())
     g_profile = assemble_bounds(target, 1)["G"]
     for key, g in g_profile.items():
         m = int(key)

@@ -9,19 +9,10 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectel import (
-    CondContext,
-    DomainError,
-    FiniteTarget,
-    NumericalContractError,
-    MEMORY_CAP,
-    ResourceLimitError,
-    WeightedKernel,
-    random_target,
-    sample_gibbs_chain,
-)
 from spectel import kernels
+from spectel.errors import MEMORY_CAP, DomainError, NumericalContractError, ResourceLimitError
 from spectel.kernels import (
+    WeightedKernel,
     _gibbs_spectra,
     _gibbs_stack,
     _gram_order,
@@ -29,7 +20,9 @@ from spectel.kernels import (
     _solve,
     _solve_order,
     _spectral_stack,
+    sample_gibbs_chain,
 )
+from spectel.target import CondContext, FiniteTarget, random_target
 
 from conftest import (
     EMPTY_CONTEXT,
