@@ -12,7 +12,7 @@ report-merge    combine several report files into one
 ``--seed`` (>= 0) is taken by every subcommand but report-merge; ``--tol`` only
 by verify-finite and verify-cube, each with its own keys (see its --help).
 ``sample`` takes ``--n`` only for the cube and ``--l`` only for a target file;
-``verify-finite`` takes ``--axes`` only with ``--random``, ``--n`` only with one SIZE.
+``verify-finite`` takes ``--axes``, a comma list of sizes, only with ``--random``.
 Reports are JSON only and carry the tool version and per-check pass flags;
 the two verify reports also embed the seed, the command's tolerances and the
 wall clock.  verify-cube passes a check only when each measured value
@@ -31,11 +31,12 @@ checked before any work starts, a ``--random`` COUNT below 1, a negative
 ``report-merge`` input that is not a JSON object or whose pass flag is not a
 bool), 3 the run would hold more than ``MEMORY_CAP`` (3.2 GB) bytes, 4
 statistical contract not met (a verify-cube ``--steps`` below 1e6).  Each
-command works out the bytes it will hold from numbers it already has (the
-largest matrix a scan solves; with ``--random`` also the joint tensor and
-the report's entries; a chain's steps) and checks them once, before it
-allocates: verify-finite ``--random`` before its first draw, verify-cube
-before any of its checks runs.
+command works out the bytes it will hold from numbers it already has (a
+target file's size; the largest matrix a scan solves; with ``--random``
+also the joint tensor and the report's entries; a chain's steps) and checks
+them once, before it allocates: a target file before it is parsed,
+verify-finite ``--random`` before its first draw, verify-cube before any of
+its checks runs.
 
 Only verify-finite, verify-cube and sample load numpy, with the engine
 modules they run, once dispatched; ``--version``, ``--help``, an argument the
@@ -105,28 +106,19 @@ def _parse_tolerances(pairs: list[str] | None, defaults: dict[str, float]) -> di
     return tols
 
 
-def _parse_axes(raw: str | None, n: int | None) -> tuple[int, ...]:
-    """The sizes of ``--axes`` (times ``--n``), validated, their joint tensor checked in bytes."""
+def _parse_axes(raw: str | None) -> tuple[int, ...]:
+    """The sizes of ``--axes``, validated, their joint tensor checked in bytes."""
     if raw is None:
-        raise DomainError("--random requires --axes (and --n for a uniform size)")
+        raise DomainError("--random requires --axes, a comma list of alphabet sizes")
     try:
         sizes = tuple(int(v) for v in raw.split(","))
     except ValueError:
         raise DomainError(f"--axes expects integer sizes, got {raw!r}") from None
-    if "," in raw:
-        if n is not None:
-            raise DomainError("--n goes only with a single --axes SIZE, not a comma list")
-        n = 1
-    elif n is None:
-        raise DomainError("--axes SIZE without commas needs --n for the coordinate count")
-    elif n < 2:
-        raise DomainError(f"need at least 2 coordinates, got --n {n}")
-    # Checked on at most two copies of the sizes, and in bytes on at most 128
-    # of them, so a huge --n or list builds no tuple or product that takes
-    # long: 2^128 floats are over any cap.
-    _check_axes(sizes * min(n, 2))
-    _check_memory(8 * math.prod(sizes[:128]) ** min(n, 128), "the joint tensor of --axes")
-    return sizes * n
+    _check_axes(sizes)
+    # Checked in bytes on at most 65 sizes, so a long list of huge sizes
+    # takes no slow product: 2^65 floats are over any cap.
+    _check_memory(8 * math.prod(sizes[:65]), "the joint tensor of --axes")
+    return sizes
 
 
 def _check_out_dir(out: str | None) -> None:
@@ -170,11 +162,11 @@ def cmd_verify_finite(args: argparse.Namespace) -> int:
     report = _base_report("verify-finite", seed=args.seed, tolerances=tols)
 
     if args.target:
-        if args.n is not None or args.axes is not None:
-            raise DomainError("--n and --axes go only with --random; a target file sets its own")
+        if args.axes is not None:
+            raise DomainError("--axes goes only with --random; a target file sets its own")
         targets = [(args.target, load_target(args.target))]
     elif args.random is not None:
-        axes = _parse_axes(args.axes, args.n)
+        axes = _parse_axes(args.axes)
         if args.random < 1:
             raise DomainError(f"--random COUNT must be >= 1, got {args.random}")
         # Targets are drawn one at a time, so one tensor and one scan are held
@@ -339,12 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group()
     source.add_argument("--target", type=str, help="path to a target JSON file")
     source.add_argument("--random", type=int, help="verify COUNT random Dirichlet(1) targets")
-    p.add_argument("--n", type=int, default=None, help="coordinate count for one --axes SIZE")
     p.add_argument(
-        "--axes",
-        type=str,
-        default=None,
-        help="alphabet sizes for --random: a single size (with --n) or a comma list",
+        "--axes", type=str, default=None, help="alphabet sizes for --random, a comma list"
     )
     p.add_argument("--l", type=int, default=1, help="block size (default 1)")
     common(p, tol=FINITE_TOLERANCES)

@@ -19,8 +19,8 @@ symmetric eigensolver: one eigensolve per kernel, of the matrix with the
 constant direction deflated (:func:`_spectral_stack`).  This module is a
 verifier, exactness beats scale: every command checks the bytes it will hold
 against :data:`spectel.errors.MEMORY_CAP` once, with
-:func:`spectel.errors._check_memory`, before it allocates, and the builders
-check nothing themselves.
+:func:`spectel.errors._check_memory`, before it allocates, and the private
+builders, whose one caller is the scan, check neither bytes nor arguments.
 
 The exact pipeline solves a block Gibbs kernel by the smaller of two
 eigenproblems (:func:`_gibbs_spectra`).  The kernel is an average of
@@ -183,8 +183,6 @@ def _coordinate_tables(weights: np.ndarray) -> tuple[list[np.ndarray], dict, dic
     coordinates.
     """
     m = weights.ndim - 1
-    if m < 2:
-        raise DomainError(f"need at least 2 free coordinates, got {m}")
     marginals = [
         weights.sum(axis=tuple(p + 1 for p in range(m) if p != pos)) for pos in range(m)
     ]
@@ -208,7 +206,6 @@ def _gibbs_stack(weights: np.ndarray, l: int) -> np.ndarray:
     """
     n_ctx, shape = weights.shape[0], weights.shape[1:]
     m = len(shape)
-    _check_block_size(l, m)
     n_states = int(np.prod(shape))
     kernel = np.zeros((n_ctx,) + shape * 2)
     st = kernel.strides
@@ -280,8 +277,6 @@ def _gram_stack(weights: np.ndarray, l: int) -> np.ndarray:
     """
     n_ctx, shape = weights.shape[0], weights.shape[1:]
     m = len(shape)
-    if not 1 <= l < m:
-        raise DomainError(f"Gram block size {l} out of range 1..{m - 1}")
     kept = list(itertools.combinations(range(m), m - l))
     k = len(kept)
     # codes[r, x]: the value state x takes on kept set r, row-major.

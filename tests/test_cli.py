@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spectel
@@ -85,10 +85,8 @@ class TestVerifyFinite:
                 "verify-finite",
                 "--random",
                 "5",
-                "--n",
-                "3",
                 "--axes",
-                "3",
+                "3,3,3",
                 "--seed",
                 "7",
                 "--out",
@@ -122,13 +120,13 @@ class TestVerifyFinite:
         assert main(["verify-finite"]) == EXIT_BAD_INPUT
 
     def test_sizes_only_with_random(self, product3_path, capsys):
-        # A target file sets its own axes, so --n and --axes would go unread.
-        for flags in (["--n", "5"], ["--axes", "3,3"], ["--axes", "2", "--n", "3"]):
-            argv = ["verify-finite", "--target", product3_path, *flags]
+        # A target file sets its own axes, so --axes would go unread.
+        for sizes in ("3,3", "2"):
+            argv = ["verify-finite", "--target", product3_path, "--axes", sizes]
             assert main(argv) == EXIT_BAD_INPUT, argv
-            err = capsys.readouterr().err
-            assert err.startswith("spectel: ") and err.count("\n") == 1
-            assert "Traceback" not in err
+            assert capsys.readouterr().err == (
+                "spectel: --axes goes only with --random; a target file sets its own\n"
+            )
 
     def test_memory_cap_exit_three(self, tmp_path, capsys):
         # (2,)^15 solves a dense kernel of order 32,768; (150,150) has 22,500
@@ -226,16 +224,15 @@ class TestVerifyFinite:
             assert err.startswith("spectel: ") and err.count("\n") == 1
 
     def test_random_state_cap_checked_before_drawing(self, capsys, monkeypatch):
-        # The tensor of 10^9 states, or of 2^100,000 (a product of more digits
-        # than str() converts), the tuple of 10^24 sizes, and 10^9 report
-        # entries: each refused before the first draw, in under 1 MiB.
+        # The tensor of 10^9 states, of 2^100 and of 3^5,000 (its product
+        # taken on 65 sizes), and 10^9 report entries: each refused before
+        # the first draw, in under 1 MiB.
         monkeypatch.setattr(
             "spectel.target.random_target", lambda *args: pytest.fail("a target was drawn")
         )
         for sizes in (
             ["--axes", "1000,1000,1000"],
-            ["--axes", "2", "--n", "100000"],
-            ["--axes", "2", "--n", "1" + "0" * 24],
+            ["--axes", ",".join(["2"] * 100)],
             ["--axes", ",".join(["3"] * 5_000)],
         ):
             used, code = peak(lambda: main(["verify-finite", "--random", "1", *sizes]))
@@ -276,7 +273,7 @@ class TestVerifyFinite:
         ]
 
     def test_numerical_contract_keeps_other_targets(self, capsys, monkeypatch):
-        argv = ["verify-finite", "--random", "3", "--axes", "2", "--n", "3", "--seed", "4"]
+        argv = ["verify-finite", "--random", "3", "--axes", "2,2,2", "--seed", "4"]
         assert main(argv) == EXIT_OK
         clean = json.loads(capsys.readouterr().out)["targets"]
         verify = bounds.assemble_bounds
@@ -322,36 +319,53 @@ class TestVerifyFinite:
             assert err.startswith("spectel: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "count, n, axes",
+        "count, flags, message",
         [
-            pytest.param("1", None, "2,x", id="2,x"),
-            pytest.param("1", "2", "x", id="x"),
-            pytest.param("1", None, "-2,2", id="-2,2"),
-            # --n goes only with a single size.
-            pytest.param("1", "7", "2,2", id="n-with-axes-list"),
-            # An empty axes tuple, then a COUNT that would verify nothing.
-            pytest.param("1", "0", "3", id="n=0"),
-            pytest.param("1", "-2", "3", id="n=-2"),
-            pytest.param("-1", "2", "2", id="count=-1"),
-            pytest.param("0", "2", "2", id="count=0"),
-            # No sizes at all, and one size without a coordinate count.
-            pytest.param("1", None, None, id="no-axes"),
-            pytest.param("1", None, "3", id="size-without-n"),
+            pytest.param("1", ["--axes=2,x"], "--axes expects integer sizes, got '2,x'", id="2,x"),
+            pytest.param("1", ["--axes=x"], "--axes expects integer sizes, got 'x'", id="x"),
+            pytest.param("1", ["--axes=-2,2"], None, id="-2,2"),
+            # --axes is the one spelling of a shape; --n is the cube's dimension.
+            pytest.param(
+                "1",
+                ["--n", "2", "--axes=2,2"],
+                "verify-finite: unrecognized arguments: --n 2",
+                id="n-with-axes-list",
+            ),
+            pytest.param(
+                "1",
+                ["--n", "0", "--axes=3"],
+                "verify-finite: unrecognized arguments: --n 0",
+                id="n=0",
+            ),
+            pytest.param(
+                "1",
+                ["--n", "-2", "--axes=3"],
+                "verify-finite: unrecognized arguments: --n -2",
+                id="n=-2",
+            ),
+            # A COUNT that would verify nothing.
+            pytest.param(
+                "-1", ["--axes=2,2"], "--random COUNT must be >= 1, got -1", id="count=-1"
+            ),
+            pytest.param("0", ["--axes=2,2"], "--random COUNT must be >= 1, got 0", id="count=0"),
+            # No sizes at all, an empty list, and one size.
+            pytest.param("1", [], None, id="no-axes"),
+            pytest.param(
+                "1", ["--axes="], "--axes expects integer sizes, got ''", id="empty-axes"
+            ),
+            pytest.param(
+                "1", ["--axes=3"], "need at least 2 coordinates, got 1", id="size-without-n"
+            ),
         ],
     )
-    def test_malformed_axes_exit_two(self, capsys, count, n, axes):
-        sizes = ["--n", n] if n is not None else []
-        sizes += [f"--axes={axes}"] if axes is not None else []
-        code = main(["verify-finite", "--random", count, *sizes])
+    def test_malformed_axes_exit_two(self, capsys, count, flags, message):
+        code = main(["verify-finite", "--random", count, *flags])
         assert code == EXIT_BAD_INPUT
         err = capsys.readouterr().err
         assert err.startswith("spectel: ") and err.count("\n") == 1
         assert "Traceback" not in err
-
-    @pytest.mark.parametrize("n", ["-3", "0", "1"])
-    def test_coordinate_count_reported_as_given(self, capsys, n):
-        assert main(["verify-finite", "--random", "1", "--axes", "2", "--n", n]) == EXIT_BAD_INPUT
-        assert capsys.readouterr().err == f"spectel: need at least 2 coordinates, got --n {n}\n"
+        if message is not None:
+            assert err == f"spectel: {message}\n"
 
     @pytest.mark.parametrize("l", ["0", "4"])
     def test_block_size_out_of_range_exit_two(self, product3_path, capsys, l):
@@ -864,7 +878,9 @@ def test_import_loads_numpy_only(tmp_path):
 def malformed_target(draw) -> dict:
     """A target dict that ingest must refuse: each kind is one way to be malformed."""
     axes, probs = [2, 2], [0.25] * 4
-    kind = draw(st.sampled_from(["long", "bool", "nested", "mismatch", "non-finite"]))
+    kind = draw(
+        st.sampled_from(["long", "bool", "nested", "nested-bool", "mismatch", "non-finite"])
+    )
     if kind == "long":
         # Too many or too large sizes for one probability: a product of more
         # digits than str() converts, or more axes than fit a line.
@@ -880,6 +896,16 @@ def malformed_target(draw) -> dict:
             axes = [axes]
         else:
             probs = [probs[:2], probs[2:3]]
+    elif kind == "nested-bool":
+        # Only the top level of probs is searched for booleans; FiniteTarget
+        # refuses a nested one, in one entry or in all four.
+        value = draw(st.booleans())
+        for _ in range(draw(st.integers(1, 50))):
+            value = [value]
+        if draw(st.booleans()):
+            probs[draw(st.integers(0, 3))] = value
+        else:
+            probs = [value] * 4
     elif kind == "mismatch":
         axes = draw(st.lists(st.integers(2, 4), min_size=2, max_size=4))
         length = draw(st.integers(1, 300).filter(lambda k: k != math.prod(axes)))
@@ -895,17 +921,18 @@ def _far(low: int) -> st.SearchStrategy[str]:
 
 
 # Flag values past the byte rule (exit 3) or out of range (exit 2).  Sizes of
-# at least 10^5 hold 10^10 states on two axes; 2^40 floats are 8.8 TB.
+# at least 10^5 hold 10^10 states on two axes; 30 sizes of at least 2 hold
+# 2^30 floats, 8.6 GB.
 EXTREME_ARGV = st.one_of(
     st.tuples(
         st.just(["verify-finite", "--random", "1", "--axes"]),
-        st.integers(2, 10**6).map(str),
-        st.just("--n"),
-        st.one_of(st.integers(40, 10**40), st.integers(-(10**40), 1)).map(str),
+        st.lists(st.integers(10**5, 10**40), min_size=2, max_size=300).map(
+            lambda sizes: ",".join(map(str, sizes))
+        ),
     ),
     st.tuples(
         st.just(["verify-finite", "--random", "1", "--axes"]),
-        st.lists(st.integers(10**5, 10**40), min_size=2, max_size=300).map(
+        st.lists(st.integers(2, 10), min_size=30, max_size=5_000).map(
             lambda sizes: ",".join(map(str, sizes))
         ),
     ),
@@ -917,6 +944,9 @@ EXTREME_ARGV = st.one_of(
 
 
 @given(st.one_of(malformed_target(), EXTREME_ARGV), st.sampled_from(["verify-finite", "sample"]))
+# The derandomized draws hold few targets, so a nested boolean is also pinned.
+@example({"axes": [2, 2], "probs": [[[True]], 0.25, 0.25, 0.25]}, "verify-finite")
+@example({"axes": [2, 2], "probs": [[[False]]] * 4}, "sample")
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 def test_malformed_input_refused_in_one_line(tmp_path_factory, case, command):
     # Every stage that does work raises, so a refusal must come before all of them.

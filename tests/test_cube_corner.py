@@ -428,6 +428,34 @@ class TestCornerChain:
             assert trace.shape == (steps,)
             np.testing.assert_array_equal(trace, want[:, j])
 
+    def test_redraws_match_stream_oracle(self):
+        # A uniform of exactly 0 and one just below 1, whose value rounds
+        # rest + value up to 1.0, would each leave the open corner, so each
+        # is redrawn with rng.random(): two redraws, the only scalar draws.
+        class EdgeUniforms:
+            def __init__(self):
+                self.rng = np.random.default_rng(0)
+                self.redraws = 0
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def random(self, size=None):
+                if size is None:
+                    self.redraws += 1
+                    return self.rng.random()
+                u = self.rng.random(size)
+                u[:2] = 0.0, np.nextafter(1.0, 0.0)
+                return u
+
+        oracle, chain = EdgeUniforms(), EdgeUniforms()
+        want = oracle_corner_chain(3, 100, oracle)
+        np.testing.assert_array_equal(run_corner_chain(3, 100, chain), want)
+        assert oracle.redraws == chain.redraws == 2
+        for j in range(3):
+            trace = run_corner_chain(3, 100, EdgeUniforms(), trace_coord=j)
+            np.testing.assert_array_equal(trace, want[:, j])
+
     def test_oversized_run_refused(self, monkeypatch):
         # The byte boundary for either output shape, n = 3 columns or one:
         # 8 bytes a step and column, beside the start state and one block's

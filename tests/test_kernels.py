@@ -113,13 +113,6 @@ class TestGibbsKernel:
                     k.weights @ k.matrix, k.weights, atol=1e-10
                 )
 
-    def test_block_size_range(self):
-        t = FiniteTarget([2, 2], [0.1, 0.2, 0.3, 0.4])
-        with pytest.raises(DomainError):
-            gibbs_kernel(t, EMPTY_CONTEXT, 0)
-        with pytest.raises(DomainError):
-            gibbs_kernel(t, EMPTY_CONTEXT, 3)
-
 
 class TestRecursiveGibbs:
     def test_base_case_is_full_block(self, rng):
@@ -188,11 +181,6 @@ class TestRandomWalk:
                 assert states == indexed_states(t, ctx)
                 np.testing.assert_allclose(k.matrix, mat, atol=1e-13)
                 np.testing.assert_allclose(k.weights, w, atol=1e-13)
-
-    def test_needs_two_free_coordinates(self):
-        t = FiniteTarget([2, 2], [0.1, 0.2, 0.3, 0.4])
-        with pytest.raises(DomainError):
-            random_walk_kernel(t, CondContext((1,), (0,)))
 
 
 class TestAlteredRandomWalk:
@@ -357,10 +345,6 @@ class TestGramStack:
         )
         assert abs(gap[0] - dense_gap[0]) <= 1e-12
         assert gram_peak <= dense_peak, (gram_peak, dense_peak)
-
-    def test_full_block_rejected(self, rng):
-        with pytest.raises(DomainError):
-            _gram_stack(dirichlet_stack(rng, (2, 3)), 2)
 
     @pytest.mark.parametrize("shape", [(3, 3), (2, 2, 2), (2, 3, 4), (2, 2, 2, 2)])
     def test_solve_order_is_the_order_a_full_support_context_solves(self, shape, rng, monkeypatch):

@@ -1,13 +1,17 @@
 """Context helpers against the oracles, the engine's level enumeration, and ingestion rules."""
 
+import contextlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from spectel.errors import DomainError
+from spectel import target as target_module
+from spectel.errors import MEMORY_CAP, DomainError, ResourceLimitError
 from spectel.target import (
+    _BYTES_PER_FILE_BYTE,
     CondContext,
     FiniteTarget,
     _supported_level,
@@ -18,6 +22,7 @@ from spectel.target import (
 
 from conftest import (
     EMPTY_CONTEXT,
+    MemoryChecked,
     conditional,
     conditional_tensor,
     free_indices,
@@ -25,12 +30,14 @@ from conftest import (
     marginal_mass,
     oracle_conditional,
     oracle_marginal,
+    peak,
     product_of_marginals,
     product_target,
     random_small_target,
     sparse_mixed_target,
     supported_conditional,
     supported_contexts,
+    spy_memory_check,
     target_to_dict,
 )
 
@@ -271,6 +278,59 @@ class TestIngestion:
     def test_bad_schema_rejected(self):
         with pytest.raises(DomainError):
             target_from_dict({"axes": [2, 2]})
+
+    @pytest.mark.parametrize(
+        "probs, problem",
+        [
+            ([[True, False], [False, False]], "got bool entries"),
+            ([[0.25, True], [0.25, 0.25]], "flat list, got 2 dimensions"),
+            ([[[True]], 0.25, 0.25, 0.25], "must be numeric: setting an array element"),
+            ([json.loads("[" * 600 + "false" + "]" * 600)], "must be numeric: setting an array"),
+        ],
+        ids=["bool-table", "bool-among-floats", "ragged", "600-deep"],
+    )
+    def test_nested_boolean_rejected(self, probs, problem):
+        # Only the top level of probs is searched for booleans; every nested
+        # list, a boolean in it or not, is refused by FiniteTarget.
+        with pytest.raises(DomainError, match=problem):
+            target_from_dict({"axes": [2, 2], "probs": probs})
+
+    def test_file_size_checked_before_parsing(self, tmp_path, monkeypatch):
+        # A file one byte past the cap's share is refused unread, and one of
+        # exactly that share passes the check before the parse starts.
+        monkeypatch.setattr(target_module, "_read_json", lambda path: pytest.fail("parsed"))
+        share = MEMORY_CAP // _BYTES_PER_FILE_BYTE
+        path = tmp_path / "t.json"
+        with open(path, "wb") as fh:
+            fh.truncate(share + 1)
+        with pytest.raises(ResourceLimitError, match="reading the target"):
+            load_target(str(path))
+        seen = spy_memory_check(monkeypatch, target_module, stop=True)
+        os.truncate(path, share)
+        with pytest.raises(MemoryChecked):
+            load_target(str(path))
+        assert seen == [_BYTES_PER_FILE_BYTE * share]
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            # The densest number format: a point mass on (2,)^12 in "0," entries.
+            '{"axes": ' + json.dumps([2] * 12) + ', "probs": [1' + ",0" * (2**12 - 1) + "]}",
+            # The densest format measured: lists nested 45 deep, refused once read.
+            '{"axes": [2, 2], "probs": [' + ",".join(["[" * 45 + "]" * 45] * 2**12) + "]}",
+        ],
+        ids=["zeros", "nested-lists"],
+    )
+    def test_read_peak_within_its_share(self, tmp_path, body):
+        path = tmp_path / "t.json"
+        path.write_text(body)
+
+        def read():
+            with contextlib.suppress(DomainError):
+                load_target(str(path))
+
+        used, _ = peak(read)
+        assert used <= _BYTES_PER_FILE_BYTE * len(body), used
 
 
 class TestContexts:
